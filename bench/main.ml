@@ -1042,14 +1042,11 @@ let exp_serve ~full =
     in
     let config =
       {
-        Server.endpoint = Wire.Unix_socket socket_path;
+        Server.front = Mrpa_server.Listener.default_config (Wire.Unix_socket socket_path);
         workers;
         queue_capacity = 64;
         limits = Wire.default_limits;
-        idle_timeout_ms = None;
-        max_request_bytes = Server.default_max_request_bytes;
         max_predicted_cost = None;
-        allow_remote_shutdown = false;
         role = Server.Standalone;
       }
     in
@@ -1161,14 +1158,11 @@ let exp_route ~full =
   let sock name = Filename.concat dir (name ^ ".sock") in
   let server_config path =
     {
-      Server.endpoint = Wire.Unix_socket path;
+      Server.front = Mrpa_server.Listener.default_config (Wire.Unix_socket path);
       workers = 2;
       queue_capacity = 64;
       limits = Wire.default_limits;
-      idle_timeout_ms = None;
-      max_request_bytes = Server.default_max_request_bytes;
       max_predicted_cost = None;
-      allow_remote_shutdown = false;
       role = Server.Standalone;
     }
   in
@@ -1524,14 +1518,11 @@ let exp_cost ~full =
     in
     let config =
       {
-        Server.endpoint = Wire.Unix_socket socket_path;
+        Server.front = Mrpa_server.Listener.default_config (Wire.Unix_socket socket_path);
         workers;
         queue_capacity = 64;
         limits = Wire.default_limits;
-        idle_timeout_ms = None;
-        max_request_bytes = Server.default_max_request_bytes;
         max_predicted_cost = (if admission then Some ceiling else None);
-        allow_remote_shutdown = false;
         role = Server.Standalone;
       }
     in
@@ -1704,14 +1695,11 @@ let exp_zipf ~full =
     let socket_path = Filename.concat dir (name ^ ".sock") in
     let config =
       {
-        Server.endpoint = Wire.Unix_socket socket_path;
+        Server.front = Mrpa_server.Listener.default_config (Wire.Unix_socket socket_path);
         workers = 2;
         queue_capacity = 64;
         limits = Wire.default_limits;
-        idle_timeout_ms = None;
-        max_request_bytes = Server.default_max_request_bytes;
         max_predicted_cost = None;
-        allow_remote_shutdown = false;
         role = Server.Standalone;
       }
     in
@@ -1879,14 +1867,11 @@ let exp_replication ~full =
   let r_ep = Wire.Unix_socket r_sock in
   let config endpoint role =
     {
-      Server.endpoint;
+      Server.front = Mrpa_server.Listener.default_config endpoint;
       workers = 2;
       queue_capacity = 64;
       limits = Wire.default_limits;
-      idle_timeout_ms = None;
-      max_request_bytes = Server.default_max_request_bytes;
       max_predicted_cost = None;
-      allow_remote_shutdown = false;
       role;
     }
   in
@@ -2035,14 +2020,11 @@ let exp_views_live ~full =
   let server =
     Server.create
       {
-        Server.endpoint = ep;
+        Server.front = Mrpa_server.Listener.default_config ep;
         workers = 2;
         queue_capacity = 64;
         limits = Wire.default_limits;
-        idle_timeout_ms = None;
-        max_request_bytes = Server.default_max_request_bytes;
         max_predicted_cost = None;
-        allow_remote_shutdown = false;
         role = Server.Primary { journal };
       }
   in

@@ -1101,8 +1101,8 @@ let automaton_cmd =
 
 (* --- serve / call ------------------------------------------------------------------- *)
 
-(* Endpoint flags shared by `serve` and `call`: exactly one of a Unix-domain
-   socket path or a TCP port (with optional host). *)
+(* Endpoint flags shared by every serving and client command: exactly one of
+   a Unix-domain socket path or a TCP port (with optional host). *)
 let socket_arg =
   Arg.(
     value
@@ -1126,6 +1126,229 @@ let endpoint_of_flags ~socket ~port ~host =
   | Some path, None -> Mrpa_server.Wire.Unix_socket path
   | None, Some port -> Mrpa_server.Wire.Tcp (host, port)
   | _ -> or_die (Error "exactly one of --socket PATH or --port N is required")
+
+(* Front-door flags shared by `serve` and `route`: where to listen, the
+   session bounds, the remote-shutdown gate and the per-request ceilings.
+   The ceilings `route` has no use for (fuel, staleness) stay unset. *)
+let front_door_term =
+  let idle_timeout_arg =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "idle-timeout-ms" ] ~docv:"MS"
+          ~doc:
+            "Close a connection that fails to deliver a complete request \
+             line within $(docv) (answered with an idle_timeout wire \
+             error). Covers both silent idle connections and slow-drip \
+             clients. Unset: wait forever.")
+  in
+  let max_request_bytes_arg =
+    Arg.(
+      value
+      & opt int Mrpa_server.Listener.default_max_request_bytes
+      & info [ "max-request-bytes" ] ~docv:"BYTES"
+          ~doc:
+            "Reject request lines longer than $(docv) with a \
+             request_too_large wire error and close the connection.")
+  in
+  let allow_remote_shutdown_arg =
+    Arg.(
+      value & flag
+      & info [ "allow-remote-shutdown" ]
+          ~doc:
+            "Honour the shutdown verb on TCP sessions. Without this flag \
+             only Unix-domain clients may stop the process; a TCP shutdown \
+             request is refused with an unauthorized wire error.")
+  in
+  let max_deadline_arg =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "max-deadline-ms" ] ~docv:"MS"
+          ~doc:
+            "Ceiling on (and default for) every request's wall-clock \
+             budget: clients may ask for less, never more.")
+  in
+  let max_paths_cap_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "max-paths" ] ~docv:"N"
+          ~doc:
+            "Ceiling on (and default for) every request's path-memory \
+             budget: the live and banked paths of an evaluation, or the \
+             paths `route` materialises while stitching shard results \
+             (crossing it there truncates to a sound subset, \
+             partial:memory).")
+  in
+  let max_limit_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "max-limit" ] ~docv:"N"
+          ~doc:"Ceiling on (and default for) returned paths per query.")
+  in
+  let max_length_cap_arg =
+    Arg.(
+      value & opt int 16
+      & info [ "max-length" ] ~docv:"N"
+          ~doc:"Ceiling on the star-unrolling bound clients may request.")
+  in
+  let make socket port host idle_timeout_ms max_request_bytes
+      allow_remote_shutdown max_deadline_ms max_live_paths max_limit
+      max_length_cap =
+    ( {
+        Mrpa_server.Listener.endpoint = endpoint_of_flags ~socket ~port ~host;
+        idle_timeout_ms;
+        max_request_bytes;
+        allow_remote_shutdown;
+      },
+      {
+        Mrpa_server.Wire.max_deadline_ms;
+        max_fuel = None;
+        max_live_paths;
+        max_limit;
+        max_length_cap;
+        min_staleness_ms = None;
+      } )
+  in
+  Term.(
+    const make $ socket_arg $ port_arg $ host_arg $ idle_timeout_arg
+    $ max_request_bytes_arg $ allow_remote_shutdown_arg $ max_deadline_arg
+    $ max_paths_cap_arg $ max_limit_arg $ max_length_cap_arg)
+
+(* Run a front door until it drains. SIGINT/SIGTERM request a graceful
+   drain: the handler only sets a flag that the accept loop notices.
+   (SIGPIPE is ignored by the library itself — Mrpa_server.Net — so a
+   vanished peer cannot kill the process.) Once listening, the endpoint
+   actually bound is announced: with `--port 0` the kernel picks the port,
+   and scripts (and the cram tests) grep this line to find it. *)
+let run_front_door name endpoint ~stop ~bound_endpoint serve =
+  if Sys.os_type <> "Win32" then begin
+    let graceful = Sys.Signal_handle (fun _ -> stop ()) in
+    ignore (Sys.signal Sys.sigint graceful);
+    ignore (Sys.signal Sys.sigterm graceful)
+  end;
+  ignore
+    (Thread.create
+       (fun () ->
+         let rec wait n =
+           if n > 0 then
+             match bound_endpoint () with
+             | Some ep ->
+               Printf.eprintf "mrpa %s: listening on %s\n%!" name
+                 (Mrpa_server.Wire.endpoint_to_string ep)
+             | None ->
+               Thread.delay 0.01;
+               wait (n - 1)
+         in
+         wait 1_000)
+       ());
+  (match serve () with
+  | () -> ()
+  | exception Unix.Unix_error (err, _, arg) ->
+    or_die
+      (Error
+         (Printf.sprintf "cannot listen on %s: %s%s"
+            (Mrpa_server.Wire.endpoint_to_string endpoint)
+            (Unix.error_message err)
+            (if arg = "" then "" else " (" ^ arg ^ ")"))));
+  Printf.eprintf "mrpa %s: drained, exiting\n%!" name
+
+(* Client flags shared by `call` and `views`: where to send the request,
+   its staleness bounds and the retry policy. *)
+type client_flags = {
+  endpoints : Mrpa_server.Wire.endpoint list;
+  min_seq : int option;
+  max_staleness_ms : float option;
+  policy : Mrpa_server.Client.retry_policy;
+}
+
+let client_term =
+  let endpoints_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "endpoints" ] ~docv:"A,B,C"
+          ~doc:
+            "Failover endpoint list (comma-separated unix:PATH / \
+             tcp:HOST:PORT / HOST:PORT), tried round-robin: attempts \
+             rotate across the list and the backoff sleep is paid only \
+             after a full cycle has failed. Exclusive with \
+             --socket/--port; combine with --retries to survive an \
+             endpoint dying mid-conversation.")
+  in
+  let min_seq_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "min-seq" ] ~docv:"SEQ"
+          ~doc:
+            "Bounded staleness: require the serving snapshot to include \
+             journal record $(docv); a server that cannot satisfy it \
+             within a short wait answers with a stale error (which \
+             --retries will re-try, possibly elsewhere).")
+  in
+  let max_staleness_arg =
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "max-staleness-ms" ] ~docv:"MS"
+          ~doc:
+            "Bounded staleness: require a replica to have heard from its \
+             primary within the last $(docv) milliseconds, else answer \
+             with a stale error. Authoritative servers (standalone, \
+             primary) always satisfy this bound.")
+  in
+  let retries_arg =
+    Arg.(
+      value & opt int 0
+      & info [ "retries" ] ~docv:"N"
+          ~doc:
+            "Retry up to $(docv) extra times on a refused/absent endpoint \
+             or an overloaded or stale response, with exponential backoff \
+             and full jitter between attempts. After a mid-stream failure \
+             only requests that cannot change server state are replayed \
+             (never shutdown, views register or views drop). 0 (the \
+             default) tries exactly once. Ignored by `call --pipeline`.")
+  in
+  let backoff_arg =
+    Arg.(
+      value & opt float 100.0
+      & info [ "backoff-ms" ] ~docv:"MS"
+          ~doc:
+            "Base of the backoff window: retry $(i,k) sleeps between \
+             $(docv)*2^k/2 and $(docv)*2^k milliseconds (capped at 10s).")
+  in
+  let make socket port host endpoints min_seq max_staleness_ms retries
+      backoff_ms =
+    let endpoints =
+      match endpoints with
+      | None -> [ endpoint_of_flags ~socket ~port ~host ]
+      | Some list ->
+        if socket <> None || port <> None then
+          or_die (Error "--endpoints is exclusive with --socket/--port");
+        let eps =
+          List.filter_map
+            (fun s ->
+              let s = String.trim s in
+              if s = "" then None
+              else Some (or_die (Mrpa_server.Wire.endpoint_of_string s)))
+            (String.split_on_char ',' list)
+        in
+        if eps = [] then or_die (Error "--endpoints: no endpoints given");
+        eps
+    in
+    {
+      endpoints;
+      min_seq;
+      max_staleness_ms;
+      policy = { Mrpa_server.Client.retries = max 0 retries; backoff_ms };
+    }
+  in
+  Term.(
+    const make $ socket_arg $ port_arg $ host_arg $ endpoints_arg
+    $ min_seq_arg $ max_staleness_arg $ retries_arg $ backoff_arg)
 
 let serve_cmd =
   let graph_flag =
@@ -1193,63 +1416,12 @@ let serve_cmd =
              is full is answered with an overloaded error instead of being \
              buffered.")
   in
-  let max_deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-deadline-ms" ] ~docv:"MS"
-          ~doc:
-            "Ceiling on (and default for) every request's wall-clock \
-             budget: clients may ask for less, never more.")
-  in
   let max_fuel_arg =
     Arg.(
       value
       & opt (some int) None
       & info [ "max-fuel" ] ~docv:"STEPS"
           ~doc:"Ceiling on (and default for) every request's work budget.")
-  in
-  let max_paths_cap_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-paths" ] ~docv:"N"
-          ~doc:
-            "Ceiling on (and default for) every request's live/banked-path \
-             memory budget.")
-  in
-  let max_limit_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-limit" ] ~docv:"N"
-          ~doc:"Ceiling on (and default for) returned paths per query.")
-  in
-  let max_length_cap_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "max-length" ] ~docv:"N"
-          ~doc:"Ceiling on the star-unrolling bound clients may request.")
-  in
-  let idle_timeout_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "idle-timeout-ms" ] ~docv:"MS"
-          ~doc:
-            "Close a connection that fails to deliver a complete request \
-             line within $(docv) (answered with an idle_timeout wire \
-             error). Covers both silent idle connections and slow-drip \
-             clients. Unset: wait forever.")
-  in
-  let max_request_bytes_arg =
-    Arg.(
-      value
-      & opt int Mrpa_server.Server.default_max_request_bytes
-      & info [ "max-request-bytes" ] ~docv:"BYTES"
-          ~doc:
-            "Reject request lines longer than $(docv) with a \
-             request_too_large wire error and close the connection.")
   in
   let max_predicted_cost_arg =
     Arg.(
@@ -1281,20 +1453,9 @@ let serve_cmd =
              Complete-verdict responses, invalidated whenever the source \
              graph changes. 0 disables the cache.")
   in
-  let allow_remote_shutdown_arg =
-    Arg.(
-      value & flag
-      & info [ "allow-remote-shutdown" ]
-          ~doc:
-            "Honour the shutdown verb on TCP sessions. Without this flag \
-             only Unix-domain clients may stop the server; a TCP shutdown \
-             request is refused with an unauthorized wire error.")
-  in
-  let run graph socket port host role journal follow min_staleness_ms workers
-      queue max_deadline_ms max_fuel max_paths_cap max_limit max_length_cap
-      idle_timeout_ms max_request_bytes max_predicted_cost plan_cache
-      result_cache allow_remote_shutdown =
-    let endpoint = endpoint_of_flags ~socket ~port ~host in
+  let run graph (front, limits) role journal follow min_staleness_ms workers
+      queue max_fuel max_predicted_cost plan_cache result_cache =
+    let endpoint = front.Mrpa_server.Listener.endpoint in
     let role, snapshot, origin =
       match role with
       | `Standalone ->
@@ -1334,22 +1495,11 @@ let serve_cmd =
     in
     let config =
       {
-        Mrpa_server.Server.endpoint;
+        Mrpa_server.Server.front;
         workers;
         queue_capacity = queue;
-        limits =
-          {
-            Mrpa_server.Wire.max_deadline_ms;
-            max_fuel;
-            max_live_paths = max_paths_cap;
-            max_limit;
-            max_length_cap;
-            min_staleness_ms;
-          };
-        idle_timeout_ms;
-        max_request_bytes;
+        limits = { limits with Mrpa_server.Wire.max_fuel; min_staleness_ms };
         max_predicted_cost;
-        allow_remote_shutdown;
         role;
       }
     in
@@ -1357,60 +1507,22 @@ let serve_cmd =
       try Mrpa_server.Server.create ?snapshot config
       with Invalid_argument msg -> or_die (Error msg)
     in
-    (* SIGINT/SIGTERM request a graceful drain: the handler only sets a
-       flag; the accept loop notices, cancels in-flight budgets through
-       their cancellation tokens, drains the pool, and serve returns.
-       (SIGPIPE is ignored by the server/client library setup itself —
-       Mrpa_server.Net — so a vanished peer cannot kill the process.) *)
-    if Sys.os_type <> "Win32" then begin
-      let graceful =
-        Sys.Signal_handle (fun _ -> Mrpa_server.Server.stop server)
-      in
-      ignore (Sys.signal Sys.sigint graceful);
-      ignore (Sys.signal Sys.sigterm graceful)
-    end;
     Printf.eprintf "mrpa serve: %s workers=%d queue=%d %s (%s)\n%!"
       (Mrpa_server.Wire.endpoint_to_string endpoint)
       workers queue origin
       (Format.asprintf "%a" Mrpa_server.Snapshot.pp_stats
          (Mrpa_server.Server.snapshot server));
-    (* Announce the endpoint actually bound once serve is listening — with
-       `--port 0` the kernel picks the port, and scripts (and the cram
-       tests) grep this line to find it. *)
-    ignore
-      (Thread.create
-         (fun () ->
-           let rec wait n =
-             if n > 0 then
-               match Mrpa_server.Server.bound_endpoint server with
-               | Some ep ->
-                 Printf.eprintf "mrpa serve: listening on %s\n%!"
-                   (Mrpa_server.Wire.endpoint_to_string ep)
-               | None ->
-                 Thread.delay 0.01;
-                 wait (n - 1)
-           in
-           wait 1_000)
-         ());
-    (match Mrpa_server.Server.serve server with
-    | () -> ()
-    | exception Unix.Unix_error (err, _, arg) ->
-      or_die
-        (Error
-           (Printf.sprintf "cannot listen on %s: %s%s"
-              (Mrpa_server.Wire.endpoint_to_string endpoint)
-              (Unix.error_message err)
-              (if arg = "" then "" else " (" ^ arg ^ ")"))));
-    Printf.eprintf "mrpa serve: drained, exiting\n%!"
+    run_front_door "serve" endpoint
+      ~stop:(fun () -> Mrpa_server.Server.stop server)
+      ~bound_endpoint:(fun () -> Mrpa_server.Server.bound_endpoint server)
+      (fun () -> Mrpa_server.Server.serve server)
   in
   let term =
     Term.(
-      const run $ graph_flag $ socket_arg $ port_arg $ host_arg $ role_arg
-      $ journal_arg $ follow_arg $ min_staleness_arg $ workers_arg
-      $ queue_arg $ max_deadline_arg $ max_fuel_arg $ max_paths_cap_arg
-      $ max_limit_arg $ max_length_cap_arg $ idle_timeout_arg
-      $ max_request_bytes_arg $ max_predicted_cost_arg $ plan_cache_arg
-      $ result_cache_arg $ allow_remote_shutdown_arg)
+      const run $ graph_flag $ front_door_term $ role_arg $ journal_arg
+      $ follow_arg $ min_staleness_arg $ workers_arg $ queue_arg
+      $ max_fuel_arg $ max_predicted_cost_arg $ plan_cache_arg
+      $ result_cache_arg)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1447,41 +1559,6 @@ let call_cmd =
              Against `mrpa route`, reports the router's per-shard breaker \
              states and each shard's own health object.")
   in
-  let endpoints_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "endpoints" ] ~docv:"A,B,C"
-          ~doc:
-            "Failover endpoint list (comma-separated unix:PATH / \
-             tcp:HOST:PORT / HOST:PORT), tried round-robin: attempts \
-             rotate across the list and the backoff sleep is paid only \
-             after a full cycle has failed. Exclusive with \
-             --socket/--port; combine with --retries to survive an \
-             endpoint dying mid-conversation.")
-  in
-  let min_seq_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "min-seq" ] ~docv:"SEQ"
-          ~doc:
-            "Bounded-staleness read: require the serving snapshot to \
-             include journal record $(docv); a server that cannot satisfy \
-             it within a short wait answers with a stale error (which \
-             --retries will re-try, possibly elsewhere).")
-  in
-  let max_staleness_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-staleness-ms" ] ~docv:"MS"
-          ~doc:
-            "Bounded-staleness read: require a replica to have heard from \
-             its primary within the last $(docv) milliseconds, else answer \
-             with a stale error. Authoritative servers (standalone, \
-             primary) always satisfy this bound.")
-  in
   let shutdown_flag =
     Arg.(
       value & flag
@@ -1515,45 +1592,10 @@ let call_cmd =
              (applied to every query); exclusive with --ping, --stats, \
              --shutdown and --lint.")
   in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry up to $(docv) extra times on a refused/absent endpoint \
-             or an overloaded response, with exponential backoff and full \
-             jitter between attempts. 0 (the default) tries exactly once. \
-             Ignored in --pipeline mode.")
-  in
-  let backoff_arg =
-    Arg.(
-      value & opt float 100.0
-      & info [ "backoff-ms" ] ~docv:"MS"
-          ~doc:
-            "Base of the backoff window: retry $(i,k) sleeps between \
-             $(docv)*2^k/2 and $(docv)*2^k milliseconds (capped at 10s).")
-  in
-  let run socket port host endpoints query_opt ping stats shutdown health
-      count lint pipeline strategy limit max_length simple deadline_ms fuel
-      max_paths min_seq max_staleness_ms retries backoff_ms =
+  let run { endpoints; min_seq; max_staleness_ms; policy } query_opt ping
+      stats shutdown health count lint pipeline strategy limit max_length
+      simple deadline_ms fuel max_paths =
     let module S = Mrpa_server in
-    let endpoints =
-      match endpoints with
-      | None -> [ endpoint_of_flags ~socket ~port ~host ]
-      | Some list ->
-        if socket <> None || port <> None then
-          or_die (Error "--endpoints is exclusive with --socket/--port");
-        let eps =
-          List.filter_map
-            (fun s ->
-              let s = String.trim s in
-              if s = "" then None
-              else Some (or_die (S.Wire.endpoint_of_string s)))
-            (String.split_on_char ',' list)
-        in
-        if eps = [] then or_die (Error "--endpoints: no endpoints given");
-        eps
-    in
     let endpoint = List.hd endpoints in
     let options =
       {
@@ -1686,7 +1728,6 @@ let call_cmd =
       | _, _ -> None
     in
     let request = { S.Wire.id = S.Json.Null; verb; query; options } in
-    let policy = { S.Client.retries = max 0 retries; backoff_ms } in
     let line = or_die (S.Client.request_failover ~policy endpoints request) in
     (* Print the response verbatim (it is already one JSON line), then turn
        its verdict into the standard exit-code policy. *)
@@ -1698,12 +1739,10 @@ let call_cmd =
   in
   let term =
     Term.(
-      const run $ socket_arg $ port_arg $ host_arg $ endpoints_arg
-      $ query_pos_opt $ ping_flag $ stats_flag $ shutdown_flag $ health_flag
-      $ call_count_flag $ call_lint_flag $ pipeline_flag $ strategy_arg
-      $ limit_arg $ max_length_arg $ simple_arg $ deadline_arg $ fuel_arg
-      $ max_paths_arg $ min_seq_arg $ max_staleness_arg $ retries_arg
-      $ backoff_arg)
+      const run $ client_term $ query_pos_opt $ ping_flag $ stats_flag
+      $ shutdown_flag $ health_flag $ call_count_flag $ call_lint_flag
+      $ pipeline_flag $ strategy_arg $ limit_arg $ max_length_arg
+      $ simple_arg $ deadline_arg $ fuel_arg $ max_paths_arg)
   in
   Cmd.v
     (Cmd.info "call"
@@ -1776,129 +1815,42 @@ let route_cmd =
              source position; wider frontiers still narrow the dispatch \
              targets but leave the selector text unrewritten.")
   in
-  let max_deadline_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-deadline-ms" ] ~docv:"MS"
-          ~doc:"Ceiling on (and default for) every request's wall-clock budget.")
-  in
-  let max_paths_cap_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-paths" ] ~docv:"N"
-          ~doc:
-            "Ceiling on (and default for) the paths materialised while \
-             stitching shard results; crossing it truncates to a sound \
-             subset (partial:memory).")
-  in
-  let max_limit_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-limit" ] ~docv:"N"
-          ~doc:"Ceiling on (and default for) returned paths per query.")
-  in
-  let max_length_cap_arg =
-    Arg.(
-      value & opt int 16
-      & info [ "max-length" ] ~docv:"N"
-          ~doc:"Ceiling on the star-unrolling bound clients may request.")
-  in
-  let max_request_bytes_arg =
-    Arg.(
-      value
-      & opt int Mrpa_server.Server.default_max_request_bytes
-      & info [ "max-request-bytes" ] ~docv:"BYTES"
-          ~doc:"Reject request lines longer than $(docv).")
-  in
-  let allow_remote_shutdown_arg =
-    Arg.(
-      value & flag
-      & info [ "allow-remote-shutdown" ]
-          ~doc:
-            "Honour the shutdown verb on TCP sessions; without it only \
-             Unix-domain clients may stop the router.")
-  in
-  let run socket port host shard_map shard_timeout_ms probe_timeout_ms
-      breaker_failures breaker_cooldown_ms frontier_cap max_deadline_ms
-      max_paths_cap max_limit max_length_cap max_request_bytes
-      allow_remote_shutdown =
+  let run (front, limits) shard_map shard_timeout_ms probe_timeout_ms
+      breaker_failures breaker_cooldown_ms frontier_cap =
     let module S = Mrpa_server in
-    let endpoint = endpoint_of_flags ~socket ~port ~host in
+    let endpoint = front.S.Listener.endpoint in
     let map = or_die (S.Shardmap.load shard_map) in
     let config =
       {
-        S.Router.endpoint;
+        S.Router.front;
         map;
-        limits =
-          {
-            S.Wire.max_deadline_ms;
-            max_fuel = None;
-            max_live_paths = max_paths_cap;
-            max_limit;
-            max_length_cap;
-            min_staleness_ms = None;
-          };
-        allow_remote_shutdown;
+        limits;
         shard_timeout_ms;
         probe_timeout_ms;
         breaker_failures;
         breaker_cooldown_ms;
         frontier_cap;
-        max_request_bytes;
       }
     in
     let router =
       try S.Router.create config
       with Invalid_argument msg -> or_die (Error msg)
     in
-    if Sys.os_type <> "Win32" then begin
-      let graceful = Sys.Signal_handle (fun _ -> S.Router.stop router) in
-      ignore (Sys.signal Sys.sigint graceful);
-      ignore (Sys.signal Sys.sigterm graceful)
-    end;
     Printf.eprintf "mrpa route: %s shards=%d (%s)\n%!"
       (S.Wire.endpoint_to_string endpoint)
       (S.Shardmap.n_shards map)
       (String.concat ", "
          (List.map (fun s -> s.S.Shardmap.name) (S.Shardmap.shards map)));
-    (* Announce the endpoint actually bound once serve is listening — with
-       `--port 0` the kernel picks the port, and scripts grep this line. *)
-    ignore
-      (Thread.create
-         (fun () ->
-           let rec wait n =
-             if n > 0 then
-               match S.Router.bound_endpoint router with
-               | Some ep ->
-                 Printf.eprintf "mrpa route: listening on %s\n%!"
-                   (S.Wire.endpoint_to_string ep)
-               | None ->
-                 Thread.delay 0.01;
-                 wait (n - 1)
-           in
-           wait 1_000)
-         ());
-    (match S.Router.serve router with
-    | () -> ()
-    | exception Unix.Unix_error (err, _, arg) ->
-      or_die
-        (Error
-           (Printf.sprintf "cannot listen on %s: %s%s"
-              (S.Wire.endpoint_to_string endpoint)
-              (Unix.error_message err)
-              (if arg = "" then "" else " (" ^ arg ^ ")"))));
-    Printf.eprintf "mrpa route: drained, exiting\n%!"
+    run_front_door "route" endpoint
+      ~stop:(fun () -> S.Router.stop router)
+      ~bound_endpoint:(fun () -> S.Router.bound_endpoint router)
+      (fun () -> S.Router.serve router)
   in
   let term =
     Term.(
-      const run $ socket_arg $ port_arg $ host_arg $ shard_map_arg
-      $ shard_timeout_arg $ probe_timeout_arg $ breaker_failures_arg
-      $ breaker_cooldown_arg $ frontier_cap_arg $ max_deadline_arg
-      $ max_paths_cap_arg $ max_limit_arg $ max_length_cap_arg
-      $ max_request_bytes_arg $ allow_remote_shutdown_arg)
+      const run $ front_door_term $ shard_map_arg $ shard_timeout_arg
+      $ probe_timeout_arg $ breaker_failures_arg $ breaker_cooldown_arg
+      $ frontier_cap_arg)
   in
   Cmd.v
     (Cmd.info "route"
@@ -2028,68 +1980,9 @@ let views_cmd =
       & info [ "top" ] ~docv:"K"
           ~doc:"analytics: ranking size (default 10).")
   in
-  let endpoints_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "endpoints" ] ~docv:"A,B,C"
-          ~doc:
-            "Failover endpoint list, as for `mrpa call`. Exclusive with \
-             --socket/--port.")
-  in
-  let min_seq_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "min-seq" ] ~docv:"SEQ"
-          ~doc:
-            "Bounded-staleness read: require the serving snapshot to \
-             include journal record $(docv).")
-  in
-  let max_staleness_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-staleness-ms" ] ~docv:"MS"
-          ~doc:
-            "Bounded-staleness read: require a replica to have heard from \
-             its primary within the last $(docv) milliseconds.")
-  in
-  let retries_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry reads (and list) up to $(docv) extra times on \
-             refused/overloaded/stale, as for `mrpa call`; register and \
-             drop are never blindly replayed after a mid-stream failure.")
-  in
-  let backoff_arg =
-    Arg.(
-      value & opt float 100.0
-      & info [ "backoff-ms" ] ~docv:"MS" ~doc:"Backoff window base.")
-  in
-  let run socket port host endpoints action name word vquery counts measure
-      top limit max_length deadline_ms fuel max_paths min_seq
-      max_staleness_ms retries backoff_ms =
+  let run { endpoints; min_seq; max_staleness_ms; policy } action name word
+      vquery counts measure top limit max_length deadline_ms fuel max_paths =
     let module S = Mrpa_server in
-    let endpoints =
-      match endpoints with
-      | None -> [ endpoint_of_flags ~socket ~port ~host ]
-      | Some list ->
-        if socket <> None || port <> None then
-          or_die (Error "--endpoints is exclusive with --socket/--port");
-        let eps =
-          List.filter_map
-            (fun s ->
-              let s = String.trim s in
-              if s = "" then None
-              else Some (or_die (S.Wire.endpoint_of_string s)))
-            (String.split_on_char ',' list)
-        in
-        if eps = [] then or_die (Error "--endpoints: no endpoints given");
-        eps
-    in
     let require_name () =
       match name with
       | Some n -> Some n
@@ -2172,7 +2065,6 @@ let views_cmd =
     let request =
       { S.Wire.id = S.Json.Null; verb = S.Wire.Views vreq; query = None; options }
     in
-    let policy = { S.Client.retries = max 0 retries; backoff_ms } in
     let line = or_die (S.Client.request_failover ~policy endpoints request) in
     print_endline line;
     (* Exit-code policy: errors win over a partial view (a re-projection
@@ -2196,11 +2088,9 @@ let views_cmd =
   in
   let term =
     Term.(
-      const run $ socket_arg $ port_arg $ host_arg $ endpoints_arg
-      $ action_pos $ name_pos $ word_arg $ vquery_arg $ counts_flag
-      $ measure_arg $ vtop_arg $ limit_arg $ max_length_arg $ deadline_arg
-      $ fuel_arg $ max_paths_arg $ min_seq_arg $ max_staleness_arg
-      $ retries_arg $ backoff_arg)
+      const run $ client_term $ action_pos $ name_pos $ word_arg
+      $ vquery_arg $ counts_flag $ measure_arg $ vtop_arg $ limit_arg
+      $ max_length_arg $ deadline_arg $ fuel_arg $ max_paths_arg)
   in
   Cmd.v
     (Cmd.info "views"

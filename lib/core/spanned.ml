@@ -1,16 +1,39 @@
-type t = { node : node; span : Span.t }
+type 'a tree = { node : 'a node; span : Span.t }
 
-and node =
+and 'a node =
   | Empty
   | Epsilon
-  | Sel of Selector.t
-  | Union of t * t
-  | Join of t * t
-  | Product of t * t
-  | Star of t
+  | Sel of 'a
+  | Union of 'a tree * 'a tree
+  | Join of 'a tree * 'a tree
+  | Product of 'a tree * 'a tree
+  | Star of 'a tree
+
+type t = Selector.t tree
 
 let mk span node = { node; span }
 let with_span span e = { e with span }
+
+(* Leaves are visited left to right (the [let]s fix the order), so a
+   failing [f] stops at the first leaf in source order. *)
+let rec map_sel f e =
+  let node =
+    match e.node with
+    | Empty -> Empty
+    | Epsilon -> Epsilon
+    | Sel s -> Sel (f s)
+    | Union (a, b) ->
+      let a = map_sel f a in
+      Union (a, map_sel f b)
+    | Join (a, b) ->
+      let a = map_sel f a in
+      Join (a, map_sel f b)
+    | Product (a, b) ->
+      let a = map_sel f a in
+      Product (a, map_sel f b)
+    | Star a -> Star (map_sel f a)
+  in
+  mk e.span node
 
 let rec strip e =
   match e.node with

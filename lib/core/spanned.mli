@@ -10,19 +10,26 @@
 
 open Mrpa_graph
 
-type t = { node : node; span : Span.t }
+type 'a tree = { node : 'a node; span : Span.t }
+(** A span-carrying expression over leaves of type ['a]: the parser's
+    name-level syntax tree before names are resolved, {!t} after. *)
 
-and node =
+and 'a node =
   | Empty
   | Epsilon
-  | Sel of Selector.t
-  | Union of t * t
-  | Join of t * t
-  | Product of t * t
-  | Star of t
+  | Sel of 'a
+  | Union of 'a tree * 'a tree
+  | Join of 'a tree * 'a tree
+  | Product of 'a tree * 'a tree
+  | Star of 'a tree
 
-val mk : Span.t -> node -> t
-val with_span : Span.t -> t -> t
+type t = Selector.t tree
+
+val mk : Span.t -> 'a node -> 'a tree
+val with_span : Span.t -> 'a tree -> 'a tree
+
+val map_sel : ('a -> 'b) -> 'a tree -> 'b tree
+(** Rewrite every leaf, left to right, keeping the shape and every span. *)
 
 val strip : t -> Expr.t
 (** Forget the spans. *)
@@ -37,14 +44,14 @@ val of_expr : ?span:Span.t -> Expr.t -> t
     {!Expr.repeat_range}: same node structure, every introduced node tagged
     with [span]. *)
 
-val plus : span:Span.t -> t -> t
-val opt : span:Span.t -> t -> t
-val repeat : span:Span.t -> t -> int -> t
-val repeat_range : span:Span.t -> t -> min:int -> max:int -> t
+val plus : span:Span.t -> 'a tree -> 'a tree
+val opt : span:Span.t -> 'a tree -> 'a tree
+val repeat : span:Span.t -> 'a tree -> int -> 'a tree
+val repeat_range : span:Span.t -> 'a tree -> min:int -> max:int -> 'a tree
 
 (** {1 Traversal} *)
 
-val subterms : t -> t list
+val subterms : 'a tree -> 'a tree list
 (** Every node of the tree, preorder. *)
 
 val sel_occurrences : t -> (Span.t * Selector.t) list

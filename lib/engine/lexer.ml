@@ -71,7 +71,9 @@ let tokenize input =
       | c when is_digit c ->
         let rec stop j = if j < n && is_digit input.[j] then stop (j + 1) else j in
         let j = stop i in
-        emit i j (INT (int_of_string (String.sub input i (j - i))));
+        (match int_of_string_opt (String.sub input i (j - i)) with
+        | Some v -> emit i j (INT v)
+        | None -> raise (Lex_error ("integer literal out of range", i)));
         scan j
       | c when is_letter c || c = '_' ->
         let rec stop j =

@@ -8,11 +8,21 @@ exception Parse_failure of error
 let fail pos fmt =
   Format.kasprintf (fun message -> raise (Parse_failure { message; position = pos })) fmt
 
+type name = { text : string; pos : int }
+type position = Any | Only of name list | Except of name list
+
+type atom =
+  | Pattern of { src : position; lbl : position; dst : position }
+  | Edges of (name * name * name) list
+
+type tree = atom Spanned.tree
+type query = { lets : tree list; body : tree }
+
 type state = {
   tokens : Lexer.located array;
   mutable cursor : int;
-  graph : Digraph.t;
-  mutable macros : (string * Spanned.t) list;
+  mutable macros : (string * tree) list;
+  mutable lets : tree list;  (* macro bodies, most recent first *)
 }
 
 let peek st = st.tokens.(st.cursor)
@@ -31,31 +41,21 @@ let expect st token what =
 let name_of_token st =
   let { Lexer.token; pos; _ } = peek st in
   match token with
-  | Lexer.IDENT s ->
+  | Lexer.IDENT text ->
     advance st;
-    (s, pos)
+    { text; pos }
   | Lexer.INT i ->
     advance st;
-    (string_of_int i, pos)
+    { text = string_of_int i; pos }
   | _ -> fail pos "expected a name"
 
-let resolve_vertex st (name, pos) =
-  match Digraph.find_vertex st.graph name with
-  | Some v -> v
-  | None -> fail pos "unknown vertex %S" name
-
-let resolve_label st (name, pos) =
-  match Digraph.find_label st.graph name with
-  | Some l -> l
-  | None -> fail pos "unknown label %S" name
-
-(* names ::= name | '{' name (',' name)* '}' ; returns resolved via [f] *)
-let parse_names st f =
+(* names ::= name | '{' name (',' name)* '}' *)
+let parse_names st =
   match (peek st).Lexer.token with
   | Lexer.LBRACE ->
     advance st;
     let rec more acc =
-      let x = f st (name_of_token st) in
+      let x = name_of_token st in
       match (peek st).Lexer.token with
       | Lexer.COMMA ->
         advance st;
@@ -65,53 +65,38 @@ let parse_names st f =
         List.rev (x :: acc)
     in
     more []
-  | _ -> [ f st (name_of_token st) ]
-
-let all_vertices st = Vertex.Set.of_list (Digraph.vertices st.graph)
-let all_labels st = Label.Set.of_list (Digraph.labels st.graph)
+  | _ -> [ name_of_token st ]
 
 (* vpos / lpos ::= '_' | names | '!' names *)
-let parse_vertex_position st =
+let parse_position st =
   match (peek st).Lexer.token with
   | Lexer.UNDERSCORE ->
     advance st;
-    None
+    Any
   | Lexer.BANG ->
     advance st;
-    let vs = Vertex.Set.of_list (parse_names st resolve_vertex) in
-    Some (Vertex.Set.diff (all_vertices st) vs)
-  | _ -> Some (Vertex.Set.of_list (parse_names st resolve_vertex))
-
-let parse_label_position st =
-  match (peek st).Lexer.token with
-  | Lexer.UNDERSCORE ->
-    advance st;
-    None
-  | Lexer.BANG ->
-    advance st;
-    let ls = Label.Set.of_list (parse_names st resolve_label) in
-    Some (Label.Set.diff (all_labels st) ls)
-  | _ -> Some (Label.Set.of_list (parse_names st resolve_label))
+    Except (parse_names st)
+  | _ -> Only (parse_names st)
 
 let parse_selector st =
   expect st Lexer.LBRACKET "'['";
-  let src = parse_vertex_position st in
+  let src = parse_position st in
   expect st Lexer.COMMA "','";
-  let lbl = parse_label_position st in
+  let lbl = parse_position st in
   expect st Lexer.COMMA "','";
-  let dst = parse_vertex_position st in
+  let dst = parse_position st in
   expect st Lexer.RBRACKET "']'";
-  Selector.pattern ?src ?lbl ?dst ()
+  Pattern { src; lbl; dst }
 
 let parse_triple st =
   expect st Lexer.LPAREN "'('";
-  let tail = resolve_vertex st (name_of_token st) in
+  let tail = name_of_token st in
   expect st Lexer.COMMA "','";
-  let label = resolve_label st (name_of_token st) in
+  let label = name_of_token st in
   expect st Lexer.COMMA "','";
-  let head = resolve_vertex st (name_of_token st) in
+  let head = name_of_token st in
   expect st Lexer.RPAREN "')'";
-  Edge.make ~tail ~label ~head
+  (tail, label, head)
 
 let parse_edge_set st =
   expect st Lexer.LBRACE "'{'";
@@ -120,12 +105,12 @@ let parse_edge_set st =
     match (peek st).Lexer.token with
     | Lexer.SEMI ->
       advance st;
-      more (Edge.Set.add e acc)
+      more (e :: acc)
     | _ ->
       expect st Lexer.RBRACE "'}'";
-      Edge.Set.add e acc
+      List.rev (e :: acc)
   in
-  Selector.edges (more Edge.Set.empty)
+  Edges (more [])
 
 let rec parse_expr st =
   let start = tok_start st in
@@ -214,7 +199,8 @@ and parse_atom st =
     Spanned.mk (span_from st pos) Spanned.Empty
   | Lexer.IDENT "E" ->
     advance st;
-    Spanned.mk (span_from st pos) (Spanned.Sel Selector.universe)
+    Spanned.mk (span_from st pos)
+      (Spanned.Sel (Pattern { src = Any; lbl = Any; dst = Any }))
   | Lexer.IDENT (("let" | "in") as kw) -> fail pos "reserved word %S" kw
   | Lexer.IDENT name -> (
     match List.assoc_opt name st.macros with
@@ -237,7 +223,7 @@ let rec parse_query st =
   match (peek st).Lexer.token with
   | Lexer.IDENT "let" ->
     advance st;
-    let name, pos = name_of_token st in
+    let { text = name; pos } = name_of_token st in
     if name = "let" || name = "in" then fail pos "reserved word %S" name;
     expect st Lexer.EQUAL "'='";
     let body = parse_expr st in
@@ -246,20 +232,89 @@ let rec parse_query st =
     | Lexer.IDENT "in" -> advance st
     | _ -> fail pos "expected 'in'");
     st.macros <- (name, body) :: st.macros;
+    st.lets <- body :: st.lets;
     parse_query st
   | _ -> parse_expr st
 
-let parse_spanned graph input =
+(* Run [production] over the whole of [input]: lexing, the production
+   itself, and the check that nothing trails it. *)
+let run_syntax production input =
   match Lexer.tokenize input with
   | exception Lexer.Lex_error (message, position) -> Error { message; position }
   | tokens -> (
-    let st = { tokens = Array.of_list tokens; cursor = 0; graph; macros = [] } in
-    match parse_query st with
+    let st =
+      { tokens = Array.of_list tokens; cursor = 0; macros = []; lets = [] }
+    in
+    match production st with
     | exception Parse_failure e -> Error e
-    | expr ->
+    | result ->
       let { Lexer.token; pos; _ } = peek st in
-      if token = Lexer.EOF then Ok expr
+      if token = Lexer.EOF then Ok result
       else Error { message = "trailing input"; position = pos })
+
+let syntax input =
+  run_syntax
+    (fun st ->
+      let body = parse_query st in
+      { lets = List.rev st.lets; body })
+    input
+
+(* --- Resolution: names against one graph --------------------------------- *)
+
+let resolve_vertex g { text; pos } =
+  match Digraph.find_vertex g text with
+  | Some v -> v
+  | None -> fail pos "unknown vertex %S" text
+
+let resolve_label g { text; pos } =
+  match Digraph.find_label g text with
+  | Some l -> l
+  | None -> fail pos "unknown label %S" text
+
+let vertex_position g = function
+  | Any -> None
+  | Only ns -> Some (Vertex.Set.of_list (List.map (resolve_vertex g) ns))
+  | Except ns ->
+    let vs = Vertex.Set.of_list (List.map (resolve_vertex g) ns) in
+    Some (Vertex.Set.diff (Vertex.Set.of_list (Digraph.vertices g)) vs)
+
+let label_position g = function
+  | Any -> None
+  | Only ns -> Some (Label.Set.of_list (List.map (resolve_label g) ns))
+  | Except ns ->
+    let ls = Label.Set.of_list (List.map (resolve_label g) ns) in
+    Some (Label.Set.diff (Label.Set.of_list (Digraph.labels g)) ls)
+
+(* Names resolve left to right, so the first unknown one is reported. *)
+let resolve_atom g = function
+  | Pattern { src; lbl; dst } ->
+    let src = vertex_position g src in
+    let lbl = label_position g lbl in
+    let dst = vertex_position g dst in
+    Selector.pattern ?src ?lbl ?dst ()
+  | Edges triples ->
+    Selector.edges
+      (List.fold_left
+         (fun acc (t, l, h) ->
+           let tail = resolve_vertex g t in
+           let label = resolve_label g l in
+           let head = resolve_vertex g h in
+           Edge.Set.add (Edge.make ~tail ~label ~head) acc)
+         Edge.Set.empty triples)
+
+let resolve_tree g tree = Spanned.map_sel (resolve_atom g) tree
+
+(* Every [let] body is checked, used or not, before the expression: a typo
+   in a definition is reported where it was written. *)
+let resolve g { lets; body } =
+  match
+    List.iter (fun t -> ignore (resolve_tree g t)) lets;
+    resolve_tree g body
+  with
+  | exception Parse_failure e -> Error e
+  | spanned -> Ok spanned
+
+let parse_spanned graph input = Result.bind (syntax input) (resolve graph)
 
 let parse graph input = Result.map Spanned.strip (parse_spanned graph input)
 
@@ -286,7 +341,7 @@ let parse_crpq_atom st =
   expect st Lexer.COMMA "','";
   let target = parse_variable st in
   expect st Lexer.RPAREN "')'";
-  (source, Spanned.strip expr, target)
+  (source, expr, target)
 
 let parse_crpq_body st =
   expect_keyword st "select";
@@ -311,16 +366,17 @@ let parse_crpq_body st =
   (head, atoms [])
 
 let parse_crpq_raw graph input =
-  match Lexer.tokenize input with
-  | exception Lexer.Lex_error (message, position) -> Error { message; position }
-  | tokens -> (
-    let st = { tokens = Array.of_list tokens; cursor = 0; graph; macros = [] } in
-    match parse_crpq_body st with
+  match run_syntax parse_crpq_body input with
+  | Error _ as e -> e
+  | Ok (head, atoms) -> (
+    match
+      List.map
+        (fun (src, tree, dst) ->
+          (src, Spanned.strip (resolve_tree graph tree), dst))
+        atoms
+    with
     | exception Parse_failure e -> Error e
-    | result ->
-      let { Lexer.token; pos; _ } = peek st in
-      if token = Lexer.EOF then Ok result
-      else Error { message = "trailing input"; position = pos })
+    | atoms -> Ok (head, atoms))
 
 let pp_error fmt e =
   Format.fprintf fmt "parse error at offset %d: %s" e.position e.message

@@ -15,3 +15,14 @@ val expr : Digraph.t -> Expr.t -> string
 
 val selector : Digraph.t -> Selector.t -> string
 (** Parseable text for one selector atom. *)
+
+val quote : string -> string option
+(** The one quoting rule for names in query text: bare when the name lexes
+    back as a single identifier (letter- or underscore-led, not [_]),
+    single- or double-quoted otherwise, [None] when it holds both quote
+    characters and so has no spelling. *)
+
+val atom : Parser.atom -> string option
+(** Query text for a name-level atom, [None] when one of its names has no
+    spelling (see {!quote}). Parsing the text gives back the same atom up
+    to name offsets. *)

@@ -1,6 +1,6 @@
 type conn = {
   fd : Unix.file_descr;
-  mutable carry : string;
+  reader : Listener.reader;
   mutable closed : bool;
 }
 
@@ -16,7 +16,7 @@ let retryable_connect_error = function
 
 let connect_err endpoint =
   match Net.connect_fd endpoint with
-  | fd -> Ok { fd; carry = ""; closed = false }
+  | fd -> Ok { fd; reader = Listener.reader fd; closed = false }
   | exception Unix.Unix_error (err, _, _) ->
     Error
       ( Some err,
@@ -29,23 +29,10 @@ let connect endpoint =
   Result.map_error (fun (_, msg) -> msg) (connect_err endpoint)
 
 let read_line conn =
-  let chunk = Bytes.create 4096 in
-  let rec loop () =
-    match String.index_opt conn.carry '\n' with
-    | Some i ->
-      let line = String.sub conn.carry 0 i in
-      conn.carry <-
-        String.sub conn.carry (i + 1) (String.length conn.carry - i - 1);
-      Ok line
-    | None -> (
-      match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
-      | 0 -> Error "connection closed by server"
-      | n ->
-        conn.carry <- conn.carry ^ Bytes.sub_string chunk 0 n;
-        loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
-  in
-  loop ()
+  match Listener.read_line conn.reader ~deadline:None with
+  | Listener.Line line -> Ok line
+  | Listener.Eof | Listener.Timed_out | Listener.Too_long ->
+    Error "connection closed by server"
 
 (* --- Pipelined mode ------------------------------------------------------ *)
 

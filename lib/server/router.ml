@@ -7,16 +7,14 @@ module StrSet = Set.Make (String)
 (* --- Configuration ------------------------------------------------------- *)
 
 type config = {
-  endpoint : Wire.endpoint;
+  front : Listener.config;
   map : Shardmap.t;
   limits : Wire.limits;
-  allow_remote_shutdown : bool;
   shard_timeout_ms : float;
   probe_timeout_ms : float;
   breaker_failures : int;
   breaker_cooldown_ms : float;
   frontier_cap : int;
-  max_request_bytes : int;
 }
 
 let default_shard_timeout_ms = 2000.0
@@ -27,16 +25,14 @@ let default_frontier_cap = 128
 
 let default_config ~map endpoint =
   {
-    endpoint;
+    front = Listener.default_config endpoint;
     map;
     limits = Wire.default_limits;
-    allow_remote_shutdown = false;
     shard_timeout_ms = default_shard_timeout_ms;
     probe_timeout_ms = default_probe_timeout_ms;
     breaker_failures = default_breaker_failures;
     breaker_cooldown_ms = default_breaker_cooldown_ms;
     frontier_cap = default_frontier_cap;
-    max_request_bytes = Server.default_max_request_bytes;
   }
 
 (* --- Router state -------------------------------------------------------- *)
@@ -63,11 +59,8 @@ type t = {
   faults : (int, fault) Hashtbl.t;
   lock : Mutex.t;  (* breakers, faults, counters *)
   counters : (string, int) Hashtbl.t;
-  stopping : bool Atomic.t;
-  bound : Wire.endpoint option Atomic.t;
+  listener : Listener.t;
   next_id : int Atomic.t;
-  mutable live_sessions : int;
-  sessions_lock : Mutex.t;
   started : float;
 }
 
@@ -82,16 +75,13 @@ let create config =
     faults = Hashtbl.create 4;
     lock = Mutex.create ();
     counters = Hashtbl.create 16;
-    stopping = Atomic.make false;
-    bound = Atomic.make None;
+    listener = Listener.create config.front;
     next_id = Atomic.make 0;
-    live_sessions = 0;
-    sessions_lock = Mutex.create ();
     started = Unix.gettimeofday ();
   }
 
-let stop t = Atomic.set t.stopping true
-let bound_endpoint t = Atomic.get t.bound
+let stop t = Listener.stop t.listener
+let bound_endpoint t = Listener.bound_endpoint t.listener
 
 let with_lock m f =
   Mutex.lock m;
@@ -149,29 +139,6 @@ end
 
 (* --- Transport: one request line against one endpoint, with a deadline --- *)
 
-let recv_line fd ~abs_deadline =
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    let remaining = abs_deadline -. Unix.gettimeofday () in
-    if remaining <= 0.0 then Error "shard response timed out"
-    else
-      match Unix.select [ fd ] [] [] (Float.min remaining 0.25) with
-      | [], _, _ -> go ()
-      | _ -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> Error "connection closed by shard"
-        | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          let s = Buffer.contents buf in
-          (match String.index_opt s '\n' with
-          | Some i -> Ok (String.sub s 0 i)
-          | None -> go ())
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-  in
-  go ()
-
 let try_endpoint ep line ~abs_deadline =
   match Net.connect_fd ep with
   | exception Unix.Unix_error (err, _, _) ->
@@ -184,7 +151,13 @@ let try_endpoint ep line ~abs_deadline =
         match Net.write_all fd (line ^ "\n") with
         | exception Unix.Unix_error (err, _, _) ->
           Error (Unix.error_message err)
-        | () -> recv_line fd ~abs_deadline)
+        | () -> (
+          let reader = Listener.reader fd in
+          match Listener.read_line reader ~deadline:(Some abs_deadline) with
+          | Listener.Line l -> Ok l
+          | Listener.Timed_out -> Error "shard response timed out"
+          | Listener.Eof | Listener.Too_long ->
+            Error "connection closed by shard"))
 
 (* --- Breaker-gated shard dispatch ---------------------------------------- *)
 
@@ -389,319 +362,6 @@ let scatter t targets mk_req ~abs_deadline =
         (idx, !cell))
       cells
 
-(* --- Query splitting: a name-level mirror of the engine grammar ---------- *)
-
-(* The engine parser resolves names against its graph — which the router
-   does not have. This mirror parses the same grammar down to {e atoms}
-   whose leaves stay names, so the router can rewrite a selector's source
-   position with a frontier and re-render it as query text for the
-   shards. [+], [?], [{n}] and [{n,m}] desugar exactly as {!Mrpa_core.Expr}
-   does, and [let] macros expand by reference like the engine's. *)
-
-type vpos = Wild | Names of string list | CoNames of string list
-
-type atom =
-  | Asel of { src : vpos; lbl : vpos; dst : vpos }
-  | Aedges of (string * string * string) list
-  | Aall
-
-type rx =
-  | Rempty
-  | Reps
-  | Ratom of atom
-  | Runion of rx * rx
-  | Rjoin of rx * rx
-  | Rproduct of rx * rx
-  | Rstar of rx
-
-exception Q_error of string * int
-
-let q_fail pos fmt =
-  Format.kasprintf (fun m -> raise (Q_error (m, pos))) fmt
-
-type pstate = {
-  tokens : Lexer.located array;
-  mutable cursor : int;
-  mutable macros : (string * rx) list;
-}
-
-let p_peek st = st.tokens.(st.cursor)
-let p_advance st = st.cursor <- st.cursor + 1
-
-let p_expect st token what =
-  let { Lexer.token = tk; pos; _ } = p_peek st in
-  if tk = token then p_advance st else q_fail pos "expected %s" what
-
-let p_name st =
-  let { Lexer.token; pos; _ } = p_peek st in
-  match token with
-  | Lexer.IDENT s ->
-    p_advance st;
-    s
-  | Lexer.INT i ->
-    p_advance st;
-    string_of_int i
-  | _ -> q_fail pos "expected a name"
-
-let p_names st =
-  match (p_peek st).Lexer.token with
-  | Lexer.LBRACE ->
-    p_advance st;
-    let rec more acc =
-      let x = p_name st in
-      match (p_peek st).Lexer.token with
-      | Lexer.COMMA ->
-        p_advance st;
-        more (x :: acc)
-      | _ ->
-        p_expect st Lexer.RBRACE "'}'";
-        List.rev (x :: acc)
-    in
-    more []
-  | _ -> [ p_name st ]
-
-let p_vpos st =
-  match (p_peek st).Lexer.token with
-  | Lexer.UNDERSCORE ->
-    p_advance st;
-    Wild
-  | Lexer.BANG ->
-    p_advance st;
-    CoNames (p_names st)
-  | _ -> Names (p_names st)
-
-let p_selector st =
-  p_expect st Lexer.LBRACKET "'['";
-  let src = p_vpos st in
-  p_expect st Lexer.COMMA "','";
-  let lbl = p_vpos st in
-  p_expect st Lexer.COMMA "','";
-  let dst = p_vpos st in
-  p_expect st Lexer.RBRACKET "']'";
-  Asel { src; lbl; dst }
-
-let p_triple st =
-  p_expect st Lexer.LPAREN "'('";
-  let tail = p_name st in
-  p_expect st Lexer.COMMA "','";
-  let label = p_name st in
-  p_expect st Lexer.COMMA "','";
-  let head = p_name st in
-  p_expect st Lexer.RPAREN "')'";
-  (tail, label, head)
-
-let p_edge_set st =
-  p_expect st Lexer.LBRACE "'{'";
-  let rec more acc =
-    let e = p_triple st in
-    match (p_peek st).Lexer.token with
-    | Lexer.SEMI ->
-      p_advance st;
-      more (e :: acc)
-    | _ ->
-      p_expect st Lexer.RBRACE "'}'";
-      List.rev (e :: acc)
-  in
-  Aedges (more [])
-
-let r_opt e = Runion (e, Reps)
-let r_plus e = Rjoin (e, Rstar e)
-
-let r_repeat e n =
-  let rec go acc k = if k = 0 then acc else go (Rjoin (acc, e)) (k - 1) in
-  if n = 0 then Reps else go e (n - 1)
-
-let r_repeat_range e ~min ~max =
-  let tail = List.init (max - min) (fun _ -> r_opt e) in
-  List.fold_left (fun a b -> Rjoin (a, b)) (r_repeat e min) tail
-
-let rec p_expr st =
-  let left = p_cat st in
-  match (p_peek st).Lexer.token with
-  | Lexer.PIPE ->
-    p_advance st;
-    Runion (left, p_expr st)
-  | _ -> left
-
-and p_cat st =
-  let rec loop left =
-    match (p_peek st).Lexer.token with
-    | Lexer.DOT ->
-      p_advance st;
-      loop (Rjoin (left, p_postfix st))
-    | Lexer.CROSS ->
-      p_advance st;
-      loop (Rproduct (left, p_postfix st))
-    | _ -> left
-  in
-  loop (p_postfix st)
-
-and p_postfix st =
-  let rec loop e =
-    match (p_peek st).Lexer.token with
-    | Lexer.STAR ->
-      p_advance st;
-      loop (Rstar e)
-    | Lexer.PLUS ->
-      p_advance st;
-      loop (r_plus e)
-    | Lexer.QUESTION ->
-      p_advance st;
-      loop (r_opt e)
-    | Lexer.LBRACE -> (
-      match st.tokens.(st.cursor + 1).Lexer.token with
-      | Lexer.INT lo ->
-        p_advance st;
-        p_advance st;
-        let e =
-          match (p_peek st).Lexer.token with
-          | Lexer.COMMA ->
-            p_advance st;
-            let { Lexer.token; pos; _ } = p_peek st in
-            (match token with
-            | Lexer.INT hi ->
-              if hi < lo then
-                q_fail pos
-                  "upper repetition bound %d is below the lower bound %d" hi lo;
-              p_advance st;
-              p_expect st Lexer.RBRACE "'}'";
-              r_repeat_range e ~min:lo ~max:hi
-            | _ -> q_fail pos "expected an upper repetition bound")
-          | _ ->
-            p_expect st Lexer.RBRACE "'}'";
-            r_repeat e lo
-        in
-        loop e
-      | _ -> e)
-    | _ -> e
-  in
-  loop (p_atom st)
-
-and p_atom st =
-  let { Lexer.token; pos; _ } = p_peek st in
-  match token with
-  | Lexer.LPAREN ->
-    p_advance st;
-    let e = p_expr st in
-    p_expect st Lexer.RPAREN "')'";
-    e
-  | Lexer.IDENT "eps" ->
-    p_advance st;
-    Reps
-  | Lexer.IDENT "empty" ->
-    p_advance st;
-    Rempty
-  | Lexer.IDENT "E" ->
-    p_advance st;
-    Ratom Aall
-  | Lexer.IDENT (("let" | "in") as kw) -> q_fail pos "reserved word %S" kw
-  | Lexer.IDENT name -> (
-    match List.assoc_opt name st.macros with
-    | Some e ->
-      p_advance st;
-      e
-    | None -> q_fail pos "unknown macro %S" name)
-  | Lexer.LBRACKET -> Ratom (p_selector st)
-  | Lexer.LBRACE -> Ratom (p_edge_set st)
-  | _ -> q_fail pos "expected an expression"
-
-let rec p_query st =
-  match (p_peek st).Lexer.token with
-  | Lexer.IDENT "let" ->
-    p_advance st;
-    let name = p_name st in
-    if name = "let" || name = "in" then
-      q_fail (p_peek st).Lexer.pos "reserved word %S" name;
-    p_expect st Lexer.EQUAL "'='";
-    let body = p_expr st in
-    let { Lexer.token; pos; _ } = p_peek st in
-    (match token with
-    | Lexer.IDENT "in" -> p_advance st
-    | _ -> q_fail pos "expected 'in'");
-    st.macros <- (name, body) :: st.macros;
-    p_query st
-  | _ -> p_expr st
-
-let parse_query text =
-  match Lexer.tokenize text with
-  | exception Lexer.Lex_error (m, pos) -> Error (m, pos)
-  | tokens -> (
-    let st = { tokens = Array.of_list tokens; cursor = 0; macros = [] } in
-    match p_query st with
-    | exception Q_error (m, pos) -> Error (m, pos)
-    | rx ->
-      let { Lexer.token; pos; _ } = p_peek st in
-      if token = Lexer.EOF then Ok rx else Error ("trailing input", pos))
-
-(* --- Rendering atoms back into query text -------------------------------- *)
-
-(* Bare iff it lexes back as one IDENT: letters/digits/underscores with a
-   non-digit start, and not the wildcard. Digit-led names must be quoted
-   (INT normalisation would eat leading zeros); quoting always re-lexes
-   to the same IDENT because the lexer's strings have no escapes. *)
-let is_bare_name s =
-  let n = String.length s in
-  n > 0
-  && s <> "_"
-  && (let c = s.[0] in
-      (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_')
-  &&
-  let ok = ref true in
-  String.iter
-    (fun c ->
-      if
-        not
-          ((c >= 'a' && c <= 'z')
-          || (c >= 'A' && c <= 'Z')
-          || (c >= '0' && c <= '9')
-          || c = '_')
-      then ok := false)
-    s;
-  !ok
-
-let quote_name s =
-  if is_bare_name s then Some s
-  else if not (String.contains s '\'') then Some ("'" ^ s ^ "'")
-  else if not (String.contains s '"') then Some ("\"" ^ s ^ "\"")
-  else None
-
-let render_names names =
-  let rec all acc = function
-    | [] -> Some (List.rev acc)
-    | n :: rest -> (
-      match quote_name n with
-      | None -> None
-      | Some q -> all (q :: acc) rest)
-  in
-  match all [] names with
-  | None -> None
-  | Some [ one ] -> Some one
-  | Some many -> Some ("{" ^ String.concat "," many ^ "}")
-
-let render_vpos = function
-  | Wild -> Some "_"
-  | Names ns -> render_names ns
-  | CoNames ns -> Option.map (fun s -> "!" ^ s) (render_names ns)
-
-let render_atom = function
-  | Aall -> Some "E"
-  | Asel { src; lbl; dst } -> (
-    match (render_vpos src, render_vpos lbl, render_vpos dst) with
-    | Some s, Some l, Some d -> Some ("[" ^ s ^ "," ^ l ^ "," ^ d ^ "]")
-    | _ -> None)
-  | Aedges triples ->
-    let rec all acc = function
-      | [] -> Some (List.rev acc)
-      | (a, b, c) :: rest -> (
-        match (quote_name a, quote_name b, quote_name c) with
-        | Some qa, Some qb, Some qc ->
-          all (("(" ^ qa ^ "," ^ qb ^ "," ^ qc ^ ")") :: acc) rest
-        | _ -> None)
-    in
-    Option.map
-      (fun parts -> "{" ^ String.concat ";" parts ^ "}")
-      (all [] triples)
-
 (* --- Frontier narrowing and shard targeting ------------------------------ *)
 
 let all_shards map = List.init (Shardmap.n_shards map) Fun.id
@@ -717,6 +377,9 @@ let diff_names frontier xs =
   let x = StrSet.of_list xs in
   List.filter (fun f -> not (StrSet.mem f x)) frontier
 
+let texts = List.map (fun (n : Parser.name) -> n.Parser.text)
+let tails triples = List.map (fun (t, _, _) -> t.Parser.text) triples
+
 (* Narrow an atom against the frontier of head vertices flowing out of the
    join's left operand. Returns [None] when the narrowed atom is provably
    empty (no dispatch at all), otherwise the (possibly rewritten) atom and
@@ -724,44 +387,34 @@ let diff_names frontier xs =
    optimisation: a too-wide dispatch is filtered again by the router-side
    [Path_set.join], so the fallbacks (frontier wider than [frontier_cap],
    unquotable data-derived names) only cost work, never soundness. *)
-let narrow_atom map ~frontier_cap frontier atom =
-  match frontier with
-  | None -> (
-    (* Unconstrained: target by the atom's own source position. *)
-    match atom with
-    | Asel { src = Names ns; _ } -> Some (atom, owners map ns)
-    | Asel _ | Aall -> Some (atom, all_shards map)
-    | Aedges triples ->
-      Some (atom, owners map (List.map (fun (a, _, _) -> a) triples)))
-  | Some frontier -> (
-    let narrow_src src =
-      match src with
-      | Wild -> Some frontier
-      | Names ns -> (
-        match inter_names ns frontier with [] -> None | xs -> Some xs)
-      | CoNames ns -> (
-        match diff_names frontier ns with [] -> None | xs -> Some xs)
+let narrow_atom map ~frontier_cap frontier (atom : Parser.atom) =
+  match (frontier, atom) with
+  (* Unconstrained: target by the atom's own source position. *)
+  | None, Parser.Pattern { src = Only ns; _ } ->
+    Some (atom, owners map (texts ns))
+  | None, Parser.Pattern _ -> Some (atom, all_shards map)
+  | None, Parser.Edges triples -> Some (atom, owners map (tails triples))
+  | Some frontier, Parser.Pattern p -> (
+    let names =
+      match p.src with
+      | Any -> frontier
+      | Only ns -> inter_names (texts ns) frontier
+      | Except ns -> diff_names frontier (texts ns)
     in
-    match atom with
-    | Asel ({ src; _ } as sel) -> (
-      match narrow_src src with
-      | None -> None
-      | Some names ->
-        let targets = owners map names in
-        if List.length names <= frontier_cap then
-          Some (Asel { sel with src = Names names }, targets)
-        else Some (atom, targets))
-    | Aall ->
-      let targets = owners map frontier in
-      if List.length frontier <= frontier_cap then
-        Some (Asel { src = Names frontier; lbl = Wild; dst = Wild }, targets)
-      else Some (atom, targets)
-    | Aedges triples -> (
-      let f = StrSet.of_list frontier in
-      match List.filter (fun (a, _, _) -> StrSet.mem a f) triples with
-      | [] -> None
-      | kept ->
-        Some (Aedges kept, owners map (List.map (fun (a, _, _) -> a) kept))))
+    match names with
+    | [] -> None
+    | names ->
+      let targets = owners map names in
+      if List.length names <= frontier_cap then
+        let src = List.map (fun text -> { Parser.text; pos = 0 }) names in
+        Some (Parser.Pattern { p with src = Only src }, targets)
+      else Some (atom, targets))
+  | Some frontier, Parser.Edges triples -> (
+    let f = StrSet.of_list frontier in
+    let at_frontier (t, _, _) = StrSet.mem t.Parser.text f in
+    match List.filter at_frontier triples with
+    | [] -> None
+    | kept -> Some (Parser.Edges kept, owners map (tails kept)))
 
 (* A complemented {e label} position is the one construct a shard cannot
    answer soundly when it does not know the name: on that shard the
@@ -772,8 +425,8 @@ let narrow_atom map ~frontier_cap frontier atom =
    vertex universe, so a vertex unknown on one shard is unknown on all —
    a global typo caught by the all-shards-error rule. *)
 let atom_has_label_complement = function
-  | Asel { lbl = CoNames _; _ } -> true
-  | Asel _ | Aedges _ | Aall -> false
+  | Parser.Pattern { lbl = Except _; _ } -> true
+  | Parser.Pattern _ | Parser.Edges _ -> false
 
 (* --- Scatter-gather evaluation ------------------------------------------- *)
 
@@ -902,12 +555,12 @@ let eval_atom ctx frontier atom =
     | None -> Path_set.empty
     | Some (narrowed, targets) ->
       let text =
-        match render_atom narrowed with
+        match Unparse.atom narrowed with
         | Some s -> s
         | None -> (
           (* Data-derived names defeated quoting; fall back to the original
              un-narrowed atom (parsed from user text, always renderable). *)
-          match render_atom atom with
+          match Unparse.atom atom with
           | Some s -> s
           | None ->
             raise (Fatal (Wire.Internal, "unrenderable selector atom")))
@@ -1004,31 +657,31 @@ let frontier_of ctx pset =
    The incoming [frontier] only ever {e narrows dispatches} — every
    algebraic filter happens here, so narrowing can never change the
    result, only the bytes on the wire. *)
-let rec eval ctx frontier rx =
+let rec eval ctx frontier (e : Parser.tree) =
   if deadline_expired ctx then begin
     note_reason ctx Err.Deadline;
     Path_set.empty
   end
   else
-    match rx with
-    | Rempty -> Path_set.empty
-    | Reps -> Path_set.epsilon
-    | Ratom atom -> eval_atom ctx frontier atom
-    | Runion (a, b) ->
+    match e.Spanned.node with
+    | Spanned.Empty -> Path_set.empty
+    | Spanned.Epsilon -> Path_set.epsilon
+    | Spanned.Sel atom -> eval_atom ctx frontier atom
+    | Spanned.Union (a, b) ->
       guard_mem ctx
         (Path_set.union (eval ctx frontier a) (eval ctx frontier b))
-    | Rjoin (a, b) ->
+    | Spanned.Join (a, b) ->
       let pa = eval ctx frontier a in
       if Path_set.is_empty pa then Path_set.empty
       else
         let fr = frontier_of ctx pa in
         let pb = eval ctx fr b in
         guard_mem ctx (cap ctx (Path_set.join pa pb))
-    | Rproduct (a, b) ->
+    | Spanned.Product (a, b) ->
       let pa = eval ctx frontier a in
       if Path_set.is_empty pa then Path_set.empty
       else guard_mem ctx (cap ctx (Path_set.product pa (eval ctx None b)))
-    | Rstar a ->
+    | Spanned.Star a ->
       (* The closure wanders: its inner paths may start anywhere, so the
          frontier does not pass through (the parent join still filters). *)
       let pa = eval ctx None a in
@@ -1052,11 +705,11 @@ let effective_max_length t (o : Wire.options) =
 let handle_query t (req : Wire.request) (o : Wire.options) =
   let started = Unix.gettimeofday () in
   let query_text = Option.value ~default:"" req.Wire.query in
-  match parse_query query_text with
-  | Error (m, pos) ->
+  match Parser.syntax query_text with
+  | Error e ->
     Wire.response_error ~id:req.Wire.id ~code:Wire.Query_error
-      (Printf.sprintf "parse error at offset %d: %s" pos m)
-  | Ok rx -> (
+      (Format.asprintf "%a" Parser.pp_error e)
+  | Ok { Parser.body; _ } -> (
     let ctx =
       {
         rt = t;
@@ -1070,7 +723,7 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
         atom_cache = Hashtbl.create 8;
       }
     in
-    match eval ctx None rx with
+    match eval ctx None body with
     | exception Fatal (code, msg) ->
       Wire.response_error ~id:req.Wire.id ~code msg
     | pset ->
@@ -1150,6 +803,8 @@ let handle_stats t (req : Wire.request) =
     with_lock t.lock (fun () ->
         [
           ("router.shards", string_of_int (Shardmap.n_shards t.config.map));
+          ( "router.connections",
+            string_of_int (c_get t "router.connections") );
           ("router.requests", string_of_int (c_get t "router.requests"));
           ("router.queries", string_of_int (c_get t "router.queries"));
           ("router.counts", string_of_int (c_get t "router.counts"));
@@ -1160,6 +815,12 @@ let handle_stats t (req : Wire.request) =
             string_of_int (c_get t "router.breaker_opens") );
           ( "router.breaker_fastfails",
             string_of_int (c_get t "router.breaker_fastfails") );
+          ( "router.idle_timeouts",
+            string_of_int (c_get t "router.idle_timeouts") );
+          ( "router.oversized_requests",
+            string_of_int (c_get t "router.oversized_requests") );
+          ( "router.blank_floods",
+            string_of_int (c_get t "router.blank_floods") );
           ( "router.uptime_ms",
             Printf.sprintf "%.0f"
               ((Unix.gettimeofday () -. t.started) *. 1000.0) );
@@ -1265,7 +926,7 @@ let handle_line ?(remote = false) t line =
     | Wire.Health -> handle_health t req
     | Wire.Lint -> handle_lint t req
     | Wire.Shutdown ->
-      if remote && not t.config.allow_remote_shutdown then
+      if not (Listener.shutdown_allowed t.config.front ~remote) then
         Wire.response_error ~id:req.Wire.id ~code:Wire.Unauthorized
           "shutdown over TCP requires --allow-remote-shutdown"
       else begin
@@ -1278,123 +939,18 @@ let handle_line ?(remote = false) t line =
            "verb %S is not supported by the router; address a shard directly"
            (Wire.verb_name req.Wire.verb)))
 
-(* --- Sessions and the accept loop ---------------------------------------- *)
-
-let poll_interval_s = 0.1
-
-let send_line fd line =
-  try Net.write_all fd (line ^ "\n")
-  with Unix.Unix_error _ | Failure _ -> ()
-
-let session t fd ~remote =
-  let chunk = Bytes.create 4096 in
-  let carry = ref "" in
-  let rec read_line () =
-    match String.index_opt !carry '\n' with
-    | Some i ->
-      let line = String.sub !carry 0 i in
-      carry := String.sub !carry (i + 1) (String.length !carry - i - 1);
-      `Line line
-    | None ->
-      if Atomic.get t.stopping then `Stop
-      else if String.length !carry > t.config.max_request_bytes then `Too_large
-      else (
-        match Unix.select [ fd ] [] [] poll_interval_s with
-        | [], _, _ -> read_line ()
-        | _ -> (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 -> `Eof
-          | n ->
-            carry := !carry ^ Bytes.sub_string chunk 0 n;
-            read_line ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line ()
-          | exception Unix.Unix_error _ -> `Eof)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line ()
-        | exception Unix.Unix_error _ -> `Eof)
-  in
-  let rec loop () =
-    match read_line () with
-    | `Eof | `Stop -> ()
-    | `Too_large ->
-      send_line fd
-        (Wire.response_error ~id:Json.Null ~code:Wire.Request_too_large
-           (Printf.sprintf "request line exceeds %d bytes"
-              t.config.max_request_bytes))
-    | `Line line ->
-      if String.trim line = "" then loop ()
-      else begin
-        send_line fd (handle_line ~remote t line);
-        if not (Atomic.get t.stopping) then loop ()
-      end
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      with_lock t.sessions_lock (fun () ->
-          t.live_sessions <- t.live_sessions - 1))
-    (fun () -> try loop () with _ -> ())
-
-let bind_endpoint = function
-  | Wire.Unix_socket path ->
-    (match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | Wire.Tcp (host, port) ->
-    let addr = Net.resolve host in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (addr, port));
-    Unix.listen fd 64;
-    fd
+(* --- Listening ----------------------------------------------------------- *)
 
 let serve t =
-  Net.ignore_sigpipe ();
-  let listen_fd = bind_endpoint t.config.endpoint in
-  let actual =
-    match t.config.endpoint with
-    | Wire.Tcp (host, 0) -> (
-      match Unix.getsockname listen_fd with
-      | Unix.ADDR_INET (_, port) -> Wire.Tcp (host, port)
-      | _ -> t.config.endpoint)
-    | e -> e
-  in
-  Atomic.set t.bound (Some actual);
-  let remote = match t.config.endpoint with Wire.Tcp _ -> true | _ -> false in
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set t.stopping true;
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      (* Give in-flight sessions a moment to flush their last response. *)
-      let deadline = Unix.gettimeofday () +. 2.0 in
-      let rec wait () =
-        let left = with_lock t.sessions_lock (fun () -> t.live_sessions) in
-        if left > 0 && Unix.gettimeofday () < deadline then begin
-          Thread.yield ();
-          Unix.sleepf 0.02;
-          wait ()
-        end
-      in
-      wait ();
-      match t.config.endpoint with
-      | Wire.Unix_socket path ->
-        (try Unix.unlink path with Unix.Unix_error _ -> ())
-      | Wire.Tcp _ -> ())
-    (fun () ->
-      while not (Atomic.get t.stopping) do
-        match Unix.select [ listen_fd ] [] [] poll_interval_s with
-        | [], _, _ -> ()
-        | _ -> (
-          match Unix.accept listen_fd with
-          | fd, _ ->
-            Net.set_nodelay fd;
-            with_lock t.sessions_lock (fun () ->
-                t.live_sessions <- t.live_sessions + 1);
-            ignore (Thread.create (fun () -> session t fd ~remote) ())
-          | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      done)
+  Listener.serve t.listener
+    ~on_farewell:(fun f -> c_incr t ("router." ^ Listener.farewell_counter f))
+    (fun ~remote fd ->
+      c_incr t "router.connections";
+      {
+        Listener.handle =
+          (fun line ->
+            Listener.send_line fd (handle_line ~remote t line);
+            if Listener.stopping t.listener then `Close else `Continue);
+        send = Listener.send_line fd;
+        close = ignore;
+      })

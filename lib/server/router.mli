@@ -36,11 +36,12 @@
     in the tests without real process churn. *)
 
 type config = {
-  endpoint : Wire.endpoint;  (** where the router itself listens. *)
+  front : Listener.config;
+      (** where the router listens, and the same session bounds and
+          remote-shutdown gate as {!Server.config}. *)
   map : Shardmap.t;
   limits : Wire.limits;
       (** clamped onto every request exactly like a single server's. *)
-  allow_remote_shutdown : bool;  (** gate [shutdown] over TCP. *)
   shard_timeout_ms : float;
       (** transport guard per shard dispatch: connect + response within
           this window even when the request carries no deadline. *)
@@ -53,7 +54,6 @@ type config = {
       (** widest frontier inlined into a narrowed selector's source
           position; wider frontiers still narrow the dispatch {e targets}
           but leave the selector text unrewritten. *)
-  max_request_bytes : int;  (** request-line cap, as on the server. *)
 }
 
 val default_shard_timeout_ms : float  (** 2000. *)
@@ -67,16 +67,18 @@ val default_breaker_cooldown_ms : float  (** 1000. *)
 val default_frontier_cap : int  (** 128 *)
 
 val default_config : map:Shardmap.t -> Wire.endpoint -> config
-(** All defaults, no remote shutdown, {!Wire.default_limits}. *)
+(** All defaults: {!Listener.default_config}, {!Wire.default_limits}. *)
 
 type t
 
 val create : config -> t
 
 val serve : t -> unit
-(** Bind, accept, serve until {!stop} (or a [shutdown] request). Blocks;
-    run it in its own thread. Idempotent socket-file cleanup on exit, as
-    {!Server.serve}. *)
+(** Bind, accept, serve until {!stop} (or a [shutdown] request) through
+    the same {!Listener} as {!Server.serve}, so the idle deadline, the
+    request-line cap and the blank-flood cap hold here too (counted as
+    [router.idle_timeouts], [router.oversized_requests] and
+    [router.blank_floods]). Blocks; run it in its own thread. *)
 
 val stop : t -> unit
 (** Ask {!serve} to drain and return. Safe from any thread/signal. *)

@@ -7,18 +7,13 @@ type role =
   | Replica of { follow : Wire.endpoint }
 
 type config = {
-  endpoint : Wire.endpoint;
+  front : Listener.config;
   workers : int;
   queue_capacity : int;
   limits : Wire.limits;
-  idle_timeout_ms : float option;
-  max_request_bytes : int;
   max_predicted_cost : int option;
-  allow_remote_shutdown : bool;
   role : role;
 }
-
-let default_max_request_bytes = 1_048_576
 
 (* One subscriber = one session thread draining this queue onto its
    connection. The tailer pushes under [lock]; [dead] is the tailer (or an
@@ -75,7 +70,7 @@ type t = {
   views : Views.t;
   repl : repl;
   pool : Pool.t;
-  stopping : bool Atomic.t;
+  listener : Listener.t;
   (* In-flight budget registry: shutdown cancels every member so running
      queries abort at their next checkpoint instead of pinning workers. *)
   inflight : (int, Budget.t) Hashtbl.t;
@@ -85,13 +80,7 @@ type t = {
      every touch goes through [metrics_lock]. *)
   metrics : Metrics.t;
   metrics_lock : Mutex.t;
-  mutable live_sessions : int;
-  mutable connections : int;
-  sessions_lock : Mutex.t;
   started_ns : int64;
-  (* The endpoint actually bound — differs from [config.endpoint] when a
-     TCP port of 0 asked the kernel to pick one. Set once by {!serve}. *)
-  bound : Wire.endpoint option Atomic.t;
 }
 
 let create ?snapshot config =
@@ -151,29 +140,21 @@ let create ?snapshot config =
     pool =
       Pool.create ~workers:config.workers
         ~queue_capacity:config.queue_capacity;
-    stopping = Atomic.make false;
+    listener = Listener.create config.front;
     inflight = Hashtbl.create 32;
     inflight_lock = Mutex.create ();
     next_request = 0;
     metrics = Metrics.create ();
     metrics_lock = Mutex.create ();
-    live_sessions = 0;
-    connections = 0;
-    sessions_lock = Mutex.create ();
     started_ns = Metrics.now_ns ();
-    bound = Atomic.make None;
   }
 
 let snapshot t = Atomic.get t.snapshot
 
-let stop t = Atomic.set t.stopping true
-let bound_endpoint t = Atomic.get t.bound
-
-let connections_served t =
-  Mutex.lock t.sessions_lock;
-  let n = t.connections in
-  Mutex.unlock t.sessions_lock;
-  n
+let stop t = Listener.stop t.listener
+let stopping t = Listener.stopping t.listener
+let bound_endpoint t = Listener.bound_endpoint t.listener
+let connections_served t = Listener.connections t.listener
 
 (* --- Locked helpers ---------------------------------------------------- *)
 
@@ -197,12 +178,7 @@ let cancel_inflight t =
   with_lock t.inflight_lock (fun () ->
       Hashtbl.iter (fun _ b -> Budget.cancel b) t.inflight)
 
-(* --- Socket I/O --------------------------------------------------------- *)
-
-(* Small select interval: the price of noticing [stop] without signals. *)
-let poll_interval_s = 0.1
-
-let write_line fd line = Net.write_all fd (line ^ "\n")
+(* --- Connection state ---------------------------------------------------- *)
 
 (* Per-connection state shared between the session thread and the worker
    jobs it dispatched. With pipelining, several workers may finish for the
@@ -212,15 +188,17 @@ let write_line fd line = Net.write_all fd (line ^ "\n")
    descriptor that has been closed (and possibly reused) under it. *)
 type session_state = {
   fd : Unix.file_descr;
+  remote : bool;  (* arrived over TCP *)
   write_lock : Mutex.t;
   mutable pending : int;
   pending_lock : Mutex.t;
   drained : Condition.t;
 }
 
-let session_state fd =
+let session_state ~remote fd =
   {
     fd;
+    remote;
     write_lock = Mutex.create ();
     pending = 0;
     pending_lock = Mutex.create ();
@@ -231,7 +209,7 @@ let session_state fd =
    or the session delivering its response. *)
 let send ss response =
   with_lock ss.write_lock (fun () ->
-      try write_line ss.fd response with Unix.Unix_error _ -> ())
+      Listener.send_line ss.fd response)
 
 let job_started ss =
   with_lock ss.pending_lock (fun () -> ss.pending <- ss.pending + 1)
@@ -246,74 +224,6 @@ let await_drain ss =
       while ss.pending > 0 do
         Condition.wait ss.drained ss.pending_lock
       done)
-
-(* Stop-aware buffered line reader with two hardening bounds.
-
-   [carry] holds bytes read past the last newline. [Timed_out] fires when
-   no complete request line arrives before [deadline] — one clock covers
-   both the idle connection and the slowloris drip-feeder, since what
-   matters is time-to-a-complete-line, not time-between-bytes. The caller
-   computes the deadline once per request cycle, so a client feeding blank
-   lines (which complete but carry nothing) cannot keep resetting it.
-   [Too_long] fires as soon as the (partial or complete) line exceeds the
-   byte cap, so a hostile client can make us buffer at most
-   [max_request_bytes + one chunk], never an unbounded heap. *)
-type read_outcome = Line of string | Eof | Timed_out | Too_long
-
-let read_line_stop t fd carry ~deadline =
-  let cap = t.config.max_request_bytes in
-  let take_line () =
-    match String.index_opt !carry '\n' with
-    | None -> if String.length !carry > cap then Some Too_long else None
-    | Some i when i > cap -> Some Too_long
-    | Some i ->
-      let line = String.sub !carry 0 i in
-      carry := String.sub !carry (i + 1) (String.length !carry - i - 1);
-      Some
-        (Line
-           (if String.length line > 0 && line.[String.length line - 1] = '\r'
-            then String.sub line 0 (String.length line - 1)
-            else line))
-  in
-  let chunk = Bytes.create 4096 in
-  let rec loop () =
-    match take_line () with
-    | Some outcome -> outcome
-    | None ->
-      if Atomic.get t.stopping then Eof
-      else if
-        match deadline with
-        | Some d -> Int64.compare (Metrics.now_ns ()) d >= 0
-        | None -> false
-      then Timed_out
-      else begin
-        match Unix.select [ fd ] [] [] poll_interval_s with
-        | [], _, _ -> loop ()
-        | _ -> (
-          match Unix.read fd chunk 0 (Bytes.length chunk) with
-          | 0 ->
-            (* EOF: serve a final unterminated line if one is pending. *)
-            if !carry = "" then Eof
-            else begin
-              let line = !carry in
-              carry := "";
-              if String.length line > cap then Too_long else Line line
-            end
-          | n ->
-            carry := !carry ^ Bytes.sub_string chunk 0 n;
-            loop ()
-          | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) ->
-            loop ()
-          | exception Unix.Unix_error _ -> Eof)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      end
-  in
-  loop ()
-
-let request_deadline t =
-  Option.map
-    (fun ms -> Int64.add (Metrics.now_ns ()) (Int64.of_float (ms *. 1e6)))
-    t.config.idle_timeout_ms
 
 (* --- Request execution -------------------------------------------------- *)
 
@@ -514,7 +424,7 @@ let submit_governed t ss (req : Wire.request) budget run =
         in
         send ss response)
   in
-  if Atomic.get t.stopping then begin
+  if stopping t then begin
     unregister_budget t reg_id;
     send ss
       (Wire.response_error ~id:req.Wire.id ~code:Wire.Shutting_down
@@ -543,10 +453,8 @@ let dispatch_async t snap ss (req : Wire.request) effective rkey
 
 (* --- Sessions ------------------------------------------------------------ *)
 
-let shutdown_allowed t =
-  match t.config.endpoint with
-  | Wire.Unix_socket _ -> true
-  | Wire.Tcp _ -> t.config.allow_remote_shutdown
+let shutdown_allowed t ss =
+  Listener.shutdown_allowed t.config.front ~remote:ss.remote
 
 (* --- Bounded-staleness gate ---------------------------------------------- *)
 
@@ -584,7 +492,7 @@ let staleness_error t (o : Wire.options) =
     let rec wait () =
       if seq_ok () && fresh_ok () then None
       else if
-        Atomic.get t.stopping
+        stopping t
         || Int64.compare (Metrics.now_ns ()) deadline >= 0
       then begin
         m_incr t "server.stale";
@@ -1027,7 +935,9 @@ let stream_to_subscriber t ss sub backlog =
         if !alive then
           match action with
           | Replication.Fault.Deliver l -> (
-            try with_lock ss.write_lock (fun () -> write_line ss.fd l)
+            try
+              with_lock ss.write_lock (fun () ->
+                  Net.write_all ss.fd (l ^ "\n"))
             with Unix.Unix_error _ -> alive := false)
           | Replication.Fault.Tear_after partial ->
             (try with_lock ss.write_lock (fun () -> Net.write_all ss.fd partial)
@@ -1036,7 +946,7 @@ let stream_to_subscriber t ss sub backlog =
       actions
   in
   List.iter (fun r -> deliver r.Replication.line) backlog;
-  while !alive && not (Atomic.get t.stopping) do
+  while !alive && not (stopping t) do
     let batch, dead =
       with_lock sub.sub_lock (fun () ->
           let items = List.of_seq (Queue.to_seq sub.sub_queue) in
@@ -1129,9 +1039,10 @@ let handle_request t ss line =
       handle_sub t ss req;
       `Close
     | Wire.Shutdown ->
-      if shutdown_allowed t then begin
+      if shutdown_allowed t ss then begin
         send ss (Wire.response_ok ~id:req.Wire.id [ ("stopping", "true") ]);
-        `Shutdown
+        stop t;
+        `Close
       end
       else begin
         m_incr t "server.unauthorized";
@@ -1170,7 +1081,7 @@ let kill_subs p =
    replicas have a staleness clock even when no one is writing. *)
 let primary_loop t p =
   let last_hb = ref 0L in
-  while not (Atomic.get t.stopping) do
+  while not (stopping t) do
     let ep0 = Replication.Source.epoch p.source in
     let records =
       with_lock p.prim_lock (fun () -> Replication.Source.poll p.source)
@@ -1206,7 +1117,7 @@ let stop_aware_sleep t seconds =
     Int64.add (Metrics.now_ns ()) (Int64.of_float (seconds *. 1e9))
   in
   while
-    (not (Atomic.get t.stopping))
+    (not (stopping t))
     && Int64.compare (Metrics.now_ns ()) deadline < 0
   do
     Thread.delay 0.02
@@ -1214,7 +1125,7 @@ let stop_aware_sleep t seconds =
 
 (* Subscribe from where we left off. [None] means the handshake itself
    failed (the peer is not a primary, or died mid-handshake). *)
-let follow_handshake t r fd carry =
+let follow_handshake r fd conn =
   let sub_req =
     {
       Wire.id = Json.Null;
@@ -1233,9 +1144,9 @@ let follow_handshake t r fd carry =
   match Net.write_all fd (Wire.encode_request sub_req ^ "\n") with
   | exception Unix.Unix_error _ -> None
   | () -> (
-    let deadline = Some (Int64.add (Metrics.now_ns ()) 5_000_000_000L) in
-    match read_line_stop t fd carry ~deadline with
-    | Line line -> (
+    let deadline = Some (Unix.gettimeofday () +. 5.0) in
+    match Listener.read_line conn ~deadline with
+    | Listener.Line line -> (
       match Json.parse line with
       | Error _ -> None
       | Ok json -> (
@@ -1253,7 +1164,7 @@ let follow_handshake t r fd carry =
           in
           Some (geti "epoch" 0, geti "last_seq" 0, reset)
         | _ -> None))
-    | Eof | Timed_out | Too_long -> None)
+    | Listener.Eof | Listener.Timed_out | Listener.Too_long -> None)
 
 (* Apply the record stream until it breaks. Snapshot refreshes are
    batched: on a quiet tick, every [refresh_batch] applied records under
@@ -1263,8 +1174,11 @@ let follow_handshake t r fd carry =
 let refresh_batch = 512
 
 let follow_stream t r fd =
-  let carry = ref "" in
-  match follow_handshake t r fd carry with
+  let conn =
+    Listener.reader ~max_bytes:t.config.front.max_request_bytes
+      ~stop:(fun () -> stopping t) fd
+  in
+  match follow_handshake r fd conn with
   | None -> false
   | Some (ep, primary_last, reset) ->
     with_lock r.rep_lock (fun () ->
@@ -1289,12 +1203,12 @@ let follow_stream t r fd =
       applied_since := 0
     in
     let running = ref true in
-    while !running && not (Atomic.get t.stopping) do
-      let tick = Some (Int64.add (Metrics.now_ns ()) 50_000_000L) in
-      match read_line_stop t fd carry ~deadline:tick with
-      | Timed_out -> if !dirty then refresh ()
-      | Eof | Too_long -> running := false
-      | Line line -> (
+    while !running && not (stopping t) do
+      let tick = Some (Unix.gettimeofday () +. 0.05) in
+      match Listener.read_line conn ~deadline:tick with
+      | Listener.Timed_out -> if !dirty then refresh ()
+      | Listener.Eof | Listener.Too_long -> running := false
+      | Listener.Line line -> (
         let outcome =
           with_lock r.rep_lock (fun () ->
               Replication.Apply.apply_line r.appl line)
@@ -1318,7 +1232,7 @@ let follow_stream t r fd =
    breaks, reconnect with jittered backoff (the PR 5 client policy). *)
 let follower_loop t r =
   let attempt = ref 0 in
-  while not (Atomic.get t.stopping) do
+  while not (stopping t) do
     match Net.connect_fd r.follow with
     | exception (Unix.Unix_error _ | Failure _) ->
       r.rep_connected <- false;
@@ -1343,136 +1257,36 @@ let follower_loop t r =
       end
   done
 
-(* A client that floods blank lines (each one "completes", so the reader
-   returns) gets this many before the connection is dropped — together
-   with the fixed per-cycle deadline this closes the blank-line slowloris
-   loophole. *)
-let max_consecutive_blanks = 64
-
-let session t fd =
-  let carry = ref "" in
-  let ss = session_state fd in
-  (* Best-effort farewell: the connection is being torn down anyway, so a
-     client that already vanished must not turn the diagnostic into a
-     crash. *)
-  let say_goodbye code message =
-    send ss (Wire.response_error ~id:Json.Null ~code message)
-  in
-  (* The deadline is computed once per request cycle and survives blank
-     lines: only a complete non-blank request earns a fresh clock. *)
-  let rec loop blanks deadline =
-    match read_line_stop t fd carry ~deadline with
-    | Eof -> ()
-    | Timed_out ->
-      m_incr t "server.idle_timeouts";
-      say_goodbye Wire.Idle_timeout
-        (Printf.sprintf "no complete request within %.0f ms; closing"
-           (Option.value ~default:0.0 t.config.idle_timeout_ms))
-    | Too_long ->
-      m_incr t "server.oversized_requests";
-      say_goodbye Wire.Request_too_large
-        (Printf.sprintf "request line exceeds %d bytes; closing"
-           t.config.max_request_bytes)
-    | Line line when String.trim line = "" ->
-      if blanks + 1 >= max_consecutive_blanks then begin
-        m_incr t "server.blank_floods";
-        say_goodbye Wire.Bad_request
-          (Printf.sprintf "%d consecutive blank lines; closing"
-             max_consecutive_blanks)
-      end
-      else loop (blanks + 1) deadline
-    | Line line -> (
-      match handle_request t ss line with
-      | `Shutdown -> stop t
-      | `Close -> ()
-      | `Continue -> loop 0 (request_deadline t))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (* Workers may still own responses for this connection; the fd must
-         outlive them. *)
-      await_drain ss;
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      with_lock t.sessions_lock (fun () ->
-          t.live_sessions <- t.live_sessions - 1))
-    (fun () -> try loop 0 (request_deadline t) with _ -> ())
-
 (* --- Listening ----------------------------------------------------------- *)
 
-let bind_endpoint = function
-  | Wire.Unix_socket path ->
-    (* A stale socket file from a crashed server would make bind fail with
-       EADDRINUSE; remove it only if it is actually a socket. *)
-    (match Unix.lstat path with
-    | { Unix.st_kind = Unix.S_SOCK; _ } -> Unix.unlink path
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | Wire.Tcp (host, port) ->
-    let addr = Net.resolve host in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (addr, port));
-    Unix.listen fd 64;
-    fd
+let open_session t ~remote fd =
+  m_incr t "server.connections";
+  let ss = session_state ~remote fd in
+  {
+    Listener.handle = handle_request t ss;
+    send = send ss;
+    (* Workers may still own responses for this connection; the fd must
+       outlive them. *)
+    close = (fun () -> await_drain ss);
+  }
 
 let serve t =
-  Net.ignore_sigpipe ();
-  let listen_fd = bind_endpoint t.config.endpoint in
-  let actual =
-    match t.config.endpoint with
-    | Wire.Tcp (host, 0) -> (
-      match Unix.getsockname listen_fd with
-      | Unix.ADDR_INET (_, port) -> Wire.Tcp (host, port)
-      | _ -> t.config.endpoint)
-    | e -> e
+  let role_thread = ref None in
+  let start_role () =
+    role_thread :=
+      match t.repl with
+      | No_replication -> None
+      | Primary_repl p -> Some (Thread.create (fun () -> primary_loop t p) ())
+      | Replica_repl r -> Some (Thread.create (fun () -> follower_loop t r) ())
   in
-  Atomic.set t.bound (Some actual);
-  let role_thread =
-    match t.repl with
-    | No_replication -> None
-    | Primary_repl p -> Some (Thread.create (fun () -> primary_loop t p) ())
-    | Replica_repl r -> Some (Thread.create (fun () -> follower_loop t r) ())
+  (* Graceful drain: no new work, abort running queries at their next
+     checkpoint and let the pool finish; the listener then waits for the
+     sessions to flush their final responses. *)
+  let drain () =
+    Option.iter Thread.join !role_thread;
+    cancel_inflight t;
+    Pool.shutdown t.pool
   in
-  let accept_loop () =
-    while not (Atomic.get t.stopping) do
-      match Unix.select [ listen_fd ] [] [] poll_interval_s with
-      | [], _, _ -> ()
-      | _ -> (
-        match Unix.accept listen_fd with
-        | fd, _ ->
-          Net.set_nodelay fd;
-          with_lock t.sessions_lock (fun () ->
-              t.live_sessions <- t.live_sessions + 1;
-              t.connections <- t.connections + 1);
-          m_incr t "server.connections";
-          ignore (Thread.create (fun () -> session t fd) ())
-        | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    done
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (* Graceful drain: no new work, abort running queries at their next
-         checkpoint, let the pool finish, give sessions a moment to flush
-         their final responses, then tear the endpoint down. *)
-      Atomic.set t.stopping true;
-      Option.iter Thread.join role_thread;
-      cancel_inflight t;
-      Pool.shutdown t.pool;
-      let deadline = Int64.add (Metrics.now_ns ()) 5_000_000_000L in
-      let sessions_left () =
-        with_lock t.sessions_lock (fun () -> t.live_sessions)
-      in
-      while sessions_left () > 0 && Metrics.now_ns () < deadline do
-        Thread.delay 0.02
-      done;
-      (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-      match t.config.endpoint with
-      | Wire.Unix_socket path ->
-        (try Unix.unlink path with Unix.Unix_error _ -> ())
-      | Wire.Tcp _ -> ())
-    accept_loop
+  Listener.serve t.listener ~on_listening:start_role ~on_stop:drain
+    ~on_farewell:(fun f -> m_incr t ("server." ^ Listener.farewell_counter f))
+    (open_session t)

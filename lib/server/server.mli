@@ -3,11 +3,11 @@
 
     Architecture (one paragraph per moving part):
 
-    - {b Accept loop} — the calling thread of {!serve} owns the listening
-      socket (Unix-domain or TCP, {!Wire.endpoint}) and polls it with a
-      short [select] timeout so a stop request is noticed within a fraction
-      of a second without signal/EINTR gymnastics. Each accepted connection
-      gets a session thread.
+    - {b Front door} — {!Listener.serve}, shared with {!Router.serve},
+      binds the endpoint (Unix-domain or TCP, {!Wire.endpoint}), accepts
+      until a stop request, and runs one session thread per connection,
+      reading request lines with the hardened reader; the server supplies
+      the per-line handler.
     - {b Sessions and pipelining} — a session reads request lines as fast
       as they arrive and answers [ping] / [stats] / [lint] / [shutdown]
       (and bad requests, admission rejects, result-cache hits and overload
@@ -41,8 +41,8 @@
     - {b Metrics} — one server-wide {!Mrpa_engine.Metrics.t} behind a
       mutex (the collector itself is single-threaded by contract),
       surfaced by the [stats] verb.
-    - {b Hardening} — each session enforces two read bounds. A connection
-      that fails to deliver a {e complete} request line within
+    - {b Hardening} — the {!Listener} session enforces two read bounds. A
+      connection that fails to deliver a {e complete} request line within
       [idle_timeout_ms] is answered with an [idle_timeout] wire error and
       closed; the deadline is computed once per request cycle and is {e not}
       reset by blank lines, so neither the silent idle connection, the
@@ -78,16 +78,12 @@ type role =
           reads from rolling snapshots of it. *)
 
 type config = {
-  endpoint : Wire.endpoint;
+  front : Listener.config;
+      (** endpoint, idle timeout, request-line cap and the remote-shutdown
+          gate, shared with {!Router.config}. *)
   workers : int;  (** worker-pool size [K >= 1]. *)
   queue_capacity : int;  (** bounded job queue [>= 1]. *)
   limits : Wire.limits;  (** server-side option ceilings. *)
-  idle_timeout_ms : float option;
-      (** close a connection that produces no complete request line within
-          this window; [None] waits forever (the pre-hardening default). *)
-  max_request_bytes : int;
-      (** reject request lines longer than this; see
-          {!default_max_request_bytes}. *)
   max_predicted_cost : int option;
       (** static admission ceiling, in the same work units {!Mrpa_core.Budget}
           fuel charges. When set, every [query] / [count] is cost-analysed
@@ -96,16 +92,8 @@ type config = {
           query whose predicted cost exceeds the ceiling is refused with an
           [infeasible] wire error before it ever occupies a pool worker.
           [None] admits everything. *)
-  allow_remote_shutdown : bool;
-      (** honour the [shutdown] verb on TCP sessions. Default policy is
-          [false]: only Unix-domain clients (who by definition share the
-          host) may stop the server; remote clients get [unauthorized]. *)
   role : role;
 }
-
-val default_max_request_bytes : int
-(** 1 MiB — far above any legitimate [mrpa.wire/1] request, far below a
-    heap-exhaustion payload. *)
 
 type t
 

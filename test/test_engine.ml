@@ -31,10 +31,16 @@ let test_lexer_errors () =
      ignore (Lexer.tokenize "a > b");
      Alcotest.fail "expected Lex_error"
    with Lexer.Lex_error (_, pos) -> Alcotest.(check int) "position" 2 pos);
+  (try
+     ignore (Lexer.tokenize "\"unterminated");
+     Alcotest.fail "expected Lex_error"
+   with Lexer.Lex_error (_, _) -> ());
+  (* an integer literal past max_int is a lexing error at its offset, not
+     an escaping [Failure] *)
   try
-    ignore (Lexer.tokenize "\"unterminated");
+    ignore (Lexer.tokenize "[99999999999999999999,_,_]");
     Alcotest.fail "expected Lex_error"
-  with Lexer.Lex_error (_, _) -> ()
+  with Lexer.Lex_error (_, pos) -> Alcotest.(check int) "overlong int" 1 pos
 
 let test_lexer_positions () =
   let located = Lexer.tokenize "ab cd" in
@@ -131,7 +137,12 @@ let test_parse_errors () =
   ignore (parse_err g "[i, nosuchlabel, _]");
   ignore (parse_err g "[i,alpha,_] .");
   ignore (parse_err g "[i,alpha,_] extra");
-  ignore (parse_err g "")
+  ignore (parse_err g "");
+  (* names resolve in source order, unused [let] bodies included *)
+  Alcotest.(check int) "first unknown name" 1
+    (parse_err g "[zz,alpha,_] . [i,nope,_]").Parser.position;
+  Alcotest.(check int) "unused let body" 9
+    (parse_err g "let a = [zz,_,_] in [i,alpha,_]").Parser.position
 
 let test_parse_complement () =
   let g = H.paper_graph () in
@@ -218,13 +229,63 @@ let qcheck_unparse_preserves_denotation =
 let test_unparse_quotes_awkward_names () =
   let g = Digraph.create () in
   ignore (Digraph.add g "a b" "weird-label" "c.d");
-  let e =
-    Expr.sel (Selector.src1 (Digraph.vertex g "a b"))
+  (* digit-led: bare, it would lex as INT 7 *)
+  ignore (Digraph.add g "007" "weird-label" "_");
+  List.iter
+    (fun name ->
+      let e = Expr.sel (Selector.src1 (Digraph.vertex g name)) in
+      let rendered = Unparse.expr g e in
+      match Parser.parse g rendered with
+      | Error err ->
+        Alcotest.failf "reparse failed: %a on %s" Parser.pp_error err rendered
+      | Ok e' ->
+        Alcotest.(check bool)
+          ("roundtrip with quoting: " ^ name)
+          true (Expr.equal e e'))
+    [ "a b"; "007"; "_" ]
+
+(* Name-level atoms (what the router sends to shards) re-parse to
+   themselves, offsets aside. *)
+let test_unparse_atoms_roundtrip () =
+  let atoms text =
+    match Parser.syntax text with
+    | Error e -> Alcotest.failf "syntax %s: %a" text Parser.pp_error e
+    | Ok q ->
+      List.filter_map
+        (fun (t : Parser.tree) ->
+          match t.Spanned.node with Spanned.Sel a -> Some a | _ -> None)
+        (Spanned.subterms q.Parser.body)
   in
-  let rendered = Unparse.expr g e in
-  match Parser.parse g rendered with
-  | Error err -> Alcotest.failf "reparse failed: %a on %s" Parser.pp_error err rendered
-  | Ok e' -> Alcotest.(check bool) "roundtrip with quoting" true (Expr.equal e e')
+  let names = List.map (fun (n : Parser.name) -> n.Parser.text) in
+  let shape = function
+    | Parser.Pattern { src; lbl; dst } ->
+      let pos = function
+        | Parser.Any -> `Any
+        | Parser.Only ns -> `Only (names ns)
+        | Parser.Except ns -> `Except (names ns)
+      in
+      `Pattern (pos src, pos lbl, pos dst)
+    | Parser.Edges ts ->
+      `Edges (List.map (fun (a, b, c) -> names [ a; b; c ]) ts)
+  in
+  List.iter
+    (fun text ->
+      List.iter
+        (fun a ->
+          match Unparse.atom a with
+          | None -> Alcotest.failf "no spelling for an atom of %s" text
+          | Some t' -> (
+            match atoms t' with
+            | [ a' ] ->
+              Alcotest.(check bool) (text ^ " -> " ^ t') true (shape a = shape a')
+            | _ -> Alcotest.failf "%s re-parsed to several atoms" t'))
+        (atoms text))
+    [
+      "E";
+      "[i,alpha,_] . [_,beta,!j]";
+      "[!{i,'a b'},_,{\"it's\",'007'}]";
+      "{(i,alpha,j);('x y',beta,'_')}";
+    ]
 
 (* --- Walk (fluent traversals) ------------------------------------------------- *)
 
@@ -785,6 +846,8 @@ let () =
         [
           Alcotest.test_case "text roundtrips" `Quick test_unparse_roundtrip_texts;
           Alcotest.test_case "quoting" `Quick test_unparse_quotes_awkward_names;
+          Alcotest.test_case "name-level atoms" `Quick
+            test_unparse_atoms_roundtrip;
           qcheck_unparse_preserves_denotation;
         ] );
       ( "walk",

@@ -335,14 +335,11 @@ let qcheck_prefix_consistency =
 
 let base_config endpoint role =
   {
-    Server.endpoint;
+    Server.front = Listener.default_config endpoint;
     workers = 2;
     queue_capacity = 8;
     limits = Wire.default_limits;
-    idle_timeout_ms = None;
-    max_request_bytes = Server.default_max_request_bytes;
     max_predicted_cost = None;
-    allow_remote_shutdown = false;
     role;
   }
 

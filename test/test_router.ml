@@ -119,14 +119,11 @@ let wait_for_socket path =
 let start_shard ~socket graph =
   let config =
     {
-      Server.endpoint = Wire.Unix_socket socket;
+      Server.front = Listener.default_config (Wire.Unix_socket socket);
       workers = 2;
       queue_capacity = 8;
       limits = Wire.default_limits;
-      idle_timeout_ms = None;
-      max_request_bytes = Server.default_max_request_bytes;
       max_predicted_cost = None;
-      allow_remote_shutdown = false;
       role = Server.Standalone;
     }
   in
@@ -625,6 +622,144 @@ let test_router_verbs () =
       expect_error Wire.Unauthorized
         (Router.handle_line ~remote:true router (req Wire.Shutdown)))
 
+(* --- The router's own front door ----------------------------------------- *)
+
+(* Serve the fleet's router on its Unix socket (with [front] adjusting
+   the session bounds) and hand [f] a function that opens raw
+   connections to it. *)
+let with_served_router ?(front = fun c -> c) f =
+  with_fleet
+    ~tune:(fun c -> { c with Router.front = front c.Router.front })
+    (fun router ~graph:_ ~kill:_ ~restart:_ ->
+      let thread = Thread.create (fun () -> Router.serve router) () in
+      let rec socket_path n =
+        match Router.bound_endpoint router with
+        | Some (Wire.Unix_socket p) -> p
+        | _ when n > 0 ->
+          Unix.sleepf 0.01;
+          socket_path (n - 1)
+        | _ -> Alcotest.fail "router never bound"
+      in
+      let path = socket_path 500 in
+      wait_for_socket path;
+      let open_raw () =
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.connect fd (Unix.ADDR_UNIX path);
+        fd
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Router.stop router;
+          Thread.join thread)
+        (fun () -> f router open_raw))
+
+let with_raw open_raw f =
+  let fd = open_raw () in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> f fd (Listener.reader fd))
+
+let write fd s = ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* The next response line, within 5 s. *)
+let response r =
+  match Listener.read_line r ~deadline:(Some (Unix.gettimeofday () +. 5.0)) with
+  | Listener.Line line -> line
+  | Listener.Eof -> Alcotest.fail "connection closed without a response"
+  | Listener.Timed_out -> Alcotest.fail "no response in time"
+  | Listener.Too_long -> Alcotest.fail "response too long"
+
+let closed r =
+  match Listener.read_line r ~deadline:(Some (Unix.gettimeofday () +. 5.0)) with
+  | Listener.Eof -> true
+  | _ -> false
+
+let ping_line =
+  Wire.encode_request
+    {
+      Wire.id = Json.Null;
+      verb = Wire.Ping;
+      query = None;
+      options = Wire.default_options;
+    }
+
+let router_counter router name =
+  let stats =
+    Wire.encode_request
+      {
+        Wire.id = Json.Null;
+        verb = Wire.Stats;
+        query = None;
+        options = Wire.default_options;
+      }
+  in
+  let j = expect_ok (Router.handle_line router stats) in
+  Option.bind
+    (Option.bind (Json.member "stats" j) (Json.member name))
+    Json.to_int_opt
+
+let test_router_idle_timeout () =
+  with_served_router
+    ~front:(fun f -> { f with Listener.idle_timeout_ms = Some 300.0 })
+    (fun router open_raw ->
+      with_raw open_raw (fun fd r ->
+          (* A slowloris client: half a request line, then silence. *)
+          write fd "{\"mrpa\"";
+          let t0 = Unix.gettimeofday () in
+          let farewell = response r in
+          let elapsed = Unix.gettimeofday () -. t0 in
+          expect_error Wire.Idle_timeout farewell;
+          Alcotest.(check bool)
+            (Printf.sprintf "within the deadline (%.2fs)" elapsed)
+            true (elapsed < 2.0);
+          Alcotest.(check bool) "closed after farewell" true (closed r));
+      Alcotest.(check (option int))
+        "counted" (Some 1)
+        (router_counter router "router.idle_timeouts"))
+
+let test_router_blank_flood () =
+  with_served_router (fun router open_raw ->
+      with_raw open_raw (fun fd r ->
+          write fd (String.make 200 '\n');
+          expect_error Wire.Bad_request (response r);
+          Alcotest.(check bool) "closed after farewell" true (closed r));
+      Alcotest.(check (option int))
+        "counted" (Some 1)
+        (router_counter router "router.blank_floods"))
+
+let test_router_oversized () =
+  with_served_router
+    ~front:(fun f -> { f with Listener.max_request_bytes = 64 })
+    (fun router open_raw ->
+      with_raw open_raw (fun fd r ->
+          write fd (String.make 200 'x' ^ "\n");
+          expect_error Wire.Request_too_large (response r);
+          Alcotest.(check bool) "closed after farewell" true (closed r));
+      Alcotest.(check (option int))
+        "counted" (Some 1)
+        (router_counter router "router.oversized_requests"))
+
+let test_router_final_unterminated_line () =
+  with_served_router (fun _router open_raw ->
+      with_raw open_raw (fun fd r ->
+          (* The last request has no newline: EOF terminates it. *)
+          write fd ping_line;
+          Unix.shutdown fd Unix.SHUTDOWN_SEND;
+          let j = expect_ok (response r) in
+          Alcotest.(check (option bool))
+            "pong" (Some true)
+            (Option.bind (Json.member "pong" j) Json.to_bool_opt)))
+
+(* An integer literal past [max_int] is a query error at its offset; the
+   session survives it. *)
+let test_router_overlong_integer () =
+  with_served_router (fun _router open_raw ->
+      with_raw open_raw (fun fd r ->
+          write fd (query_req "[99999999999999999999,_,_]" ^ "\n");
+          expect_error Wire.Query_error (response r);
+          write fd (ping_line ^ "\n");
+          ignore (expect_ok (response r))))
+
 (* --- Satellite 1: the failover client rotates past a dead endpoint ------- *)
 
 let test_client_failover_rotates () =
@@ -695,6 +830,18 @@ let () =
         ] );
       ( "verbs",
         [ Alcotest.test_case "ping/health/stats/shutdown" `Quick test_router_verbs ] );
+      ( "front door",
+        [
+          Alcotest.test_case "half line gets idle_timeout" `Quick
+            test_router_idle_timeout;
+          Alcotest.test_case "blank flood closes" `Quick
+            test_router_blank_flood;
+          Alcotest.test_case "over-cap line" `Quick test_router_oversized;
+          Alcotest.test_case "final unterminated line answered" `Quick
+            test_router_final_unterminated_line;
+          Alcotest.test_case "overlong integer is a query error" `Quick
+            test_router_overlong_integer;
+        ] );
       ( "client",
         [
           Alcotest.test_case "failover rotates past a dead endpoint" `Quick

@@ -387,7 +387,8 @@ let qcheck_concurrent_snapshot_sound =
 (* --- End-to-end: server + client over a Unix socket ---------------------- *)
 
 let with_server ?(limits = Wire.default_limits) ?idle_timeout_ms
-    ?(max_request_bytes = Server.default_max_request_bytes) ?max_predicted_cost
+    ?(max_request_bytes = Listener.default_max_request_bytes)
+    ?max_predicted_cost
     ?snapshot ?(workers = 2) ?(queue_capacity = 8) f =
   let dir = Filename.temp_file "mrpa_srv" "" in
   Sys.remove dir;
@@ -395,14 +396,16 @@ let with_server ?(limits = Wire.default_limits) ?idle_timeout_ms
   let socket_path = Filename.concat dir "s.sock" in
   let config =
     {
-      Server.endpoint = Wire.Unix_socket socket_path;
+      Server.front =
+        {
+          (Listener.default_config (Wire.Unix_socket socket_path)) with
+          idle_timeout_ms;
+          max_request_bytes;
+        };
       workers;
       queue_capacity;
       limits;
-      idle_timeout_ms;
-      max_request_bytes;
       max_predicted_cost;
-      allow_remote_shutdown = false;
       role = Server.Standalone;
     }
   in
@@ -655,14 +658,15 @@ let with_tcp_server ?(allow_remote_shutdown = false) f =
   let snap = Snapshot.of_graph (H.paper_graph ()) in
   let config =
     {
-      Server.endpoint = Wire.Tcp ("127.0.0.1", 0);
+      Server.front =
+        {
+          (Listener.default_config (Wire.Tcp ("127.0.0.1", 0))) with
+          allow_remote_shutdown;
+        };
       workers = 1;
       queue_capacity = 4;
       limits = Wire.default_limits;
-      idle_timeout_ms = None;
-      max_request_bytes = Server.default_max_request_bytes;
       max_predicted_cost = None;
-      allow_remote_shutdown;
       role = Server.Standalone;
     }
   in
@@ -1298,6 +1302,26 @@ let test_blank_flood_cap () =
             | Some n -> n >= 1
             | None -> false)))
 
+(* An integer literal past [max_int] is a query error at its offset; the
+   session survives it. *)
+let test_overlong_integer () =
+  with_server (fun _server connect _path ->
+      let conn = connect () in
+      Fun.protect
+        ~finally:(fun () -> Client.close conn)
+        (fun () ->
+          (match
+             Client.request conn
+               (simple_req ~query:"[99999999999999999999,_,_]" Wire.Query)
+           with
+          | Error m -> Alcotest.failf "session dropped: %s" m
+          | Ok j ->
+            Alcotest.(check (option string))
+              "query_error" (Some "query_error") (error_code_of j));
+          ignore
+            (expect_ok "ping after"
+               (Client.request conn (simple_req Wire.Ping)))))
+
 (* --- Shutdown gating --------------------------------------------------------- *)
 
 let test_tcp_shutdown_unauthorized () =
@@ -1646,6 +1670,8 @@ let () =
             test_limit_zero_all_strategies;
           Alcotest.test_case "max_length zero, all strategies" `Quick
             test_max_length_zero_all_strategies;
+          Alcotest.test_case "overlong integer literal" `Quick
+            test_overlong_integer;
         ] );
       ( "retry",
         [
