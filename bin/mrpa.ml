@@ -260,7 +260,8 @@ let count_arg =
         ~doc:
           "Print only the number of paths. Without --limit, --simple or a \
            forced strategy this uses the counting engine (no path set is \
-           materialised).")
+           materialised). With --profile or --profile-json the profiled \
+           evaluation materialises the answer, and the count is its size.")
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON instead of text.")
@@ -328,85 +329,64 @@ let query_cmd =
     (* Every branch funnels through [finish]: a partial result exits 3 so
        scripts can tell "complete answer" from "sound subset". *)
     let finish verdict = exit (Mrpa_engine.Err.exit_code verdict) in
+    let print_count n verdict =
+      Format.printf "%d@." n;
+      pp_partial_note Format.err_formatter verdict;
+      finish verdict
+    in
+    let print_result (r : Mrpa_engine.Engine.result) =
+      let open Mrpa_engine in
+      if json then begin
+        print_endline (Render.result_json g r);
+        finish r.Engine.verdict
+      end
+      else if count then
+        print_count (Path_set.cardinal r.Engine.paths) r.Engine.verdict
+      else begin
+        Path_set.iter
+          (fun p -> Format.printf "%a@." (Digraph.pp_path g) p)
+          r.Engine.paths;
+        Format.printf "-- %d path(s) in %.3f ms via %s@."
+          r.Engine.stats.Eval.paths
+          (1000.0 *. r.Engine.stats.Eval.elapsed_s)
+          (Plan.strategy_name r.Engine.plan.Plan.strategy);
+        pp_partial_note Format.std_formatter r.Engine.verdict;
+        finish r.Engine.verdict
+      end
+    in
     if profile || profile_json <> None then begin
-      match
-        Mrpa_engine.Engine.query_profiled ?strategy ~simple ~max_length ?limit
-          ?budget g query
-      with
-      | Error msg -> or_die (Error msg)
-      | Ok (r, m) ->
-        (match profile_json with
-        | Some file ->
-          write_output file (Mrpa_engine.Metrics.to_json m ^ "\n")
-        | None -> ());
-        if profile then begin
-          Format.printf "%a@." (Mrpa_engine.Plan.pp_named g)
-            r.Mrpa_engine.Engine.plan;
-          Format.printf "%a@." Mrpa_engine.Metrics.pp m;
-          Format.printf "-- %d path(s) via %s@."
-            (Path_set.cardinal r.Mrpa_engine.Engine.paths)
-            (Mrpa_engine.Plan.strategy_name
-               r.Mrpa_engine.Engine.plan.Mrpa_engine.Plan.strategy);
-          pp_partial_note Format.std_formatter r.Mrpa_engine.Engine.verdict
-        end
-        else if json then print_endline (Mrpa_engine.Render.result_json g r)
-        else if count then begin
-          Format.printf "%d@." (Path_set.cardinal r.Mrpa_engine.Engine.paths);
-          pp_partial_note Format.err_formatter r.Mrpa_engine.Engine.verdict
-        end
-        else begin
-          Path_set.iter
-            (fun p -> Format.printf "%a@." (Digraph.pp_path g) p)
-            r.Mrpa_engine.Engine.paths;
-          Format.printf "-- %d path(s) in %.3f ms via %s@."
-            r.Mrpa_engine.Engine.stats.Mrpa_engine.Eval.paths
-            (1000.0 *. r.Mrpa_engine.Engine.stats.Mrpa_engine.Eval.elapsed_s)
-            (Mrpa_engine.Plan.strategy_name
-               r.Mrpa_engine.Engine.plan.Mrpa_engine.Plan.strategy);
-          pp_partial_note Format.std_formatter r.Mrpa_engine.Engine.verdict
-        end;
-        finish r.Mrpa_engine.Engine.verdict
+      let r, m =
+        or_die
+          (Mrpa_engine.Engine.query_profiled ?strategy ~simple ~max_length ?limit
+             ?budget g query)
+      in
+      Option.iter
+        (fun file -> write_output file (Mrpa_engine.Metrics.to_json m ^ "\n"))
+        profile_json;
+      if profile then begin
+        let open Mrpa_engine in
+        Format.printf "%a@." (Plan.pp_named g) r.Engine.plan;
+        Format.printf "%a@." Metrics.pp m;
+        Format.printf "-- %d path(s) via %s@."
+          (Path_set.cardinal r.Engine.paths)
+          (Plan.strategy_name r.Engine.plan.Plan.strategy);
+        pp_partial_note Format.std_formatter r.Engine.verdict;
+        finish r.Engine.verdict
+      end
+      else print_result r
     end
-    else if json then begin
-      match
-        Mrpa_engine.Engine.query ?strategy ~simple ~max_length ?limit ?budget g
-          query
-      with
-      | Error msg -> or_die (Error msg)
-      | Ok r ->
-        print_endline (Mrpa_engine.Render.result_json g r);
-        finish r.Mrpa_engine.Engine.verdict
-    end
-    else if count && limit = None && strategy = None && not simple then
-      match Mrpa_engine.Engine.count_governed ~max_length ?budget g query with
-      | Error msg -> or_die (Error msg)
-      | Ok (n, verdict) ->
-        Format.printf "%d@." n;
-        pp_partial_note Format.err_formatter verdict;
-        finish verdict
+    else if count && not json then
+      let n, verdict =
+        or_die
+          (Mrpa_engine.Engine.count_governed ?strategy ~simple ~max_length ?limit
+             ?budget g query)
+      in
+      print_count n verdict
     else
-      match
-        Mrpa_engine.Engine.query ?strategy ~simple ~max_length ?limit ?budget g
-          query
-      with
-      | Error msg -> or_die (Error msg)
-      | Ok r ->
-        if count then begin
-          Format.printf "%d@." (Path_set.cardinal r.Mrpa_engine.Engine.paths);
-          pp_partial_note Format.err_formatter r.Mrpa_engine.Engine.verdict
-        end
-        else begin
-          Path_set.iter
-            (fun p -> Format.printf "%a@." (Digraph.pp_path g) p)
-            r.Mrpa_engine.Engine.paths;
-          Format.printf "-- %d path(s) in %.3f ms via %s@."
-            r.Mrpa_engine.Engine.stats.Mrpa_engine.Eval.paths
-            (1000.0 *. r.Mrpa_engine.Engine.stats.Mrpa_engine.Eval.elapsed_s)
-            (Mrpa_engine.Plan.strategy_name
-               r.Mrpa_engine.Engine.plan.Mrpa_engine.Plan.strategy);
-          pp_partial_note Format.std_formatter r.Mrpa_engine.Engine.verdict
-        end;
-        finish r.Mrpa_engine.Engine.verdict
+      print_result
+        (or_die
+           (Mrpa_engine.Engine.query ?strategy ~simple ~max_length ?limit ?budget
+              g query))
   in
   let term =
     Term.(

@@ -9,7 +9,8 @@ type result = {
 
 let default_max_length = 8
 
-let query_plan ?limit ?budget g plan =
+let query_plan ?strategy ?limit ?budget g plan =
+  let plan = Option.fold ~none:plan ~some:(Plan.with_strategy plan) strategy in
   let o = Eval.run_governed ?limit ?budget g plan in
   { paths = o.Eval.paths; plan; verdict = o.Eval.verdict; stats = o.Eval.stats }
 
@@ -60,31 +61,35 @@ let query_profiled ?strategy ?simple ?stats ?(max_length = default_max_length)
     let stats = { Eval.paths = Path_set.cardinal paths; elapsed_s } in
     Ok ({ paths; plan; verdict; stats }, m)
 
-let count_expr ?(max_length = default_max_length) ?budget g expr =
-  let optimized, _ = Optimizer.simplify expr in
-  let guard =
-    match budget with None -> Guard.none | Some b -> Budget.guard b
-  in
-  let n = Mrpa_automata.Counting.count ~guard g optimized ~max_length in
-  (n, Budget.verdict ~returned:n budget)
+(* The one count rule every front door shares. A plain count — no simple
+   restriction, no limit, no forced strategy — runs the Counting DP over
+   the query automaton and materialises nothing. Any of those three changes
+   the answer set (or how it is produced), so the count is then the size
+   of the materialised answer, limit pushed down, with its verdict. *)
+let count_plan ?strategy ?limit ?budget g (plan : Plan.t) =
+  match (strategy, limit) with
+  | None, None when not plan.Plan.simple ->
+    let guard =
+      match budget with None -> Guard.none | Some b -> Budget.guard b
+    in
+    let n =
+      Mrpa_automata.Counting.count ~guard g plan.Plan.optimized
+        ~max_length:plan.Plan.max_length
+    in
+    (n, Budget.verdict ~returned:n budget)
+  | _ ->
+    let r = query_plan ?strategy ?limit ?budget g plan in
+    (Path_set.cardinal r.paths, r.verdict)
 
-(* Counting over an already-built plan reuses its optimised expression and
-   length bound — the server's plan cache hands the same [Plan.t] to both
-   the query and count verbs. *)
-let count_plan ?budget g (plan : Plan.t) =
-  let guard =
-    match budget with None -> Guard.none | Some b -> Budget.guard b
-  in
-  let n =
-    Mrpa_automata.Counting.count ~guard g plan.Plan.optimized
-      ~max_length:plan.Plan.max_length
-  in
-  (n, Budget.verdict ~returned:n budget)
+let count_expr ?strategy ?simple ?(max_length = default_max_length) ?limit
+    ?budget g expr =
+  count_plan ?strategy ?limit ?budget g
+    (Optimizer.plan ?simple ~max_length g expr)
 
-let count_governed ?max_length ?budget g text =
+let count_governed ?strategy ?simple ?max_length ?limit ?budget g text =
   match Parser.parse g text with
   | Error e -> Error (Parser.render_error ~source:text e)
-  | Ok expr -> Ok (count_expr ?max_length ?budget g expr)
+  | Ok expr -> Ok (count_expr ?strategy ?simple ?max_length ?limit ?budget g expr)
 
 let count ?max_length g text =
   Stdlib.Result.map fst (count_governed ?max_length g text)

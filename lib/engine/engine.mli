@@ -72,34 +72,64 @@ val query_expr :
   result
 (** Programmatic entry point, skipping the parser. *)
 
-val query_plan : ?limit:int -> ?budget:Budget.t -> Digraph.t -> Plan.t -> result
+val query_plan :
+  ?strategy:Plan.strategy ->
+  ?limit:int ->
+  ?budget:Budget.t ->
+  Digraph.t ->
+  Plan.t ->
+  result
 (** Execute an already-built plan, skipping parse and optimise entirely —
     the entry point the server's compiled-plan cache feeds. Equivalent to
-    {!query_expr} on [plan.original] with the plan's own strategy,
-    max_length and simple flag. *)
+    {!query_expr} on [plan.original] with the plan's own max_length and
+    simple flag, and its strategy unless [strategy] forces another
+    ({!Plan.with_strategy}). *)
 
-val count :
-  ?max_length:int -> Digraph.t -> string -> (int, string) Stdlib.result
-(** Number of distinct paths the query denotes within the bound, computed
-    by {!Mrpa_automata.Counting} — no path set is materialised, so this
-    stays cheap where {!query} would build an exponentially large answer. *)
+val count_plan :
+  ?strategy:Plan.strategy ->
+  ?limit:int ->
+  ?budget:Budget.t ->
+  Digraph.t ->
+  Plan.t ->
+  int * Err.verdict
+(** The number of distinct paths a plan denotes, and its verdict: the one
+    count rule every front door ([mrpa query --count], the shell's
+    [:count], the server's [count] verb) goes through. With no [strategy],
+    no [limit] and a plan that is not [simple], the count comes from
+    {!Mrpa_automata.Counting} over the plan's optimised expression at its
+    length bound — no path set is materialised, and a tripped budget yields
+    the count over fully completed levels (a sound lower bound). Otherwise
+    the plan runs as {!query_plan} does, under [strategy] when one is
+    forced and with [limit] pushed down, and the count is the size of that
+    answer with its verdict (so a limit below the true count reports
+    [Partial Limit]). *)
+
+val count_expr :
+  ?strategy:Plan.strategy ->
+  ?simple:bool ->
+  ?max_length:int ->
+  ?limit:int ->
+  ?budget:Budget.t ->
+  Digraph.t ->
+  Expr.t ->
+  int * Err.verdict
+(** {!count_plan} over the plan {!query_expr} would run. *)
 
 val count_governed :
+  ?strategy:Plan.strategy ->
+  ?simple:bool ->
   ?max_length:int ->
+  ?limit:int ->
   ?budget:Budget.t ->
   Digraph.t ->
   string ->
   (int * Err.verdict, string) Stdlib.result
-(** {!count} under a budget. A tripped bound yields the count accumulated
-    over fully completed levels — a sound lower bound — with the partial
-    verdict saying which bound fired. *)
+(** {!count_expr} on a textual query; [Error] carries a rendered parse
+    error. *)
 
-val count_expr :
-  ?max_length:int -> ?budget:Budget.t -> Digraph.t -> Expr.t -> int * Err.verdict
-
-val count_plan : ?budget:Budget.t -> Digraph.t -> Plan.t -> int * Err.verdict
-(** {!count_expr} over a plan's already-optimised expression at the plan's
-    length bound — no re-parse, no re-simplify. *)
+val count :
+  ?max_length:int -> Digraph.t -> string -> (int, string) Stdlib.result
+(** The ungoverned plain count: {!count_governed} without a verdict. *)
 
 val equivalent :
   Digraph.t -> string -> string -> (bool, string) Stdlib.result

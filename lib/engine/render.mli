@@ -12,6 +12,10 @@ val escape_string : string -> string
 (** The JSON string literal (with surrounding quotes) for an OCaml
     string. *)
 
+val obj : (string * string) list -> string
+(** [obj [(k, v); ...]] is the JSON object [{k: v, ...}]: keys are escaped,
+    values are spliced in as already-rendered JSON, in the given order. *)
+
 val path_json : Digraph.t -> Path.t -> string
 (** A path as
     [{"edges": [{"tail": …, "label": …, "head": …}, …], "label_word": […]}]. *)

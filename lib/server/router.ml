@@ -57,12 +57,19 @@ type t = {
   config : config;
   breakers : breaker array;
   faults : (int, fault) Hashtbl.t;
-  lock : Mutex.t;  (* breakers, faults, counters *)
-  counters : (string, int) Hashtbl.t;
+  lock : Mutex.t;  (* breakers, faults, metrics *)
+  metrics : Metrics.t;  (* the router.* counters, answered by [stats] *)
   listener : Listener.t;
   next_id : int Atomic.t;
-  started : float;
+  started_ns : int64;
 }
+
+(* Seeded at zero so [stats] lists every counter from the first request. *)
+let counter_names =
+  [ "router.connections"; "router.requests"; "router.queries";
+    "router.counts"; "router.dispatches"; "router.partial"; "router.degraded";
+    "router.breaker_opens"; "router.breaker_fastfails"; "router.idle_timeouts";
+    "router.oversized_requests"; "router.blank_floods" ]
 
 let create config =
   if Shardmap.n_shards config.map = 0 then
@@ -74,10 +81,13 @@ let create config =
           { bstate = B_closed; failures = 0; preferred = 0; dispatches = 0 });
     faults = Hashtbl.create 4;
     lock = Mutex.create ();
-    counters = Hashtbl.create 16;
+    metrics =
+      (let m = Metrics.create () in
+       List.iter (fun k -> Metrics.set m k 0) counter_names;
+       m);
     listener = Listener.create config.front;
     next_id = Atomic.make 0;
-    started = Unix.gettimeofday ();
+    started_ns = Metrics.now_ns ();
   }
 
 let stop t = Listener.stop t.listener
@@ -87,33 +97,26 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let c_incr t key =
-  with_lock t.lock (fun () ->
-      Hashtbl.replace t.counters key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt t.counters key)))
-
-let c_get t key =
-  Option.value ~default:0 (Hashtbl.find_opt t.counters key)
+let m_incr t key = with_lock t.lock (fun () -> Metrics.incr t.metrics key)
 
 let shard_index_exn t name =
   match Shardmap.index_of t.config.map name with
   | Some i -> i
   | None -> invalid_arg (Printf.sprintf "Router: unknown shard %S" name)
 
+(* Caller holds [t.lock]. *)
+let breaker_name t b =
+  match b.bstate with
+  | B_closed -> "closed"
+  | B_open since ->
+    if Unix.gettimeofday () -. since >= t.config.breaker_cooldown_ms /. 1000.0
+    then "half_open"
+    else "open"
+
 let breaker_state t name =
-  match Shardmap.index_of t.config.map name with
-  | None -> None
-  | Some i ->
-    Some
-      (with_lock t.lock (fun () ->
-           match t.breakers.(i).bstate with
-           | B_closed -> "closed"
-           | B_open since ->
-             if
-               Unix.gettimeofday () -. since
-               >= t.config.breaker_cooldown_ms /. 1000.0
-             then "half_open"
-             else "open"))
+  Option.map
+    (fun i -> with_lock t.lock (fun () -> breaker_name t t.breakers.(i)))
+    (Shardmap.index_of t.config.map name)
 
 (* --- Deterministic fault plane ------------------------------------------- *)
 
@@ -184,10 +187,7 @@ let record_failure t idx =
       b.failures <- b.failures + 1;
       if b.failures >= t.config.breaker_failures then begin
         (match b.bstate with
-        | B_closed ->
-          Hashtbl.replace t.counters "router.breaker_opens"
-            (1 + Option.value ~default:0
-                   (Hashtbl.find_opt t.counters "router.breaker_opens"))
+        | B_closed -> Metrics.incr t.metrics "router.breaker_opens"
         | B_open _ -> ());
         b.bstate <- B_open (Unix.gettimeofday ())
       end)
@@ -271,7 +271,7 @@ let attempt_endpoints t idx req ~abs_deadline =
 
 (* One breaker-gated dispatch of [req] to shard [idx]. *)
 let dispatch t idx req ~abs_deadline =
-  c_incr t "router.dispatches";
+  m_incr t "router.dispatches";
   let now = Unix.gettimeofday () in
   let cooldown = t.config.breaker_cooldown_ms /. 1000.0 in
   let fault, gate =
@@ -313,7 +313,7 @@ let dispatch t idx req ~abs_deadline =
   in
   match gate with
   | `Fast_fail ->
-    c_incr t "router.breaker_fastfails";
+    m_incr t "router.breaker_fastfails";
     D_unavailable
   | `Probe ->
     (* Half-open: one cheap health probe decides. On success the real
@@ -697,11 +697,6 @@ let missing_json ctx =
   | [] -> None
   | names -> Some ("[" ^ String.concat "," (List.map esc names) ^ "]")
 
-let effective_max_length t (o : Wire.options) =
-  match o.Wire.max_length with
-  | Some m -> m
-  | None -> min Engine.default_max_length t.config.limits.Wire.max_length_cap
-
 let handle_query t (req : Wire.request) (o : Wire.options) =
   let started = Unix.gettimeofday () in
   let query_text = Option.value ~default:"" req.Wire.query in
@@ -715,7 +710,7 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
         rt = t;
         scratch = Digraph.create ();
         options = o;
-        eff_max_length = effective_max_length t o;
+        eff_max_length = Option.get o.Wire.max_length;
         abs_deadline =
           Option.map (fun ms -> started +. (ms /. 1000.0)) o.Wire.deadline_ms;
         reasons = [];
@@ -738,8 +733,8 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
       let verdict = final_verdict ctx in
       (match verdict with
       | Err.Complete -> ()
-      | Err.Partial _ -> c_incr t "router.partial");
-      if not (StrSet.is_empty ctx.missing) then c_incr t "router.degraded";
+      | Err.Partial _ -> m_incr t "router.partial");
+      if not (StrSet.is_empty ctx.missing) then m_incr t "router.degraded";
       let missing_frag =
         match missing_json ctx with
         | None -> ""
@@ -748,7 +743,7 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
       let elapsed_ms = (Unix.gettimeofday () -. started) *. 1000.0 in
       (match req.Wire.verb with
       | Wire.Count ->
-        c_incr t "router.counts";
+        m_incr t "router.counts";
         Wire.response_ok ~id:req.Wire.id
           ([
              ("count", string_of_int (Path_set.cardinal pset));
@@ -759,7 +754,7 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
           | None -> []
           | Some j -> [ ("missing_shards", j) ])
       | _ ->
-        c_incr t "router.queries";
+        m_incr t "router.queries";
         let result =
           Printf.sprintf
             {|{"paths":%s,"count":%d,"elapsed_ms":%.3f,"strategy":"scatter","verdict":%s%s}|}
@@ -769,9 +764,6 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
             missing_frag
         in
         Wire.response_ok ~id:req.Wire.id [ ("result", result) ]))
-
-let json_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> esc k ^ ":" ^ v) fields) ^ "}"
 
 (* Gather a per-shard payload member ("stats" / "health") from every
    shard; unreachable shards render as null. *)
@@ -799,38 +791,19 @@ let handle_stats t (req : Wire.request) =
     Unix.gettimeofday () +. (t.config.shard_timeout_ms /. 1000.0)
   in
   let shards = gather_member t ~verb:Wire.Stats ~member:"stats" ~abs_deadline in
-  let router_fields =
+  let json =
     with_lock t.lock (fun () ->
-        [
-          ("router.shards", string_of_int (Shardmap.n_shards t.config.map));
-          ( "router.connections",
-            string_of_int (c_get t "router.connections") );
-          ("router.requests", string_of_int (c_get t "router.requests"));
-          ("router.queries", string_of_int (c_get t "router.queries"));
-          ("router.counts", string_of_int (c_get t "router.counts"));
-          ("router.dispatches", string_of_int (c_get t "router.dispatches"));
-          ("router.partial", string_of_int (c_get t "router.partial"));
-          ("router.degraded", string_of_int (c_get t "router.degraded"));
-          ( "router.breaker_opens",
-            string_of_int (c_get t "router.breaker_opens") );
-          ( "router.breaker_fastfails",
-            string_of_int (c_get t "router.breaker_fastfails") );
-          ( "router.idle_timeouts",
-            string_of_int (c_get t "router.idle_timeouts") );
-          ( "router.oversized_requests",
-            string_of_int (c_get t "router.oversized_requests") );
-          ( "router.blank_floods",
-            string_of_int (c_get t "router.blank_floods") );
-          ( "router.uptime_ms",
-            Printf.sprintf "%.0f"
-              ((Unix.gettimeofday () -. t.started) *. 1000.0) );
-        ])
+        Metrics.set t.metrics "router.shards" (Shardmap.n_shards t.config.map);
+        Metrics.set t.metrics "router.uptime_ms"
+          (int_of_float
+             (Metrics.ns_to_ms (Metrics.elapsed_ns ~since:t.started_ns)));
+        Metrics.to_json t.metrics)
   in
   Wire.response_ok ~id:req.Wire.id
     [
-      ("stats", json_obj router_fields);
+      ("stats", json);
       ( "shards",
-        json_obj (List.map (fun (_, name, v) -> (name, v)) shards) );
+        Render.obj (List.map (fun (_, name, v) -> (name, v)) shards) );
     ]
 
 let handle_health t (req : Wire.request) =
@@ -843,26 +816,17 @@ let handle_health t (req : Wire.request) =
   let shard_objs =
     List.map
       (fun (idx, name, health) ->
-        let b, disp =
+        let state, failures, dispatches =
           with_lock t.lock (fun () ->
-              (t.breakers.(idx), t.breakers.(idx).dispatches))
+              let b = t.breakers.(idx) in
+              (breaker_name t b, b.failures, b.dispatches))
         in
-        let state =
-          match b.bstate with
-          | B_closed -> "closed"
-          | B_open since ->
-            if
-              Unix.gettimeofday () -. since
-              >= t.config.breaker_cooldown_ms /. 1000.0
-            then "half_open"
-            else "open"
-        in
-        json_obj
+        Render.obj
           [
             ("name", esc name);
             ("breaker", esc state);
-            ("failures", string_of_int b.failures);
-            ("dispatches", string_of_int disp);
+            ("failures", string_of_int failures);
+            ("dispatches", string_of_int dispatches);
             ("reachable", if health = "null" then "false" else "true");
             ("health", health);
           ])
@@ -871,7 +835,7 @@ let handle_health t (req : Wire.request) =
   Wire.response_ok ~id:req.Wire.id
     [
       ( "health",
-        json_obj
+        Render.obj
           [
             ("role", esc "router");
             ("shards", "[" ^ String.concat "," shard_objs ^ "]");
@@ -917,8 +881,8 @@ let handle_line ?(remote = false) t line =
   match Wire.decode_request line with
   | Error msg -> Wire.response_error ~id:Json.Null ~code:Wire.Bad_request msg
   | Ok req -> (
-    c_incr t "router.requests";
-    let o = Wire.clamp t.config.limits req.Wire.options in
+    m_incr t "router.requests";
+    let o = Wire.clamp_request t.config.limits req in
     match req.Wire.verb with
     | Wire.Ping -> Wire.response_ok ~id:req.Wire.id [ ("pong", "true") ]
     | Wire.Query | Wire.Count -> handle_query t req o
@@ -943,9 +907,9 @@ let handle_line ?(remote = false) t line =
 
 let serve t =
   Listener.serve t.listener
-    ~on_farewell:(fun f -> c_incr t ("router." ^ Listener.farewell_counter f))
+    ~on_farewell:(fun f -> m_incr t ("router." ^ Listener.farewell_counter f))
     (fun ~remote fd ->
-      c_incr t "router.connections";
+      m_incr t "router.connections";
       {
         Listener.handle =
           (fun line ->

@@ -92,7 +92,10 @@ val handle_line : ?remote:bool -> t -> string -> string
     newline) — the full router pipeline without sockets. [remote]
     (default [false]) marks the request as arriving over TCP for the
     [shutdown] gate. This is {!serve}'s per-request core, exposed so the
-    deterministic fault harness can drive the router in-process. *)
+    deterministic fault harness can drive the router in-process. [stats]
+    answers the [router.*] counters in the server's [mrpa.profile/1]
+    shape ({!Mrpa_engine.Metrics.to_json}), with each shard's own [stats]
+    under a sibling [shards] object. *)
 
 val breaker_state : t -> string -> string option
 (** ["closed"], ["open"] or ["half_open"] for the named shard ([None] for

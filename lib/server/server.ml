@@ -229,9 +229,6 @@ let await_drain ss =
 
 let esc = Metrics.escape_string
 
-let json_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> esc k ^ ":" ^ v) fields) ^ "}"
-
 (* Swap in a fresh frozen snapshot of the live graph [g] at journal
    sequence [seq]. Role-thread only (the sole mutator of the live graph,
    so copying it here is race-free). The old snapshot's invalidation
@@ -247,11 +244,6 @@ let refresh_snapshot t g ~seq =
   | None -> ());
   t.snap_source <- Some g
 
-let effective_max_length t (o : Wire.options) =
-  match o.Wire.max_length with
-  | Some m -> m
-  | None -> min Engine.default_max_length t.config.limits.Wire.max_length_cap
-
 (* Execute a compiled plan for query/count. [gen0] is the result-cache
    generation observed before dispatch; a Complete payload is offered back
    to the cache under it, so a write racing with this evaluation silently
@@ -259,11 +251,6 @@ let effective_max_length t (o : Wire.options) =
 let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey gen0
     (c : Snapshot.compiled) budget =
   let g = Snapshot.graph snap in
-  let plan =
-    match o.Wire.strategy with
-    | None -> c.Snapshot.plan
-    | Some s -> Plan.with_strategy c.Snapshot.plan s
-  in
   let note_verdict verdict =
     match verdict with
     | Err.Complete -> ()
@@ -271,7 +258,10 @@ let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey gen0
   in
   match req.Wire.verb with
   | Wire.Query ->
-    let r = Engine.query_plan ?limit:o.Wire.limit ~budget g plan in
+    let r =
+      Engine.query_plan ?strategy:o.Wire.strategy ?limit:o.Wire.limit ~budget
+        g c.Snapshot.plan
+    in
     m_incr t "server.queries";
     note_verdict r.Engine.verdict;
     let payload = [ ("result", Render.result_json g r) ] in
@@ -279,7 +269,10 @@ let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey gen0
       Snapshot.cache_result snap ~generation:gen0 rkey payload;
     Wire.response_ok ~id:req.Wire.id payload
   | Wire.Count ->
-    let n, verdict = Engine.count_plan ~budget g plan in
+    let n, verdict =
+      Engine.count_plan ?strategy:o.Wire.strategy ?limit:o.Wire.limit ~budget
+        g c.Snapshot.plan
+    in
     m_incr t "server.counts";
     note_verdict verdict;
     let payload =
@@ -301,7 +294,7 @@ let lint_response t (req : Wire.request) =
   let g = Snapshot.graph snap in
   let query_text = Option.get req.Wire.query in
   let o = Wire.clamp t.config.limits req.Wire.options in
-  let max_length = effective_max_length t o in
+  let max_length = Option.get o.Wire.max_length in
   match Snapshot.compile snap ~max_length ~simple:o.Wire.simple query_text with
   | Error msg ->
     m_incr t "server.query_errors";
@@ -322,19 +315,23 @@ let lint_response t (req : Wire.request) =
     in
     let finding d =
       let module D = Mrpa_lint.Diagnostic in
-      Printf.sprintf "{%s:%s,%s:%s,%s:%d,%s:%d,%s:%s}" (esc "code")
-        (esc d.D.code) (esc "severity")
-        (esc (D.severity_label d.D.severity))
-        (esc "start") d.D.span.Mrpa_core.Span.start (esc "stop")
-        d.D.span.Mrpa_core.Span.stop (esc "message") (esc d.D.message)
+      Render.obj
+        [
+          ("code", esc d.D.code);
+          ("severity", esc (D.severity_label d.D.severity));
+          ("start", string_of_int d.D.span.Mrpa_core.Span.start);
+          ("stop", string_of_int d.D.span.Mrpa_core.Span.stop);
+          ("message", esc d.D.message);
+        ]
     in
     let payload =
-      Printf.sprintf "{%s:[%s],%s:%d,%s:%s,%s:%s}" (esc "findings")
-        (String.concat "," (List.map finding diags))
-        (esc "max_length") max_length (esc "predicted_cost")
-        (bound_json cost.Mrpa_lint.Cost.predicted_cost)
-        (esc "predicted_paths")
-        (bound_json cost.Mrpa_lint.Cost.predicted_paths)
+      Render.obj
+        [
+          ("findings", "[" ^ String.concat "," (List.map finding diags) ^ "]");
+          ("max_length", string_of_int max_length);
+          ("predicted_cost", bound_json cost.Mrpa_lint.Cost.predicted_cost);
+          ("predicted_paths", bound_json cost.Mrpa_lint.Cost.predicted_paths);
+        ]
     in
     Wire.response_ok ~id:req.Wire.id [ ("lint", payload) ]
 
@@ -516,7 +513,7 @@ let staleness_error t (o : Wire.options) =
   end
 
 let handle_eval t ss (req : Wire.request) =
-  let effective = Wire.clamp t.config.limits req.Wire.options in
+  let effective = Wire.clamp_request t.config.limits req in
   match staleness_error t effective with
   | Some msg ->
     send ss (Wire.response_error ~id:req.Wire.id ~code:Wire.Stale msg)
@@ -525,7 +522,7 @@ let handle_eval t ss (req : Wire.request) =
        able to observe a refresh. *)
     let snap = snapshot t in
     let query_text = Option.get req.Wire.query in
-    let max_length = effective_max_length t effective in
+    let max_length = Option.get effective.Wire.max_length in
     let rkey =
       Snapshot.result_key
         ~verb:(Wire.verb_name req.Wire.verb)
@@ -578,7 +575,7 @@ let register_graph t =
   | Replica_repl r -> Replication.Apply.graph r.appl
 
 let view_info_json (i : Views.info) =
-  json_obj
+  Render.obj
     ([
        ("name", esc i.Views.i_name);
        ("kind", esc i.Views.i_kind);
@@ -605,7 +602,7 @@ let views_register t (req : Wire.request) (v : Wire.view_req) =
   let registered kind =
     m_incr t "server.view_registers";
     Wire.response_ok ~id:req.Wire.id
-      [ ("view", json_obj [ ("registered", esc name); ("kind", esc kind) ]) ]
+      [ ("view", Render.obj [ ("registered", esc name); ("kind", esc kind) ]) ]
   in
   match (v.Wire.word, v.Wire.view_query) with
   | Some word, None -> (
@@ -624,7 +621,7 @@ let views_register t (req : Wire.request) (v : Wire.view_req) =
        registration is refused before it can ever occupy a worker. *)
     let effective = Wire.clamp t.config.limits req.Wire.options in
     let snap = snapshot t in
-    let max_length = effective_max_length t effective in
+    let max_length = Option.get effective.Wire.max_length in
     match Snapshot.compile snap ~max_length ~simple:false query with
     | Error msg ->
       m_incr t "server.query_errors";
@@ -714,7 +711,7 @@ let views_read t (req : Wire.request) (v : Wire.view_req)
       Wire.response_ok ~id:req.Wire.id
         [
           ( "view",
-            json_obj
+            Render.obj
               (base partial
               @ [
                   ( "vertices",
@@ -738,7 +735,7 @@ let views_read t (req : Wire.request) (v : Wire.view_req)
       Wire.response_ok ~id:req.Wire.id
         [
           ( "view",
-            json_obj
+            Render.obj
               (base partial
               @ [
                   ("pairs", "[" ^ String.concat "," rendered ^ "]");
@@ -760,8 +757,11 @@ let views_read t (req : Wire.request) (v : Wire.view_req)
         ^ String.concat ","
             (List.map
                (fun (i, s) ->
-                 Printf.sprintf "{%s:%s,%s:%.6g}" (esc "vertex")
-                   (esc (vertex_name i)) (esc "score") s)
+                 Render.obj
+                   [
+                     ("vertex", esc (vertex_name i));
+                     ("score", Printf.sprintf "%.6g" s);
+                   ])
                ranked)
         ^ "]"
       in
@@ -813,7 +813,7 @@ let views_read t (req : Wire.request) (v : Wire.view_req)
         Wire.response_ok ~id:req.Wire.id
           [
             ( "view",
-              json_obj
+              Render.obj
                 (base partial
                 @ [ ("measure", esc measure) ]
                 @ graph_fields @ fields) );
@@ -830,7 +830,7 @@ let handle_views t ss (req : Wire.request) (v : Wire.view_req) =
       m_incr t "server.view_drops";
       send ss
         (Wire.response_ok ~id:req.Wire.id
-           [ ("view", json_obj [ ("dropped", esc name) ]) ])
+           [ ("view", Render.obj [ ("dropped", esc name) ]) ])
     end
     else begin
       m_incr t "server.view_unknown";
@@ -917,7 +917,7 @@ let health_response t req =
       ]
   in
   Wire.response_ok ~id:req.Wire.id
-    [ ("health", json_obj (fields @ load_fields)) ]
+    [ ("health", Render.obj (fields @ load_fields)) ]
 
 (* Stream backlog + live records to one subscriber until the connection
    dies, the server stops, or the tailer declares the subscriber dead
@@ -1000,7 +1000,7 @@ let handle_sub t ss (req : Wire.request) =
           (Wire.response_ok ~id:req.Wire.id
              [
                ( "sub",
-                 json_obj
+                 Render.obj
                    [
                      ("start_seq", string_of_int start_seq);
                      ("last_seq", string_of_int last);

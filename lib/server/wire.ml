@@ -415,6 +415,15 @@ let clamp limits o =
       | Some r, Some floor -> Some (Float.max r floor));
   }
 
+(* A count returns no paths, so the returned-paths ceiling binds it only
+   when the client asked for a limit itself: a plain count keeps the
+   Counting DP whatever [max_limit] says. *)
+let clamp_request limits (req : request) =
+  let o = clamp limits req.options in
+  match req.verb with
+  | Count when req.options.limit = None -> { o with limit = None }
+  | _ -> o
+
 let budget_of_options o =
   Budget.create ?deadline_ms:o.deadline_ms ?fuel:o.fuel ?max_live:o.max_paths ()
 
@@ -449,14 +458,10 @@ let error_code_name = function
 let esc = Metrics.escape_string
 
 let envelope ~id ~ok fields =
-  let all =
-    [ ("mrpa", esc version); ("id", Json.to_string id);
-      ("ok", if ok then "true" else "false") ]
-    @ fields
-  in
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> esc k ^ ":" ^ v) all)
-  ^ "}"
+  Render.obj
+    ([ ("mrpa", esc version); ("id", Json.to_string id);
+       ("ok", if ok then "true" else "false") ]
+    @ fields)
 
 let response_ok ~id fields = envelope ~id ~ok:true fields
 
@@ -464,7 +469,6 @@ let response_error ~id ~code message =
   envelope ~id ~ok:false
     [
       ( "error",
-        Printf.sprintf "{%s:%s,%s:%s}" (esc "code")
-          (esc (error_code_name code))
-          (esc "message") (esc message) );
+        Render.obj
+          [ ("code", esc (error_code_name code)); ("message", esc message) ] );
     ]

@@ -171,7 +171,16 @@ val default_limits : limits
 val clamp : limits -> options -> options
 (** Effective options: each requested value is capped by the corresponding
     server limit, and a limit with no requested value becomes the value —
-    the server's ceilings always apply, whether or not the client asked. *)
+    the server's ceilings always apply, whether or not the client asked.
+    [max_length] is always [Some _]: the requested bound capped at
+    [max_length_cap], or [min Engine.default_max_length max_length_cap]
+    when unset. *)
+
+val clamp_request : limits -> request -> options
+(** {!clamp} on a request's options, with one verb rule: [max_limit] caps a
+    [count]'s [limit] only when the client set one. A count returns no
+    paths, so an unset limit stays unset and a plain count keeps the
+    Counting DP ({!Engine.count_plan}). *)
 
 val budget_of_options : options -> Budget.t
 (** A fresh single-use budget from the (clamped) governed options. Always

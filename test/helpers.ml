@@ -51,6 +51,42 @@ let parallel_graph () =
     ];
   g
 
+(* The count-contract fixture: a->b, b->a, b->c, c->a under one label k.
+   Each row is a count request whose path mode or limit shapes the
+   answer, with the count and verdict every front door (engine, server,
+   router) must report. *)
+let count_graph () =
+  let g = Digraph.create () in
+  List.iter
+    (fun (t, h) -> ignore (Digraph.add g t "k" h))
+    [ ("a", "b"); ("b", "a"); ("b", "c"); ("c", "a") ];
+  g
+
+type count_row = {
+  c_query : string;
+  c_max_length : int;
+  c_simple : bool;
+  c_limit : int option;
+  c_count : int;
+  c_verdict : string;
+}
+
+let count_rows =
+  let row ?(max_length = 8) ?(simple = false) ?limit c_query c_count c_verdict =
+    { c_query; c_max_length = max_length; c_simple = simple; c_limit = limit;
+      c_count; c_verdict }
+  in
+  [
+    row "[_,k,_]*" ~max_length:3 ~simple:true 8 "complete";
+    row "[_,k,_]*" ~max_length:3 ~simple:true ~limit:2 2 "partial:limit";
+    row "[_,k,_]" ~limit:0 0 "partial:limit";
+  ]
+
+let count_row_name r =
+  Printf.sprintf "%s max_length=%d%s%s" r.c_query r.c_max_length
+    (if r.c_simple then " simple" else "")
+    (match r.c_limit with Some n -> Printf.sprintf " limit=%d" n | None -> "")
+
 let v g name = Digraph.vertex g name
 let l g name = Digraph.label g name
 let e g tn ln hn = Edge.make ~tail:(v g tn) ~label:(l g ln) ~head:(v g hn)

@@ -620,10 +620,51 @@ let qcheck_engine_count_matches_query =
       let g = H.graph_of_recipe recipe in
       let rng = Prng.create aux in
       let r = H.random_expr rng g in
-      fst (Engine.count_expr ~max_length:3 g r)
+      (* A path mode or a limit moves the count off the Counting DP; it
+         must still be the size of the answer the request returns. *)
+      let simple = aux mod 4 = 0 in
+      let limit = if aux mod 5 = 0 then Some (aux mod 7) else None in
+      fst (Engine.count_expr ~simple ~max_length:3 ?limit g r)
       = Path_set.cardinal
-          (Engine.query_expr ~strategy:Plan.Reference ~max_length:3 g r)
+          (Engine.query_expr ~strategy:Plan.Reference ~simple ~max_length:3
+             ?limit g r)
             .Engine.paths)
+
+let test_engine_count_contract () =
+  let g = H.count_graph () in
+  List.iter
+    (fun (row : H.count_row) ->
+      match
+        Engine.count_governed ~simple:row.H.c_simple
+          ~max_length:row.H.c_max_length ?limit:row.H.c_limit g row.H.c_query
+      with
+      | Error msg -> Alcotest.fail msg
+      | Ok (n, verdict) ->
+        let name = H.count_row_name row in
+        Alcotest.(check int) (name ^ " count") row.H.c_count n;
+        Alcotest.(check string)
+          (name ^ " verdict") row.H.c_verdict (Err.verdict_name verdict))
+    H.count_rows;
+  (* A plain count keeps the Counting DP: it holds no paths, so a live-path
+     budget far below the answer cannot trip it. Materialising the same
+     request, or forcing a strategy, does trip it. *)
+  let budget () = Budget.create ~max_live:3 () in
+  let check name (n, verdict) (n', verdict') =
+    Alcotest.(check (pair int string))
+      name (n', verdict')
+      (n, Err.verdict_name verdict)
+  in
+  let plan =
+    Optimizer.plan ~max_length:3 g (Result.get_ok (Parser.parse g "[_,k,_]*"))
+  in
+  check "plain count" (Engine.count_plan ~budget:(budget ()) g plan)
+    (17, "complete");
+  check "forced strategy"
+    (Engine.count_plan ~strategy:Plan.Product_bfs ~budget:(budget ()) g plan)
+    (3, "partial:memory");
+  let r = Engine.query_plan ~budget:(budget ()) g plan in
+  check "materialised" (Path_set.cardinal r.Engine.paths, r.Engine.verdict)
+    (3, "partial:memory")
 
 let test_engine_simple_flag () =
   let g = Generate.ring ~n:4 ~n_labels:1 in
@@ -891,6 +932,7 @@ let () =
           Alcotest.test_case "fig1 query" `Quick test_engine_fig1_text_query;
           Alcotest.test_case "simple flag" `Quick test_engine_simple_flag;
           Alcotest.test_case "count text" `Quick test_engine_count_text;
+          Alcotest.test_case "count contract" `Quick test_engine_count_contract;
           qcheck_strategies_agree_end_to_end;
           qcheck_engine_count_matches_query;
         ] );

@@ -377,6 +377,34 @@ let test_router_options () =
         "count verb" (Some 7)
         (Option.bind (Json.member "count" j) Json.to_int_opt))
 
+(* The count contract through the router, over a 2-shard partition: the
+   count and verdict of each table row, as the engine and the single
+   server give them. *)
+let test_router_count_contract () =
+  with_fleet ~n:2 ~graph:(H.count_graph ()) (fun router ~graph:_ ~kill:_ ~restart:_ ->
+      List.iter
+        (fun (row : H.count_row) ->
+          let name = H.count_row_name row in
+          let options =
+            {
+              Wire.default_options with
+              Wire.max_length = Some row.H.c_max_length;
+              simple = row.H.c_simple;
+              limit = row.H.c_limit;
+            }
+          in
+          let j =
+            expect_ok
+              (Router.handle_line router
+                 (query_req ~verb:Wire.Count ~options row.H.c_query))
+          in
+          Alcotest.(check (pair (option int) (option string)))
+            name
+            (Some row.H.c_count, Some row.H.c_verdict)
+            ( Option.bind (Json.member "count" j) Json.to_int_opt,
+              Option.bind (Json.member "verdict" j) Json.to_string_opt ))
+        H.count_rows)
+
 let test_router_query_errors () =
   with_fleet (fun router ~graph:_ ~kill:_ ~restart:_ ->
       (* A name unknown on every shard is the typo the single server's
@@ -612,7 +640,11 @@ let test_router_verbs () =
         shards;
       (* stats: router counters plus a per-shard section (null when dead). *)
       let j = expect_ok (Router.handle_line router (req Wire.Stats)) in
-      (match Option.bind (Json.member "stats" j) (Json.member "router.shards") with
+      (match
+         Option.bind
+           (Option.bind (Json.member "stats" j) (Json.member "counters"))
+           (Json.member "router.shards")
+       with
       | Some (Json.Number n) -> Alcotest.(check int) "router.shards" 3 (int_of_float n)
       | _ -> Alcotest.fail "stats without router.shards");
       (match Option.bind (Json.member "shards" j) (Json.member "s2") with
@@ -695,7 +727,9 @@ let router_counter router name =
   in
   let j = expect_ok (Router.handle_line router stats) in
   Option.bind
-    (Option.bind (Json.member "stats" j) (Json.member name))
+    (Option.bind
+       (Option.bind (Json.member "stats" j) (Json.member "counters"))
+       (Json.member name))
     Json.to_int_opt
 
 let test_router_idle_timeout () =
@@ -814,6 +848,8 @@ let () =
           Alcotest.test_case "options: simple, limit, count" `Quick
             test_router_options;
           Alcotest.test_case "query errors" `Quick test_router_query_errors;
+          Alcotest.test_case "count contract" `Quick
+            test_router_count_contract;
         ] );
       ( "robustness",
         [

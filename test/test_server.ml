@@ -732,9 +732,14 @@ let test_server_overload_response () =
      arrivals enough that every job is absorbed — so an unlucky round
      (no shed, but every client answered correctly) is retried a bounded
      number of times rather than failed; one shed round proves the
-     backpressure path end to end. *)
+     backpressure path end to end. The result cache is off: a complete
+     answer would otherwise be cached, and every later request served
+     inline without ever reaching the pool. *)
   let limits = { Wire.default_limits with max_deadline_ms = Some 400.0 } in
-  with_server ~limits (fun _server connect _path ->
+  let snapshot =
+    Snapshot.of_graph ~result_cache_capacity:0 (H.paper_graph ())
+  in
+  with_server ~limits ~snapshot (fun _server connect _path ->
       let heavy = "([_,alpha,_] | [_,beta,_])* . ([_,alpha,_] | [_,beta,_])*" in
       let round () =
         let conns = List.init 16 (fun _ -> connect ()) in
@@ -1405,6 +1410,68 @@ let test_limit_zero_all_strategies () =
                   true (o = first))
               rest))
 
+(* One count rule at every front door: over the wire, the count verb
+   answers each table row's count and verdict, as the engine does. *)
+let test_count_contract () =
+  let int_at j = Option.bind j Json.to_int_opt in
+  let str_at j = Option.bind j Json.to_string_opt in
+  let answer j = (int_at (Json.member "count" j), str_at (Json.member "verdict" j)) in
+  let over_wire ?limits f =
+    with_server ?limits ~snapshot:(Snapshot.of_graph (H.count_graph ()))
+      (fun _server connect _path ->
+        let conn = connect () in
+        Fun.protect
+          ~finally:(fun () -> Client.close conn)
+          (fun () ->
+            f (fun verb options query ->
+                expect_ok query
+                  (Client.request conn (simple_req ~query ~options verb)))))
+  in
+  let expect = Alcotest.(check (pair (option int) (option string))) in
+  over_wire (fun ask ->
+      List.iter
+        (fun (row : H.count_row) ->
+          let j =
+            ask Wire.Count
+              {
+                Wire.default_options with
+                max_length = Some row.H.c_max_length;
+                simple = row.H.c_simple;
+                limit = row.H.c_limit;
+              }
+              row.H.c_query
+          in
+          expect (H.count_row_name row)
+            (Some row.H.c_count, Some row.H.c_verdict)
+            (answer j))
+        H.count_rows;
+      (* A plain count keeps the Counting DP: a live-path budget far below
+         the answer cannot trip it, while materialising the same request
+         stops at the budget. *)
+      let options =
+        { Wire.default_options with max_length = Some 3; max_paths = Some 3 }
+      in
+      expect "plain count" (Some 17, Some "complete")
+        (answer (ask Wire.Count options "[_,k,_]*"));
+      let r = Json.member "result" (ask Wire.Query options "[_,k,_]*") in
+      expect "materialised" (Some 3, Some "partial:memory")
+        ( int_at (Option.bind r (Json.member "count")),
+          str_at (Option.bind r (Json.member "verdict")) ));
+  (* The server's returned-paths ceiling binds a query and a count the
+     client limited, but not a plain count: it returns no paths. *)
+  let limits = { Wire.default_limits with max_limit = Some 2 } in
+  over_wire ~limits (fun ask ->
+      let options = { Wire.default_options with max_length = Some 3 } in
+      expect "plain count under max_limit" (Some 17, Some "complete")
+        (answer (ask Wire.Count options "[_,k,_]*"));
+      expect "limited count under max_limit" (Some 2, Some "partial:limit")
+        (answer
+           (ask Wire.Count { options with limit = Some 5 } "[_,k,_]*"));
+      let r = Json.member "result" (ask Wire.Query options "[_,k,_]*") in
+      expect "query under max_limit" (Some 2, Some "partial:limit")
+        ( int_at (Option.bind r (Json.member "count")),
+          str_at (Option.bind r (Json.member "verdict")) ))
+
 let test_max_length_zero_all_strategies () =
   with_server (fun _server connect _path ->
       let conn = connect () in
@@ -1672,6 +1739,7 @@ let () =
             test_max_length_zero_all_strategies;
           Alcotest.test_case "overlong integer literal" `Quick
             test_overlong_integer;
+          Alcotest.test_case "count contract" `Quick test_count_contract;
         ] );
       ( "retry",
         [
