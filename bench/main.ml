@@ -1,16 +1,19 @@
 (* Experiment harness.
 
    The paper has no empirical evaluation (no tables; one figure), so this
-   executable regenerates the experiment suite defined in DESIGN.md §2/§5:
-   EXP-F1 reproduces Figure 1 executably, EXP-T1..T7 turn each quantitative
-   claim the paper makes in prose into a measured table. Run with no
-   arguments to execute everything at the default scale; pass experiment
-   names (fig1, micro, join-vs-product, traversals, recognizers, generators,
-   counting, label-regex, optimizer, semirings, projection, views,
-   label-loss, guardrails, serve, journal) to select, and "--full" for larger sweeps. Pass "--json FILE"
-   to also write a machine-readable run summary (schema mrpa.bench/1):
-   per-experiment wall time plus engine execution profiles for a fixed set
-   of representative queries. *)
+   executable regenerates the experiment suite of DESIGN.md §2/§5: EXP-F1
+   reproduces Figure 1, EXP-T1..T11 measure each quantitative claim the
+   paper makes in prose, and EXP-T12, T14..T16 measure the guardrails, the
+   journal format, the static cost model and the server caches. Serving
+   performance is measured out of process by perfbench/, not here. Run
+   with no arguments to execute everything at the default scale; pass
+   experiment names (fig1, micro, join-vs-product, traversals, join-order,
+   recognizers, generators, counting, label-regex, optimizer, semirings,
+   projection, views, label-loss, guardrails, journal, cost, zipf) to
+   select, and "--full" for larger sweeps. Pass "--json FILE" to also
+   write a machine-readable run summary (schema mrpa.bench/1):
+   per-experiment wall time, the journal/cost/zipf rows, and engine
+   execution profiles for a fixed set of representative queries. *)
 
 open Mrpa_graph
 open Mrpa_core
@@ -429,7 +432,8 @@ let exp_generators ~full =
   section "EXP-T5 (generator strategies)"
     "SIV-B: the paper's set-at-a-time single-stack machine vs path-at-a-time\n\
      product-graph BFS, on an anchored starred expression, sweeping the\n\
-     length bound.";
+     length bound; then on unanchored joins and stars, with and without a\n\
+     limit.";
   let g =
     Generate.fig1 ~rng:(Prng.create 31)
       ~n_noise_vertices:(if full then 50 else 25)
@@ -458,30 +462,68 @@ let exp_generators ~full =
          (Digraph.n_vertices g) (Digraph.n_edges g))
     ~header:[ "maxlen"; "paths"; "stack"; "bfs"; "stack/bfs"; "agree" ]
     rows;
-  let g2 =
-    Generate.uniform ~rng:(Prng.create 37) ~n_vertices:25
-      ~n_edges:(if full then 220 else 120)
+  (* The unanchored sweep behind the planner's Stack_machine pick
+     (Optimizer.choose_strategy picks it for unanchored queries with a
+     small predicted frontier). Both strategies run through the engine
+     (parse, plan, evaluate), best of three, with and without a limit. *)
+  let module Engine = Mrpa_engine.Engine in
+  let module Plan = Mrpa_engine.Plan in
+  let run g query ~max_length ?limit strategy =
+    let runs =
+      List.init 3 (fun _ ->
+          time (fun () -> Engine.query_exn ~strategy ~max_length ?limit g query))
+    in
+    ( (fst (List.hd runs)).Engine.paths,
+      List.fold_left (fun b (_, t) -> Float.min b t) infinity runs )
+  in
+  let uniform seed n m =
+    Generate.uniform ~rng:(Prng.create seed) ~n_vertices:n ~n_edges:m
       ~n_labels:4
   in
-  let r2 =
-    Expr.join
-      (Expr.sel (Selector.label1 (Digraph.label g2 "r0")))
-      (Expr.sel (Selector.label1 (Digraph.label g2 "r1")))
-  in
-  let stack, t_stack = time (fun () -> Stack_machine.run g2 r2 ~max_length:2) in
-  let bfs, t_bfs = time (fun () -> Generator.generate g2 r2 ~max_length:2) in
-  print_table
-    ~title:"Unanchored 2-step labeled traversal (set-at-a-time batches well)"
-    ~header:[ "graph"; "paths"; "stack(ms)"; "bfs(ms)"; "agree" ]
+  let cases =
     [
-      [
-        Printf.sprintf "uniform |E|=%d" (Digraph.n_edges g2);
-        string_of_int (Path_set.cardinal stack);
-        ms t_stack;
-        ms t_bfs;
-        string_of_bool (Path_set.equal stack bfs);
-      ];
+      ("fig1+noise", g, "[_,alpha,_] . [_,beta,_]*", 3);
+      ("uniform 25/120/4", uniform 37 25 120, "[_,r0,_] . [_,r1,_]", 2);
+      ("uniform 1000/5000/4", uniform 41 1000 5000, "[_,r0,_] . [_,r1,_]", 3);
+      ("K24 x 2", Generate.complete ~n:24 ~n_labels:2, "[_,r0,_] . [_,r0,_]", 3);
     ]
+  in
+  let rows =
+    List.concat_map
+      (fun (name, g, query, max_length) ->
+        List.map
+          (fun limit ->
+            let stack, t_stack = run g query ~max_length ?limit Plan.Stack_machine in
+            let bfs, t_bfs = run g query ~max_length ?limit Plan.Product_bfs in
+            (* Under a limit each strategy may keep a different subset. *)
+            let agree =
+              if limit = None then Path_set.equal stack bfs
+              else Path_set.cardinal stack = Path_set.cardinal bfs
+            in
+            let pick = (Engine.query_exn ~max_length ?limit g query).Engine.plan in
+            [
+              name;
+              query;
+              string_of_int max_length;
+              (match limit with Some l -> string_of_int l | None -> "-");
+              Plan.strategy_name pick.Plan.strategy;
+              string_of_int (Path_set.cardinal stack);
+              ms t_stack;
+              ms t_bfs;
+              Printf.sprintf "%.2fx" (t_bfs /. max 1e-9 t_stack);
+              string_of_bool agree;
+            ])
+          [ None; Some 100 ])
+      cases
+  in
+  print_table
+    ~title:
+      "Unanchored traversals, forced strategy (times in ms; speedup > 1 means \
+       the stack machine wins)"
+    ~header:
+      [ "graph"; "query"; "maxlen"; "limit"; "pick"; "paths"; "stack"; "bfs";
+        "speedup"; "agree" ]
+    rows
 
 (* --- EXP-T5b: counting vs enumeration ------------------------------------------ *)
 
@@ -987,7 +1029,7 @@ let exp_guardrails ~full =
   print_table ~title:"Stack machine under a shrinking fuel budget"
     ~header:[ "fuel"; "paths"; "verdict" ] degradation
 
-(* --- EXP-T13: query-server throughput ----------------------------------------- *)
+(* --- In-process server fixtures (EXP-T15, EXP-T16) ----------------------------- *)
 
 module Server = Mrpa_server.Server
 module Wire = Mrpa_server.Wire
@@ -995,327 +1037,39 @@ module Snapshot = Mrpa_server.Snapshot
 module Client = Mrpa_server.Client
 module Sjson = Mrpa_server.Json
 
-(* Rows recorded by exp_serve for the --json summary ("serve" section of
-   mrpa.bench/1); empty when the experiment was not selected. *)
-let serve_rows : string list ref = ref []
-
+(* The p-quantile of an ascending array (nearest rank); 0 when empty. *)
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then 0.0
   else sorted.(min (n - 1) (max 0 (int_of_float (ceil (p *. float_of_int n)) - 1)))
 
-let exp_serve ~full =
-  section "EXP-T13 (query server)"
-    "Closed-loop load against mrpa serve: M client threads, each with one\n\
-     connection, each firing the next request as soon as the previous\n\
-     response lands. The server runs in-process but the transport is a\n\
-     real Unix-domain socket, so latency includes framing, scheduling and\n\
-     the wire round trip. Throughput should grow with the worker count\n\
-     until the clients (or the query itself) become the bottleneck.";
-  let g =
-    Generate.fig1 ~rng:(Prng.create 7)
-      ~n_noise_vertices:(if full then 200 else 60)
-      ~n_noise_edges:(if full then 600 else 180)
-  in
-  (* Result caching off: this experiment measures evaluation throughput
-     scaling with workers, which a cache hit would short-circuit after the
-     first request (EXP-T16 measures the caches). *)
-  let snap = Snapshot.of_graph ~result_cache_capacity:0 g in
-  let query = "[i,alpha,_] . [_,beta,_]*" in
-  (* bound each request: star-closure over the noisy beta edges is
-     exponential unbounded, and a throughput benchmark wants many small
-     requests, not a few giant ones *)
-  let request_options =
-    { Wire.default_options with max_length = Some 4; limit = Some 100 }
-  in
-  let per_client = if full then 200 else 50 in
-  let sweep =
-    if full then [ (1, 2); (2, 4); (4, 8); (8, 16) ]
-    else [ (1, 2); (2, 4); (4, 8) ]
-  in
-  let dir = Filename.temp_file "mrpa_bench_serve" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let run_row (workers, clients) =
-    let socket_path =
-      Filename.concat dir (Printf.sprintf "w%d-c%d.sock" workers clients)
-    in
-    let config =
-      {
-        Server.front = Mrpa_server.Listener.default_config (Wire.Unix_socket socket_path);
-        workers;
-        queue_capacity = 64;
-        limits = Wire.default_limits;
-        max_predicted_cost = None;
-        role = Server.Standalone;
-      }
-    in
-    let server = Server.create ~snapshot:snap config in
-    let serve_thread = Thread.create (fun () -> Server.serve server) () in
-    let rec await n =
-      if Sys.file_exists socket_path then ()
-      else if n = 0 then failwith "EXP-T13: server did not come up"
-      else begin
-        Unix.sleepf 0.01;
-        await (n - 1)
-      end
-    in
-    await 500;
-    let latencies_ms = Array.make (clients * per_client) 0.0 in
-    let t0 = Metrics.now_ns () in
-    let client_threads =
-      List.init clients (fun c ->
-          Thread.create
-            (fun () ->
-              match Client.connect (Wire.Unix_socket socket_path) with
-              | Error m -> Printf.eprintf "EXP-T13 client: %s\n" m
-              | Ok conn ->
-                let req =
-                  {
-                    Wire.id = Sjson.Null;
-                    verb = Wire.Query;
-                    query = Some query;
-                    options = request_options;
-                  }
-                in
-                for i = 0 to per_client - 1 do
-                  let r0 = Metrics.now_ns () in
-                  (match Client.request conn req with
-                  | Ok _ -> ()
-                  | Error m -> Printf.eprintf "EXP-T13 request: %s\n" m);
-                  latencies_ms.((c * per_client) + i) <-
-                    Int64.to_float (Metrics.elapsed_ns ~since:r0) /. 1e6
-                done;
-                Client.close conn)
-            ())
-    in
-    List.iter Thread.join client_threads;
-    let wall_s = Int64.to_float (Metrics.elapsed_ns ~since:t0) /. 1e9 in
-    Server.stop server;
-    Thread.join serve_thread;
-    let sorted = Array.copy latencies_ms in
-    Array.sort compare sorted;
-    let p50 = percentile sorted 0.50 and p95 = percentile sorted 0.95 in
-    let total = clients * per_client in
-    let qps = float_of_int total /. max 1e-9 wall_s in
-    serve_rows :=
-      Printf.sprintf
-        "{\"workers\":%d,\"clients\":%d,\"requests\":%d,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"qps\":%.1f}"
-        workers clients total p50 p95 qps
-      :: !serve_rows;
-    [
-      string_of_int workers;
-      string_of_int clients;
-      string_of_int total;
-      Printf.sprintf "%.3f" p50;
-      Printf.sprintf "%.3f" p95;
-      Printf.sprintf "%.0f" qps;
-    ]
-  in
-  let rows = List.map run_row sweep in
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  print_table
-    ~title:
-      (Printf.sprintf
-         "%s on fig1+noise (|V|=%d |E|=%d), closed loop, %d req/client" query
-         (Digraph.n_vertices g) (Digraph.n_edges g) per_client)
-    ~header:[ "workers"; "clients"; "requests"; "p50 ms"; "p95 ms"; "qps" ]
-    rows
-
-(* --- EXP-T19: scatter-gather router vs single server ------------------------- *)
-
-module Router = Mrpa_server.Router
-module Shardmap = Mrpa_server.Shardmap
-
-(* Rows recorded by exp_route for the --json summary ("route" section of
-   mrpa.bench/1); empty when the experiment was not selected. *)
-let route_rows : string list ref = ref []
-
-let exp_route ~full =
-  section "EXP-T19 (sharded router)"
-    "The EXP-T13 workload against three deployments: a standalone server;\n\
-     a scatter-gather router fronting three in-process shards (placement\n\
-     crc32(tail) mod 3); and the same sharded fleet with one shard\n\
-     stopped, so every answer degrades to a sound subset\n\
-     (partial:shard_unavailable). The single/sharded gap is the price of\n\
-     per-atom dispatch plus router-side stitching; the sharded/degraded\n\
-     gap shows that a dead shard costs its breaker-guarded timeout only\n\
-     until the breaker opens, after which degraded answers are cheap.";
-  let g =
-    Generate.fig1 ~rng:(Prng.create 7)
-      ~n_noise_vertices:(if full then 200 else 60)
-      ~n_noise_edges:(if full then 600 else 180)
-  in
-  let query = "[i,alpha,_] . [_,beta,_]*" in
-  let request_options =
-    { Wire.default_options with max_length = Some 4; limit = Some 100 }
-  in
-  let per_client = if full then 100 else 30 in
-  let clients = if full then 8 else 4 in
-  let dir = Filename.temp_file "mrpa_bench_route" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let sock name = Filename.concat dir (name ^ ".sock") in
-  let server_config path =
+(* A standalone server over [snapshot] on a Unix socket (2 workers, queue
+   64, default limits), started on its own thread; returns once the socket
+   exists. Stop with [Server.stop] and join the thread. *)
+let start_server ?max_predicted_cost ~snapshot socket_path =
+  let config =
     {
-      Server.front = Mrpa_server.Listener.default_config (Wire.Unix_socket path);
+      Server.front =
+        Mrpa_server.Listener.default_config (Wire.Unix_socket socket_path);
       workers = 2;
       queue_capacity = 64;
       limits = Wire.default_limits;
-      max_predicted_cost = None;
+      max_predicted_cost;
       role = Server.Standalone;
     }
   in
-  let await path =
-    let rec go n =
-      if Sys.file_exists path then ()
-      else if n = 0 then failwith "EXP-T19: endpoint did not come up"
-      else begin
-        Unix.sleepf 0.01;
-        go (n - 1)
-      end
-    in
-    go 500
+  let server = Server.create ~snapshot config in
+  let thread = Thread.create (fun () -> Server.serve server) () in
+  let rec await n =
+    if Sys.file_exists socket_path then ()
+    else if n = 0 then failwith ("server did not come up on " ^ socket_path)
+    else begin
+      Unix.sleepf 0.01;
+      await (n - 1)
+    end
   in
-  let start_server graph path =
-    let snap = Snapshot.of_graph ~result_cache_capacity:0 graph in
-    let server = Server.create ~snapshot:snap (server_config path) in
-    let th = Thread.create (fun () -> Server.serve server) () in
-    await path;
-    (server, th)
-  in
-  let stop_server (server, th) =
-    Server.stop server;
-    Thread.join th
-  in
-  (* Closed loop against one endpoint, as EXP-T13; additionally counts
-     partial verdicts so the degraded mode can assert soundness. *)
-  let closed_loop path =
-    let latencies_ms = Array.make (clients * per_client) 0.0 in
-    let partials = Atomic.make 0 in
-    let t0 = Metrics.now_ns () in
-    let client_threads =
-      List.init clients (fun c ->
-          Thread.create
-            (fun () ->
-              match Client.connect (Wire.Unix_socket path) with
-              | Error m -> Printf.eprintf "EXP-T19 client: %s\n" m
-              | Ok conn ->
-                let req =
-                  {
-                    Wire.id = Sjson.Null;
-                    verb = Wire.Query;
-                    query = Some query;
-                    options = request_options;
-                  }
-                in
-                for i = 0 to per_client - 1 do
-                  let r0 = Metrics.now_ns () in
-                  (match Client.request conn req with
-                  | Error m -> Printf.eprintf "EXP-T19 request: %s\n" m
-                  | Ok json ->
-                    let verdict =
-                      Option.bind (Sjson.member "result" json) (fun r ->
-                          Option.bind (Sjson.member "verdict" r)
-                            Sjson.to_string_opt)
-                    in
-                    (* the workload's limit=100 already makes healthy
-                       answers partial:limit; only shard loss counts as
-                       degraded *)
-                    (match verdict with
-                    | Some "partial:shard_unavailable" ->
-                      Atomic.incr partials
-                    | _ -> ()));
-                  latencies_ms.((c * per_client) + i) <-
-                    Int64.to_float (Metrics.elapsed_ns ~since:r0) /. 1e6
-                done;
-                Client.close conn)
-            ())
-    in
-    List.iter Thread.join client_threads;
-    let wall_s = Int64.to_float (Metrics.elapsed_ns ~since:t0) /. 1e9 in
-    let sorted = Array.copy latencies_ms in
-    Array.sort compare sorted;
-    (percentile sorted 0.50, percentile sorted 0.95, wall_s,
-     Atomic.get partials)
-  in
-  let record mode (p50, p95, wall_s, partials) =
-    let total = clients * per_client in
-    let qps = float_of_int total /. max 1e-9 wall_s in
-    route_rows :=
-      Printf.sprintf
-        "{\"mode\":\"%s\",\"clients\":%d,\"requests\":%d,\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"qps\":%.1f,\"degraded\":%d}"
-        mode clients total p50 p95 qps partials
-      :: !route_rows;
-    [
-      mode;
-      string_of_int clients;
-      string_of_int total;
-      Printf.sprintf "%.3f" p50;
-      Printf.sprintf "%.3f" p95;
-      Printf.sprintf "%.0f" qps;
-      string_of_int partials;
-    ]
-  in
-  (* Mode 1: one standalone server, the EXP-T13 baseline. *)
-  let single =
-    let s = start_server g (sock "single") in
-    let r = closed_loop (sock "single") in
-    stop_server s;
-    record "single" r
-  in
-  (* Modes 2 and 3 share a fleet: three shards behind a router. *)
-  let map =
-    match
-      Shardmap.of_string
-        (String.concat "\n"
-           ("# mrpa.shardmap/1"
-           :: List.map
-                (fun s -> Printf.sprintf "shard %s unix:%s" s (sock s))
-                [ "s0"; "s1"; "s2" ]))
-    with
-    | Ok m -> m
-    | Error e -> failwith ("EXP-T19 shard map: " ^ e)
-  in
-  let parts = Shardmap.partition map g in
-  let shards =
-    List.mapi
-      (fun i name -> (name, start_server parts.(i) (sock name)))
-      [ "s0"; "s1"; "s2" ]
-  in
-  let router =
-    Router.create
-      {
-        (Router.default_config ~map (Wire.Unix_socket (sock "router"))) with
-        (* a short breaker cooldown so the degraded mode measures steady
-           fast-fail throughput, not one long timeout per request *)
-        shard_timeout_ms = 500.;
-        breaker_cooldown_ms = 400.;
-      }
-  in
-  let router_th = Thread.create (fun () -> Router.serve router) () in
-  await (sock "router");
-  let sharded = record "sharded" (closed_loop (sock "router")) in
-  (* Stop one shard — but not the one owning the query's source vertex,
-     so the degraded fleet still does real scatter work instead of
-     short-circuiting the join on an empty left atom. Once the breaker
-     opens, the dead shard costs nothing per request. *)
-  let victim = if Shardmap.owner_name map "i" = "s1" then "s2" else "s1" in
-  stop_server (List.assoc victim shards);
-  let degraded = record "degraded" (closed_loop (sock "router")) in
-  Router.stop router;
-  Thread.join router_th;
-  List.iter (fun (name, s) -> if name <> victim then stop_server s) shards;
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-  print_table
-    ~title:
-      (Printf.sprintf
-         "%s on fig1+noise (|V|=%d |E|=%d), closed loop, %d req/client, 3 \
-          shards"
-         query (Digraph.n_vertices g) (Digraph.n_edges g) per_client)
-    ~header:
-      [ "mode"; "clients"; "requests"; "p50 ms"; "p95 ms"; "qps"; "degraded" ]
-    [ single; sharded; degraded ]
+  await 500;
+  (server, thread)
 
 (* --- EXP-T14: journal v2 framing overhead ----------------------------------- *)
 
@@ -1412,7 +1166,7 @@ let exp_cost ~full =
      Strategy-pick accuracy: for a mixed query set, run every strategy and\n\
      check the planner's cost-based pick against the empirically fastest\n\
      one (a pick within 25% of the fastest counts — below that the ranking\n\
-     is timer noise). (2) Admission control: the EXP-T13 closed loop with\n\
+     is timer noise). (2) Admission control: a closed loop of 4 clients with\n\
      a 1-in-4 mix of budget-heavy star queries, served with and without a\n\
      --max-predicted-cost ceiling; rejecting the heavy queries before they\n\
      occupy a worker should raise throughput, not lower it.";
@@ -1491,7 +1245,7 @@ let exp_cost ~full =
     ~header:[ "query"; "picked"; "fastest"; "picked ms"; "fastest ms"; "ok" ]
     pick_rows;
   (* Part 2: throughput with and without admission control. *)
-  (* Result caching off, as in EXP-T13: the admission effect under load is
+  (* Result caching off: the admission effect under load is
      the quantity of interest, not the cache's. *)
   let snap = Snapshot.of_graph ~result_cache_capacity:0 g in
   let cheap = "[i,alpha,_] . [_,beta,_]" in
@@ -1507,7 +1261,7 @@ let exp_cost ~full =
       | Mrpa_lint.Interval.Fin n -> n
       | Mrpa_lint.Interval.Inf -> failwith "EXP-T15: cheap query unbounded")
   in
-  let clients = 4 and workers = 2 in
+  let clients = 4 in
   let per_client = if full then 120 else 40 in
   let dir = Filename.temp_file "mrpa_bench_cost" "" in
   Sys.remove dir;
@@ -1516,27 +1270,10 @@ let exp_cost ~full =
     let socket_path =
       Filename.concat dir (if admission then "on.sock" else "off.sock")
     in
-    let config =
-      {
-        Server.front = Mrpa_server.Listener.default_config (Wire.Unix_socket socket_path);
-        workers;
-        queue_capacity = 64;
-        limits = Wire.default_limits;
-        max_predicted_cost = (if admission then Some ceiling else None);
-        role = Server.Standalone;
-      }
+    let server, serve_thread =
+      start_server ~snapshot:snap socket_path
+        ?max_predicted_cost:(if admission then Some ceiling else None)
     in
-    let server = Server.create ~snapshot:snap config in
-    let serve_thread = Thread.create (fun () -> Server.serve server) () in
-    let rec await n =
-      if Sys.file_exists socket_path then ()
-      else if n = 0 then failwith "EXP-T15: server did not come up"
-      else begin
-        Unix.sleepf 0.01;
-        await (n - 1)
-      end
-    in
-    await 500;
     let rejected = Atomic.make 0 in
     let options =
       (* the heavy star is deadline-bounded so the no-admission baseline
@@ -1693,27 +1430,7 @@ let exp_zipf ~full =
         ~result_cache_capacity:result_cap g
     in
     let socket_path = Filename.concat dir (name ^ ".sock") in
-    let config =
-      {
-        Server.front = Mrpa_server.Listener.default_config (Wire.Unix_socket socket_path);
-        workers = 2;
-        queue_capacity = 64;
-        limits = Wire.default_limits;
-        max_predicted_cost = None;
-        role = Server.Standalone;
-      }
-    in
-    let server = Server.create ~snapshot:snap config in
-    let serve_thread = Thread.create (fun () -> Server.serve server) () in
-    let rec await n =
-      if Sys.file_exists socket_path then ()
-      else if n = 0 then failwith "EXP-T16: server did not come up"
-      else begin
-        Unix.sleepf 0.01;
-        await (n - 1)
-      end
-    in
-    await 500;
+    let server, serve_thread = start_server ~snapshot:snap socket_path in
     match Client.connect (Wire.Unix_socket socket_path) with
     | Error m -> failwith ("EXP-T16 connect: " ^ m)
     | Ok conn ->
@@ -1840,342 +1557,6 @@ let exp_zipf ~full =
       ]
     rows
 
-(* --- EXP-T17: replication convergence and failover ----------------------------- *)
-
-(* Rows recorded by exp_replication for the --json summary ("replication"
-   section of mrpa.bench/1); empty when the experiment was not selected. *)
-let repl_rows : string list ref = ref []
-
-let exp_replication ~full =
-  section "EXP-T17 (replication: lag and failover)"
-    "An in-process primary/replica pair on Unix sockets: a writer appends\n\
-     records to the primary's journal, the primary tails and streams them,\n\
-     the replica applies and republishes snapshots. Measured: time from\n\
-     the last write until the replica's health reports zero lag\n\
-     (convergence), then the primary is stopped and the time until a\n\
-     failover client ([primary; replica] endpoint list) gets its first\n\
-     successful answer is recorded (time-to-failover).";
-  let module R = Mrpa_server.Replication in
-  let n_records = if full then 5_000 else 1_000 in
-  let dir = Filename.temp_file "mrpa_bench_repl" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let journal = Filename.concat dir "primary.log" in
-  let p_sock = Filename.concat dir "p.sock" in
-  let r_sock = Filename.concat dir "r.sock" in
-  let p_ep = Wire.Unix_socket p_sock in
-  let r_ep = Wire.Unix_socket r_sock in
-  let config endpoint role =
-    {
-      Server.front = Mrpa_server.Listener.default_config endpoint;
-      workers = 2;
-      queue_capacity = 64;
-      limits = Wire.default_limits;
-      max_predicted_cost = None;
-      role;
-    }
-  in
-  let writer = Digraph.create () in
-  let j = Journal.attach ~on_warning:ignore writer journal in
-  let primary = Server.create (config p_ep (Server.Primary { journal })) in
-  let p_thread = Thread.create (fun () -> Server.serve primary) () in
-  let replica =
-    Server.create (config r_ep (Server.Replica { follow = p_ep }))
-  in
-  let r_thread = Thread.create (fun () -> Server.serve replica) () in
-  let health_int ep field =
-    let req =
-      { Wire.id = Sjson.Null; verb = Wire.Health; query = None;
-        options = Wire.default_options }
-    in
-    match Client.connect ep with
-    | Error _ -> None
-    | Ok conn ->
-      Fun.protect
-        ~finally:(fun () -> Client.close conn)
-        (fun () ->
-          match Client.request conn req with
-          | Error _ -> None
-          | Ok json ->
-            Option.bind
-              (Option.bind (Sjson.member "health" json) (Sjson.member field))
-              Sjson.to_int_opt)
-  in
-  let await ?(timeout = 30.0) what cond =
-    let deadline = Unix.gettimeofday () +. timeout in
-    while (not (cond ())) && Unix.gettimeofday () < deadline do
-      Thread.yield ();
-      Unix.sleepf 0.002
-    done;
-    if not (cond ()) then failwith ("EXP-T17: timed out waiting for " ^ what)
-  in
-  await "servers up" (fun () ->
-      health_int p_ep "last_seq" <> None && health_int r_ep "last_seq" <> None);
-  (* The write burst: n_records edge insertions through the journal. *)
-  let _, write_s =
-    time (fun () ->
-        (* Distinct edges: a duplicate insert fires no observer and hence
-           appends no record, which would leave the replica short. *)
-        for i = 1 to n_records do
-          ignore
-            (Digraph.add writer
-               (Printf.sprintf "v%d" i)
-               "r"
-               (Printf.sprintf "v%d" (i + 1)))
-        done;
-        Journal.sync j)
-  in
-  let _, converge_s =
-    time (fun () ->
-        await "replica convergence" (fun () ->
-            health_int r_ep "last_seq" = Some n_records))
-  in
-  (* Failover: stop the primary, then time until the endpoint-rotating
-     client first succeeds. *)
-  let failover () =
-    Client.request_failover
-      ~policy:{ Client.retries = 10; backoff_ms = 10.0 }
-      [ p_ep; r_ep ]
-      { Wire.id = Sjson.Null; verb = Wire.Count; query = Some "[v1,r,_]";
-        options = Wire.default_options }
-  in
-  (match failover () with
-  | Ok _ -> ()
-  | Error m -> failwith ("EXP-T17: pre-failover request failed: " ^ m));
-  Server.stop primary;
-  Thread.join p_thread;
-  let ok, failover_s = time (fun () -> failover ()) in
-  (match ok with
-  | Ok _ -> ()
-  | Error m -> failwith ("EXP-T17: failover request failed: " ^ m));
-  Server.stop replica;
-  Thread.join r_thread;
-  Journal.close j;
-  (try
-     Array.iter
-       (fun name -> try Sys.remove (Filename.concat dir name) with _ -> ())
-       (Sys.readdir dir);
-     Unix.rmdir dir
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  let rate = float_of_int n_records /. (write_s +. converge_s) in
-  repl_rows :=
-    Printf.sprintf
-      "{\"records\":%d,\"write_ms\":%.1f,\"converge_ms\":%.1f,\"replicated_per_s\":%.0f,\"failover_ms\":%.2f}"
-      n_records (1000.0 *. write_s) (1000.0 *. converge_s) rate
-      (1000.0 *. failover_s)
-    :: !repl_rows;
-  print_table
-    ~title:
-      (Printf.sprintf "replication over Unix sockets, %d records" n_records)
-    ~header:[ "records"; "write"; "converge"; "records/s"; "failover" ]
-    [
-      [
-        string_of_int n_records;
-        ms write_s ^ " ms";
-        ms converge_s ^ " ms";
-        Printf.sprintf "%.0f" rate;
-        ms failover_s ^ " ms";
-      ];
-    ]
-
-(* --- EXP-T18: live views, incremental vs recompute-per-read ------------------- *)
-
-(* Rows recorded by exp_views_live for the --json summary ("views_live"
-   section of mrpa.bench/1); empty when the experiment was not selected. *)
-let views_live_rows : string list ref = ref []
-
-let exp_views_live ~full =
-  section "EXP-T18 (live views: incremental vs recompute-per-read)"
-    "An open-loop mixed workload against an in-process primary: a writer\n\
-     appends knows-edges through the journal while a client reads two\n\
-     registered views of the SAME derived relation E_knows.works_for —\n\
-     one a word view (rank-1 incremental maintenance, reads extract the\n\
-     maintained matrix) and one an expression view (dirty-marking, every\n\
-     read after a write re-projects from the snapshot). The read-stream\n\
-     times isolate maintenance strategy; everything else is identical.";
-  let n_people = if full then 300 else 120 in
-  let n_orgs = max 2 (n_people / 20) in
-  let n_rounds = if full then 150 else 50 in
-  let dir = Filename.temp_file "mrpa_bench_views" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let journal = Filename.concat dir "primary.log" in
-  let sock = Filename.concat dir "p.sock" in
-  let ep = Wire.Unix_socket sock in
-  let writer = Digraph.create () in
-  let j = Journal.attach ~on_warning:ignore writer journal in
-  (* Seed: a knows-chain over the people plus a works_for edge each, so the
-     two-label word is non-trivially populated from the start. *)
-  let seq = ref 0 in
-  let add t l h =
-    let before = Digraph.n_edges writer in
-    ignore (Digraph.add writer t l h);
-    if Digraph.n_edges writer > before then incr seq
-  in
-  for i = 0 to n_people - 1 do
-    add (Printf.sprintf "p%d" i) "knows" (Printf.sprintf "p%d" ((i + 1) mod n_people));
-    add (Printf.sprintf "p%d" i) "works_for" (Printf.sprintf "o%d" (i mod n_orgs))
-  done;
-  Journal.sync j;
-  let server =
-    Server.create
-      {
-        Server.front = Mrpa_server.Listener.default_config ep;
-        workers = 2;
-        queue_capacity = 64;
-        limits = Wire.default_limits;
-        max_predicted_cost = None;
-        role = Server.Primary { journal };
-      }
-  in
-  let s_thread = Thread.create (fun () -> Server.serve server) () in
-  let request req =
-    match Client.connect ep with
-    | Error m -> failwith ("EXP-T18: connect: " ^ m)
-    | Ok conn ->
-      Fun.protect
-        ~finally:(fun () -> Client.close conn)
-        (fun () ->
-          match Client.request conn req with
-          | Error m -> failwith ("EXP-T18: request: " ^ m)
-          | Ok json ->
-            (match Sjson.member "ok" json with
-            | Some (Sjson.Bool true) -> ()
-            | _ -> failwith ("EXP-T18: error response: " ^ Sjson.to_string json));
-            json)
-  in
-  let health_seq () =
-    let req =
-      { Wire.id = Sjson.Null; verb = Wire.Health; query = None;
-        options = Wire.default_options }
-    in
-    match Client.connect ep with
-    | Error _ -> None
-    | Ok conn ->
-      Fun.protect
-        ~finally:(fun () -> Client.close conn)
-        (fun () ->
-          match Client.request conn req with
-          | Error _ -> None
-          | Ok json ->
-            Option.bind
-              (Option.bind (Sjson.member "health" json) (Sjson.member "last_seq"))
-              Sjson.to_int_opt)
-  in
-  let await what cond =
-    let deadline = Unix.gettimeofday () +. 30.0 in
-    while (not (cond ())) && Unix.gettimeofday () < deadline do
-      Thread.yield ();
-      Unix.sleepf 0.002
-    done;
-    if not (cond ()) then failwith ("EXP-T18: timed out waiting for " ^ what)
-  in
-  await "server caught up" (fun () -> health_seq () = Some !seq);
-  let view_req action name =
-    {
-      Wire.id = Sjson.Null;
-      verb =
-        Wire.Views
-          {
-            Wire.action;
-            view_name = name;
-            word = None;
-            view_query = None;
-            measure = None;
-            top = None;
-          };
-      query = None;
-      options = Wire.default_options;
-    }
-  in
-  let register name form =
-    let base = view_req Wire.V_register (Some name) in
-    let vreq = match base.Wire.verb with Wire.Views v -> v | _ -> assert false in
-    let verb =
-      match form with
-      | `Word w -> Wire.Views { vreq with Wire.word = Some w }
-      | `Query q -> Wire.Views { vreq with Wire.view_query = Some q }
-    in
-    ignore
-      (request
-         { base with Wire.verb; options = { Wire.default_options with Wire.max_length = Some 4 } })
-  in
-  register "kw" (`Word [ "knows"; "works_for" ]);
-  register "ke" (`Query "[_,knows,_] . [_,works_for,_]");
-  let read name = ignore (request (view_req Wire.V_edges (Some name))) in
-  (* Open loop: each round appends one fresh knows-edge (mostly rank-1
-     updates; occasionally a brand-new vertex forces a word-view rebuild),
-     waits for the tailer to apply it, then reads both views. Only the
-     reads are on the clock. *)
-  let t_word = ref 0.0 and t_expr = ref 0.0 in
-  for r = 0 to n_rounds - 1 do
-    (if r mod 10 = 9 then add (Printf.sprintf "p%d" (r mod n_people)) "knows" (Printf.sprintf "n%d" r)
-     else
-       add
-         (Printf.sprintf "p%d" (r mod n_people))
-         "knows"
-         (Printf.sprintf "p%d" ((r * 7 + 3) mod n_people)));
-    Journal.sync j;
-    await "round applied" (fun () -> health_seq () = Some !seq);
-    let (), dt_w = time (fun () -> read "kw") in
-    let (), dt_e = time (fun () -> read "ke") in
-    t_word := !t_word +. dt_w;
-    t_expr := !t_expr +. dt_e
-  done;
-  (* Maintenance accounting from the server's own view list. *)
-  let infos = request (view_req Wire.V_list None) in
-  let view_int name field =
-    match Sjson.member "views" infos with
-    | Some (Sjson.List vs) ->
-      List.fold_left
-        (fun acc v ->
-          match (Sjson.member "name" v, Sjson.member field v) with
-          | Some (Sjson.String n), Some x when n = name ->
-            Option.value ~default:acc (Sjson.to_int_opt x)
-          | _ -> acc)
-        0 vs
-    | _ -> 0
-  in
-  let updates = view_int "kw" "updates" in
-  let rebuilds = view_int "kw" "rebuilds" in
-  let reprojections = view_int "ke" "reprojections" in
-  Server.stop server;
-  Thread.join s_thread;
-  Journal.close j;
-  (try
-     Array.iter
-       (fun name -> try Sys.remove (Filename.concat dir name) with _ -> ())
-       (Sys.readdir dir);
-     Unix.rmdir dir
-   with Unix.Unix_error _ | Sys_error _ -> ());
-  views_live_rows :=
-    Printf.sprintf
-      "{\"people\":%d,\"rounds\":%d,\"word_read_ms\":%.2f,\"expr_read_ms\":%.2f,\"speedup\":%.1f,\"updates\":%d,\"rebuilds\":%d,\"reprojections\":%d}"
-      n_people n_rounds (1000.0 *. !t_word) (1000.0 *. !t_expr)
-      (!t_expr /. max 1e-9 !t_word)
-      updates rebuilds reprojections
-    :: !views_live_rows;
-  print_table
-    ~title:
-      (Printf.sprintf
-         "E_knows.works_for served live, %d writes interleaved with reads"
-         n_rounds)
-    ~header:
-      [ "people"; "rounds"; "word reads"; "expr reads"; "speedup"; "updates";
-        "rebuilds"; "reprojections" ]
-    [
-      [
-        string_of_int n_people;
-        string_of_int n_rounds;
-        ms !t_word ^ " ms";
-        ms !t_expr ^ " ms";
-        Printf.sprintf "%.1fx" (!t_expr /. max 1e-9 !t_word);
-        string_of_int updates;
-        string_of_int rebuilds;
-        string_of_int reprojections;
-      ];
-    ]
-
 (* --- Machine-readable summary (--json) ---------------------------------------- *)
 
 (* A fixed set of representative engine runs whose mrpa.profile/1 documents
@@ -2233,17 +1614,13 @@ let bench_json ~full ~timings =
            Printf.sprintf "{\"name\":%s,\"profile\":%s}" (esc name) json)
          (bench_profiles ()))
   in
-  let serve = String.concat "," (List.rev !serve_rows) in
-  let route = String.concat "," (List.rev !route_rows) in
   let journal = String.concat "," !journal_rows in
   let cost = String.concat "," (List.rev !cost_rows) in
   let zipf = String.concat "," (List.rev !zipf_rows) in
-  let replication = String.concat "," (List.rev !repl_rows) in
-  let views_live = String.concat "," (List.rev !views_live_rows) in
   Printf.sprintf
-    "{\"schema\":\"mrpa.bench/1\",\"scale\":%s,\"experiments\":[%s],\"serve\":[%s],\"route\":[%s],\"journal\":[%s],\"cost\":[%s],\"zipf\":[%s],\"replication\":[%s],\"views_live\":[%s],\"profiles\":[%s]}"
+    "{\"schema\":\"mrpa.bench/1\",\"scale\":%s,\"experiments\":[%s],\"journal\":[%s],\"cost\":[%s],\"zipf\":[%s],\"profiles\":[%s]}"
     (esc (if full then "full" else "default"))
-    experiments serve route journal cost zipf replication views_live profiles
+    experiments journal cost zipf profiles
 
 (* --- Driver ------------------------------------------------------------------ *)
 
@@ -2264,13 +1641,9 @@ let experiments =
     ("views", exp_views);
     ("label-loss", exp_label_loss);
     ("guardrails", exp_guardrails);
-    ("serve", exp_serve);
-    ("route", exp_route);
     ("journal", exp_journal);
     ("cost", exp_cost);
     ("zipf", exp_zipf);
-    ("replication", exp_replication);
-    ("views-live", exp_views_live);
   ]
 
 let () =

@@ -127,8 +127,6 @@ let owner t name =
   (* Mask the sign bit so the modulus is non-negative on 32- and 64-bit. *)
   Int32.to_int (Crc32.string name) land 0x3FFFFFFF mod Array.length t.shards
 
-let owner_name t name = t.shards.(owner t name).name
-
 let partition t g =
   let parts =
     Array.map (fun _ -> Digraph.create ()) t.shards

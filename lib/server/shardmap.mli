@@ -64,9 +64,6 @@ val owner : t -> string -> int
     whose tail is that vertex: [crc32 name mod n_shards]. Total — unknown
     vertices hash like any other string. *)
 
-val owner_name : t -> string -> string
-(** [(shard m (owner m v)).name]. *)
-
 (** {1 Partitioning}
 
     The write-side half of the contract: split a whole graph into the

@@ -4,7 +4,8 @@
    on, and QCheck consistency of every registered view against
    recompute-from-scratch under random interleavings of graph mutations,
    journal-record replays and compaction-epoch resets — standalone and on
-   a replica applier. *)
+   a replica applier — and a live primary whose word and expression views
+   of one relation must agree when read over the socket. *)
 
 open Mrpa_graph
 open Mrpa_server
@@ -394,6 +395,135 @@ let qcheck_cases =
         prop_replica;
     ]
 
+(* --- Served views: word and expression forms agree over the wire ---------- *)
+
+(* A primary tailing a journal serves E_{knows.works_for} twice: as a word
+   view (maintained incrementally from the live stream) and as an
+   expression view (re-projected from the snapshot when stale). After each
+   journaled write, both read over the socket must hold the same pairs. *)
+let test_served_views_agree () =
+  let dir = Filename.temp_file "mrpa_views" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let journal = Filename.concat dir "primary.log" in
+  let ep = Wire.Unix_socket (Filename.concat dir "p.sock") in
+  let writer = Digraph.create () in
+  let j = Journal.attach ~on_warning:ignore writer journal in
+  let seq = ref 0 in
+  let write f =
+    f ();
+    incr seq;
+    Journal.sync j
+  in
+  let add t l h = write (fun () -> ignore (Digraph.add writer t l h)) in
+  for i = 0 to 5 do
+    add (Printf.sprintf "p%d" i) "knows" (Printf.sprintf "p%d" ((i + 1) mod 6));
+    add (Printf.sprintf "p%d" i) "works_for" (Printf.sprintf "o%d" (i mod 2))
+  done;
+  let server =
+    Server.create
+      {
+        Server.front = Listener.default_config ep;
+        workers = 2;
+        queue_capacity = 8;
+        limits = Wire.default_limits;
+        max_predicted_cost = None;
+        role = Server.Primary { journal };
+      }
+  in
+  let thread = Thread.create (fun () -> Server.serve server) () in
+  (* Retries ride out the server's start-up and [stale] answers from a
+     snapshot that has not yet reached the requested [min_seq]. *)
+  let request verb options =
+    Client.request_retry
+      ~policy:{ Client.retries = 8; backoff_ms = 20.0 }
+      ep
+      { Wire.id = Json.Null; verb; query = None; options }
+    |> Result.map Json.parse
+  in
+  let views action ?(options = Wire.default_options) ?word ?view_query name =
+    request
+      (Wire.Views
+         { Wire.action; view_name = name; word; view_query; measure = None;
+           top = None })
+      options
+  in
+  let ok what = function
+    | Ok (Ok json) when Json.member "ok" json = Some (Json.Bool true) -> json
+    | Ok (Ok json) -> Alcotest.failf "%s: %s" what (Json.to_string json)
+    | Ok (Error m) | Error m -> Alcotest.failf "%s: %s" what m
+  in
+  (* Read a view pinned at the latest write. *)
+  let read name =
+    let options = { Wire.default_options with min_seq = Some !seq } in
+    let json = ok ("read " ^ name) (views Wire.V_edges ~options (Some name)) in
+    let view = Option.get (Json.member "view" json) in
+    Alcotest.(check (option bool))
+      (name ^ " complete") (Some false)
+      (Option.bind (Json.member "partial" view) Json.to_bool_opt);
+    match Json.member "pairs" view with
+    | Some (Json.List ps) ->
+      List.sort compare
+        (List.map
+           (function
+             | Json.List [ Json.String a; Json.String b ] -> (a, b)
+             | p -> Alcotest.failf "bad pair %s" (Json.to_string p))
+           ps)
+    | _ -> Alcotest.failf "%s: no pairs" name
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.stop server;
+      Thread.join thread;
+      Journal.close j;
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      ignore
+        (ok "register word"
+           (views Wire.V_register ~word:[ "knows"; "works_for" ] (Some "kw")));
+      ignore
+        (ok "register expr"
+           (views Wire.V_register
+              ~options:{ Wire.default_options with max_length = Some 4 }
+              ~view_query:"[_,knows,_] . [_,works_for,_]" (Some "ke")));
+      let rounds =
+        [
+          ("in-dimension insert", fun () -> add "p0" "knows" "p3");
+          ("second employer", fun () -> add "p2" "works_for" "o1");
+          ("new vertex", fun () -> add "p5" "knows" "n0");
+          ("new vertex employed", fun () -> add "n0" "works_for" "o0");
+          ( "removal",
+            fun () ->
+              write (fun () ->
+                  ignore
+                    (Digraph.remove_edge writer
+                       (Helpers.e writer "p1" "knows" "p2"))) );
+        ]
+      in
+      List.iter
+        (fun (what, round) ->
+          round ();
+          let word = read "kw" in
+          Alcotest.(check bool) (what ^ ": non-empty") true (word <> []);
+          Alcotest.check pairs (what ^ ": word = expr") word (read "ke"))
+        (("seed", ignore) :: rounds);
+      let listed = ok "list" (views Wire.V_list None) in
+      let updates =
+        match Json.member "views" listed with
+        | Some (Json.List vs) ->
+          List.find_map
+            (fun v ->
+              if Json.member "name" v = Some (Json.String "kw") then
+                Option.bind (Json.member "updates" v) Json.to_int_opt
+              else None)
+            vs
+        | _ -> None
+      in
+      Alcotest.(check bool)
+        "word view maintained incrementally" true
+        (Option.value ~default:0 updates > 0))
+
 let () =
   Alcotest.run "views"
     [
@@ -408,4 +538,9 @@ let () =
       ( "digraph",
         [ Alcotest.test_case "observer order" `Quick test_observer_order ] );
       ("property", qcheck_cases);
+      ( "served",
+        [
+          Alcotest.test_case "word and expr views agree" `Quick
+            test_served_views_agree;
+        ] );
     ]
