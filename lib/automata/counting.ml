@@ -14,7 +14,7 @@ let count_by_length ?stats ?(guard = Mrpa_core.Guard.none) g expr ~max_length =
   if max_length < 0 then invalid_arg "Counting.count_by_length: negative bound";
   let record f = match stats with None -> () | Some s -> f s in
   let m = Subset.make expr in
-  let masks = List.filter (fun mask -> mask <> 0) (Subset.graph_masks m g) in
+  let free_steps = Subset.free_steps m g in
   let counts = Array.make (max_length + 1) 0 in
   let initial = Subset.initial m in
   if Subset.accepting m initial then counts.(0) <- 1;
@@ -24,7 +24,6 @@ let count_by_length ?stats ?(guard = Mrpa_core.Guard.none) g expr ~max_length =
     Hashtbl.replace tbl key
       (c + Option.value ~default:0 (Hashtbl.find_opt tbl key))
   in
-  let all_edges = Digraph.edges g in
   (try
     for len = 1 to max_length do
     let next : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
@@ -42,17 +41,13 @@ let count_by_length ?stats ?(guard = Mrpa_core.Guard.none) g expr ~max_length =
           end
         in
         if vertex < 0 then
-          (* before the first edge every edge is a candidate; the adjacency
-             bit is vacuous (mirrors recognition). *)
-          List.iter (fun e -> consume e true) all_edges
+          (* before the first edge the candidates are the first positions'
+             matches; the adjacency bit is vacuous (mirrors recognition). *)
+          List.iter (fun e -> consume e true) (Subset.first_edges m g)
         else begin
           let v = Vertex.of_int vertex in
           List.iter (fun e -> consume e true) (Digraph.out_edges g v);
-          if Subset.has_live_free_step m state ~masks then
-            List.iter
-              (fun e ->
-                if not (Vertex.equal (Edge.tail e) v) then consume e false)
-              all_edges
+          List.iter (fun e -> consume e false) (free_steps state v)
         end)
       level;
     Hashtbl.reset level;

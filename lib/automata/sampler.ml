@@ -3,7 +3,7 @@ open Mrpa_graph
 type t = {
   graph : Digraph.t;
   machine : Subset.t;
-  masks : int list;
+  free_steps : int -> Vertex.t -> Edge.t list;
   max_length : int;
   (* N_t(state, vertex): accepted continuations consuming exactly t more
      edges. vertex = -1 encodes "no edge consumed yet". *)
@@ -12,19 +12,12 @@ type t = {
 
 (* Candidate edges leaving a configuration, with their adjacency bit. *)
 let candidates t state vertex =
-  if vertex < 0 then List.map (fun e -> (e, true)) (Digraph.edges t.graph)
+  if vertex < 0 then
+    List.map (fun e -> (e, true)) (Subset.first_edges t.machine t.graph)
   else begin
     let v = Vertex.of_int vertex in
-    let local =
-      List.map (fun e -> (e, true)) (Digraph.out_edges t.graph v)
-    in
-    if Subset.has_live_free_step t.machine state ~masks:t.masks then
-      local
-      @ List.filter_map
-          (fun e ->
-            if Vertex.equal (Edge.tail e) v then None else Some (e, false))
-          (Digraph.edges t.graph)
-    else local
+    List.map (fun e -> (e, true)) (Digraph.out_edges t.graph v)
+    @ List.map (fun e -> (e, false)) (t.free_steps state v)
   end
 
 let rec completions t state vertex remaining =
@@ -54,10 +47,8 @@ let rec completions t state vertex remaining =
 let prepare graph expr ~max_length =
   if max_length < 0 then invalid_arg "Sampler.prepare: negative max_length";
   let machine = Subset.make expr in
-  let masks =
-    List.filter (fun mask -> mask <> 0) (Subset.graph_masks machine graph)
-  in
-  { graph; machine; masks; max_length; completions = Hashtbl.create 256 }
+  let free_steps = Subset.free_steps machine graph in
+  { graph; machine; free_steps; max_length; completions = Hashtbl.create 256 }
 
 let initial_config t = (Subset.initial t.machine, -1)
 

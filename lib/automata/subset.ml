@@ -67,10 +67,49 @@ let accepting t id =
     b
 
 let is_dead t id = t.members.(id) = []
-let graph_masks t g = Edge_signature.masks_of_graph t.alpha g
 
-let has_live_free_step t id ~masks =
-  List.exists (fun mask -> not (is_dead t (step t id ~mask ~adj:false))) masks
+let first_edges t g =
+  let sel q = t.glushkov.Glushkov.selector_of.(q) in
+  (* An edge that several first positions match is kept at the first of
+     them only. *)
+  let rec union earlier = function
+    | [] -> []
+    | q :: rest ->
+      let fresh e =
+        not (List.exists (fun p -> Mrpa_core.Selector.matches (sel p) e) earlier)
+      in
+      List.filter fresh (Mrpa_core.Selector.matching g (sel q))
+      @ union (q :: earlier) rest
+  in
+  match t.glushkov.Glushkov.first with
+  | [ q ] -> Mrpa_core.Selector.matching g (sel q)
+  | first -> union [] first
+
+let free_steps t g =
+  let has_free =
+    Array.exists
+      (List.exists (fun (_, kind) -> kind = Glushkov.Free))
+      t.glushkov.Glushkov.follow
+  in
+  if not has_free then fun _ _ -> []
+  else begin
+    (* Built on the first call that needs them: the graph's nonzero
+       signatures and its edge list. *)
+    let scan =
+      lazy
+        ( List.filter (fun mask -> mask <> 0)
+            (Edge_signature.masks_of_graph t.alpha g),
+          Digraph.edges g )
+    in
+    fun id v ->
+      let masks, edges = Lazy.force scan in
+      if
+        List.exists
+          (fun mask -> not (is_dead t (step t id ~mask ~adj:false)))
+          masks
+      then List.filter (fun e -> not (Vertex.equal (Edge.tail e) v)) edges
+      else []
+  end
 
 let n_cached_states t = t.n_states
 let nullable t = t.glushkov.Glushkov.nullable

@@ -40,13 +40,22 @@ val is_dead : t -> int -> bool
 val mask_of_edge : t -> Edge.t -> int
 (** Signature of an edge under the expression's selector alphabet. *)
 
-val graph_masks : t -> Digraph.t -> int list
-(** Distinct signatures realised by a graph (always includes 0). *)
+val first_edges : t -> Digraph.t -> Edge.t list
+(** The edges a first step can consume: the union of
+    {!Mrpa_core.Selector.matching} over the Glushkov [first] positions,
+    each edge once (an edge matching two first positions is still one
+    path). Every consumer seeds its first level from this list, so an
+    anchored expression touches only the anchor's neighbourhood. *)
 
-val has_live_free_step : t -> int -> masks:int list -> bool
-(** Can any adjacency-false letter lead anywhere from this state? When not,
-    only out-edges of the current vertex can extend a trajectory — the
-    common pure-join case. *)
+val free_steps : t -> Digraph.t -> int -> Vertex.t -> Edge.t list
+(** [free_steps m g] is the candidate function for adjacency-free steps:
+    [free_steps m g state v] lists the edges of [g] not leaving [v] when
+    some adjacency-false letter leads anywhere from [state], and [[]]
+    otherwise — then only out-edges of [v] can extend a trajectory, the
+    common pure-join case. The graph's signatures and edge list are built
+    on the first call that needs them, and never when the expression has
+    no {!Glushkov.Free} follow pair (no [×∘]). Apply it once per run and
+    reuse the result. *)
 
 val n_cached_states : t -> int
 (** Diagnostic: subset states materialised so far. *)

@@ -41,32 +41,42 @@ let rec matches s e =
   | Diff (a, b) -> matches a e && not (matches b e)
 
 (* Enumeration picks the most selective available index for the outermost
-   pattern, then filters with [matches] for the residual constraints. *)
+   pattern, then filters with [matches] for the residual constraints. The
+   buckets of distinct vertices or labels are disjoint, so the candidates
+   hold each edge at most once. The first nonempty bucket is used as it
+   is (on a frozen graph, without a copy); later ones are prepended. *)
+let pattern_candidates g src lbl dst =
+  let gather fold bucket set =
+    fold
+      (fun x acc ->
+        match acc with [] -> bucket x | _ -> List.rev_append (bucket x) acc)
+      set []
+  in
+  match (src, lbl, dst) with
+  | Some vs, _, _ -> gather Vertex.Set.fold (Digraph.out_edges g) vs
+  | None, _, Some vs -> gather Vertex.Set.fold (Digraph.in_edges g) vs
+  | None, Some ls, None -> gather Label.Set.fold (Digraph.edges_with_label g) ls
+  | None, None, None -> Digraph.edges g
+
 let rec enumerate_set g s =
   match s with
   | Explicit es -> Edge.Set.filter (Digraph.mem_edge g) es
   | Pattern { src; lbl; dst } ->
-    let candidates =
-      match (src, lbl, dst) with
-      | Some vs, _, _ ->
-        Vertex.Set.fold (fun v acc -> List.rev_append (Digraph.out_edges g v) acc) vs []
-      | None, _, Some vs ->
-        Vertex.Set.fold (fun v acc -> List.rev_append (Digraph.in_edges g v) acc) vs []
-      | None, Some ls, None ->
-        Label.Set.fold
-          (fun l acc -> List.rev_append (Digraph.edges_with_label g l) acc)
-          ls []
-      | None, None, None -> Digraph.edges g
-    in
     List.fold_left
       (fun acc e -> if matches s e then Edge.Set.add e acc else acc)
-      Edge.Set.empty candidates
+      Edge.Set.empty (pattern_candidates g src lbl dst)
   | Union (a, b) -> Edge.Set.union (enumerate_set g a) (enumerate_set g b)
   | Inter (a, b) -> Edge.Set.filter (matches b) (enumerate_set g a)
   | Diff (a, b) ->
     Edge.Set.filter (fun e -> not (matches b e)) (enumerate_set g a)
 
 let enumerate g s = Edge.Set.elements (enumerate_set g s)
+
+let matching g s =
+  match s with
+  | Pattern { src; lbl; dst } ->
+    List.filter (matches s) (pattern_candidates g src lbl dst)
+  | Explicit _ | Union _ | Inter _ | Diff _ -> enumerate g s
 
 let select_out g s v = List.filter (matches s) (Digraph.out_edges g v)
 let select_in g s v = List.filter (matches s) (Digraph.in_edges g v)
@@ -92,7 +102,7 @@ let rec size_hint g s =
     | Some ls ->
       bounds :=
         Label.Set.fold
-          (fun l acc -> acc + List.length (Digraph.edges_with_label g l))
+          (fun l acc -> acc + Digraph.n_edges_with_label g l)
           ls 0
         :: !bounds
     | None -> ());

@@ -77,6 +77,10 @@ val enumerate : Digraph.t -> t -> Edge.t list
 
 val enumerate_set : Digraph.t -> t -> Edge.Set.t
 
+val matching : Digraph.t -> t -> Edge.t list
+(** The edges {!enumerate} returns, in no promised order: a pattern reads
+    its index and filters it, without building a set. *)
+
 val select_out : Digraph.t -> t -> Vertex.t -> Edge.t list
 (** Out-edges of one vertex matched by the selector — the inner step of the
     product-graph generator. *)

@@ -60,22 +60,28 @@ let pp fmt t =
       cs);
   Format.fprintf fmt "@]"
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 2) in
+let escape_char = function
+  | '"' -> Some "\\\""
+  | '\\' -> Some "\\\\"
+  | '\n' -> Some "\\n"
+  | '\r' -> Some "\\r"
+  | '\t' -> Some "\\t"
+  | c when Char.code c < 0x20 -> Some (Printf.sprintf "\\u%04x" (Char.code c))
+  | _ -> None
+
+let add_escaped buf s =
   Buffer.add_char buf '"';
   String.iter
     (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
+      match escape_char c with
+      | None -> Buffer.add_char buf c
+      | Some e -> Buffer.add_string buf e)
     s;
-  Buffer.add_char buf '"';
+  Buffer.add_char buf '"'
+
+let escape_string s =
+  let buf = Buffer.create (String.length s + 2) in
+  add_escaped buf s;
   Buffer.contents buf
 
 let schema_version = "mrpa.profile/1"

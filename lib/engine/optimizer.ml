@@ -124,11 +124,16 @@ let choose_strategy g cost expr =
           "unanchored, predicted frontier %s > %d: path-at-a-time streaming"
           (Mrpa_lint.Interval.b_to_string w) frontier_threshold )
 
-let plan ?strategy ?(simple = false) ?stats ~max_length g expr =
+let plan ?strategy ?(simple = false) ?stats ?cost ~max_length g expr =
   if max_length < 0 then invalid_arg "Optimizer.plan: negative max_length";
   let optimized, rewrites, notes = simplify_notes expr in
-  let prof = match stats with Some p -> p | None -> Stat.profile g in
-  let cost = Mrpa_lint.Cost.analyze_expr ~stats:prof g ~max_length optimized in
+  let cost =
+    match cost with
+    | Some c when rewrites = [] && c.Mrpa_lint.Cost.max_length = max_length -> c
+    | _ ->
+      let prof = match stats with Some p -> p | None -> Stat.profile g in
+      Mrpa_lint.Cost.analyze_expr ~stats:prof g ~max_length optimized
+  in
   let chosen, strategy_reason = choose_strategy g cost optimized in
   let p =
     {

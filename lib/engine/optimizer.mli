@@ -50,11 +50,18 @@ val plan :
   ?strategy:Plan.strategy ->
   ?simple:bool ->
   ?stats:Mrpa_graph.Stat.profile ->
+  ?cost:Mrpa_lint.Cost.t ->
   max_length:int ->
   Digraph.t ->
   Expr.t ->
   Plan.t
 (** Build a full plan; [?strategy] overrides the heuristic; [?simple]
-    (default false) restricts results to simple paths. [?stats] supplies a
-    cached degree profile for the cost analysis (computed fresh per call
-    otherwise — [O(|V|+|E|)]). *)
+    (default false) restricts results to simple paths.
+
+    [?cost] is the caller's analysis of [expr] itself at [max_length]
+    (e.g. {!Mrpa_lint.Cost.analyze} of the spanned text). When no rewrite
+    fires, the plan uses that record as its [cost] instead of analysing
+    again; its diagnostics, and so the plan's notes, then keep their
+    source spans. Otherwise the optimised form is analysed with [?stats]
+    as the degree profile, or with a fresh {!Mrpa_graph.Stat.profile}
+    ([O(|V|+|E|)]) when none is given. *)

@@ -1,14 +1,20 @@
+(* An index bucket and its length, so degrees and per-label counts are
+   O(1). *)
+type bucket = { mutable es : Edge.t list; mutable n : int }
+
 type t = {
   vertex_names : Interner.t;
   label_names : Interner.t;
   mutable edge_count : int;
-  (* Adjacency lists hold edges in reverse insertion order; accessors
-     re-reverse so observable order is insertion order. *)
-  out_adj : Edge.t list ref Vertex.Tbl.t;
-  in_adj : Edge.t list ref Vertex.Tbl.t;
-  by_label : Edge.t list ref Label.Tbl.t;
+  (* While the graph is live, every bucket and [insertion] hold edges in
+     reverse insertion order (prepending is O(1)) and the accessors reverse
+     them. [freeze] replaces each with its reversal, once, so a frozen
+     graph's accessors return the stored list as is. *)
+  out_adj : bucket Vertex.Tbl.t;
+  in_adj : bucket Vertex.Tbl.t;
+  by_label : bucket Label.Tbl.t;
   edge_set : unit Edge.Tbl.t;
-  mutable insertion : Edge.t list; (* reverse insertion order *)
+  mutable insertion : Edge.t list;
   mutable added_observers : (Edge.t -> unit) list; (* registration order *)
   mutable removed_observers : (Edge.t -> unit) list;
   mutable frozen : bool;
@@ -32,7 +38,16 @@ let create ?(vertex_capacity = 64) () =
     frozen = false;
   }
 
-let freeze g = g.frozen <- true
+let freeze g =
+  if not g.frozen then begin
+    let rev_bucket _ b = b.es <- List.rev b.es in
+    Vertex.Tbl.iter rev_bucket g.out_adj;
+    Vertex.Tbl.iter rev_bucket g.in_adj;
+    Label.Tbl.iter rev_bucket g.by_label;
+    g.insertion <- List.rev g.insertion;
+    g.frozen <- true
+  end
+
 let is_frozen g = g.frozen
 
 let check_mutable g what =
@@ -74,13 +89,12 @@ let known_vertex g v =
 let known_label g l =
   Label.to_int l >= 0 && Label.to_int l < Interner.cardinal g.label_names
 
-let bucket tbl_find tbl_add key =
+let push tbl_find tbl_add key e =
   match tbl_find key with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    tbl_add key r;
-    r
+  | Some b ->
+    b.es <- e :: b.es;
+    b.n <- b.n + 1
+  | None -> tbl_add key { es = [ e ]; n = 1 }
 
 let add_edge g e =
   check_mutable g "add_edge";
@@ -93,21 +107,12 @@ let add_edge g e =
   if Edge.Tbl.mem g.edge_set e then false
   else begin
     Edge.Tbl.add g.edge_set e ();
-    let out =
-      bucket (Vertex.Tbl.find_opt g.out_adj) (Vertex.Tbl.add g.out_adj)
-        (Edge.tail e)
-    in
-    out := e :: !out;
-    let inc =
-      bucket (Vertex.Tbl.find_opt g.in_adj) (Vertex.Tbl.add g.in_adj)
-        (Edge.head e)
-    in
-    inc := e :: !inc;
-    let lab =
-      bucket (Label.Tbl.find_opt g.by_label) (Label.Tbl.add g.by_label)
-        (Edge.label e)
-    in
-    lab := e :: !lab;
+    push (Vertex.Tbl.find_opt g.out_adj) (Vertex.Tbl.add g.out_adj)
+      (Edge.tail e) e;
+    push (Vertex.Tbl.find_opt g.in_adj) (Vertex.Tbl.add g.in_adj)
+      (Edge.head e) e;
+    push (Label.Tbl.find_opt g.by_label) (Label.Tbl.add g.by_label)
+      (Edge.label e) e;
     g.insertion <- e :: g.insertion;
     g.edge_count <- g.edge_count + 1;
     List.iter (fun f -> f e) g.added_observers;
@@ -126,7 +131,9 @@ let add g tail_name label_name_ head_name =
 let remove_from_bucket tbl_find key e =
   match tbl_find key with
   | None -> ()
-  | Some r -> r := List.filter (fun f -> not (Edge.equal e f)) !r
+  | Some b ->
+    b.es <- List.filter (fun f -> not (Edge.equal e f)) b.es;
+    b.n <- b.n - 1
 
 let remove_edge g e =
   check_mutable g "remove_edge";
@@ -149,26 +156,23 @@ let mem_edge g e = Edge.Tbl.mem g.edge_set e
 let mem_vertex g v = known_vertex g v
 let vertices g = List.init (n_vertices g) Vertex.of_int
 let labels g = List.init (n_labels g) Label.of_int
-let edges g = List.rev g.insertion
+let in_order g es = if g.frozen then es else List.rev es
+let edges g = in_order g g.insertion
 let iter_edges f g = List.iter f (edges g)
 let fold_edges f g acc = List.fold_left (fun acc e -> f e acc) acc (edges g)
 
-let bucket_list tbl_find key =
-  match tbl_find key with None -> [] | Some r -> List.rev !r
+let bucket_list g tbl_find key =
+  match tbl_find key with None -> [] | Some b -> in_order g b.es
 
-let out_edges g v = bucket_list (Vertex.Tbl.find_opt g.out_adj) v
-let in_edges g v = bucket_list (Vertex.Tbl.find_opt g.in_adj) v
-let edges_with_label g l = bucket_list (Label.Tbl.find_opt g.by_label) l
+let bucket_size tbl_find key =
+  match tbl_find key with None -> 0 | Some b -> b.n
 
-let out_degree g v =
-  match Vertex.Tbl.find_opt g.out_adj v with
-  | None -> 0
-  | Some r -> List.length !r
-
-let in_degree g v =
-  match Vertex.Tbl.find_opt g.in_adj v with
-  | None -> 0
-  | Some r -> List.length !r
+let out_edges g v = bucket_list g (Vertex.Tbl.find_opt g.out_adj) v
+let in_edges g v = bucket_list g (Vertex.Tbl.find_opt g.in_adj) v
+let edges_with_label g l = bucket_list g (Label.Tbl.find_opt g.by_label) l
+let out_degree g v = bucket_size (Vertex.Tbl.find_opt g.out_adj) v
+let in_degree g v = bucket_size (Vertex.Tbl.find_opt g.in_adj) v
+let n_edges_with_label g l = bucket_size (Label.Tbl.find_opt g.by_label) l
 
 let degree g v = out_degree g v + in_degree g v
 

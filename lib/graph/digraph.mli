@@ -93,9 +93,18 @@ val in_edges : t -> Vertex.t -> Edge.t list
 (** Edges with the given head ([[_,_,v]]). *)
 
 val edges_with_label : t -> Label.t -> Edge.t list
-(** Edges with the given label ([[_,α,_]]). *)
+(** Edges with the given label ([[_,α,_]]).
+
+    On a live graph the four edge accessors build a fresh list (the index
+    is kept newest-first); on a frozen graph they return the stored list,
+    allocating nothing. The order is insertion order either way. *)
+
+val n_edges_with_label : t -> Label.t -> int
+(** [List.length (edges_with_label g l)], in O(1). *)
 
 val out_degree : t -> Vertex.t -> int
+(** O(1), like {!in_degree}. *)
+
 val in_degree : t -> Vertex.t -> int
 
 val degree : t -> Vertex.t -> int
@@ -158,8 +167,9 @@ val freeze : t -> unit
     {!add_edge}, {!remove_edge}, interning a {e new} name via {!vertex} /
     {!label} / {!add} / {!materialise_reverse}, or registering an observer —
     raises [Invalid_argument]. Reads on a frozen graph are safe from
-    concurrent threads and domains. There is no thaw; {!copy} returns a
-    fresh mutable graph. *)
+    concurrent threads and domains. Freezing puts every index in insertion
+    order once, in [O(|E|)], so later reads copy nothing. Freezing twice is
+    a no-op. There is no thaw; {!copy} returns a fresh mutable graph. *)
 
 val is_frozen : t -> bool
 

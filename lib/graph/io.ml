@@ -23,8 +23,7 @@ let parse_line g lineno line =
     | [ tail; label; head ] -> ignore (Digraph.add g tail label head)
     | _ -> raise (Malformed (lineno, line))
 
-let read_channel ic =
-  let g = Digraph.create () in
+let read_into g ic =
   let lineno = ref 0 in
   (try
      while true do
@@ -35,13 +34,20 @@ let read_channel ic =
    with End_of_file -> ());
   g
 
+let read_channel ic = read_into (Digraph.create ()) ic
+
 let save path g =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel oc g)
 
 let load path =
   let ic = open_in path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_channel ic)
+  (* Size the tables from the file, at about 80 bytes per vertex (a saved
+     graph has a few ~20-byte edge lines per vertex), so loading does not
+     rehash them over and over. A pipe has no length. *)
+  let bytes = try in_channel_length ic with Sys_error _ -> 0 in
+  let g = Digraph.create ~vertex_capacity:(max 64 (bytes / 80)) () in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> read_into g ic)
 
 let of_string s =
   let g = Digraph.create () in

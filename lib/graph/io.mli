@@ -20,7 +20,8 @@ val save : string -> Digraph.t -> unit
 (** [save path g] writes to a file. *)
 
 val load : string -> Digraph.t
-(** [load path] reads from a file. *)
+(** [load path] reads from a file, presizing the graph's tables from its
+    length. *)
 
 val of_string : string -> Digraph.t
 (** Parse from an in-memory string — handy for tests and examples. *)

@@ -63,7 +63,7 @@ let reciprocity g =
 
 let label_histogram g =
   List.map
-    (fun l -> (l, List.length (Digraph.edges_with_label g l)))
+    (fun l -> (l, Digraph.n_edges_with_label g l))
     (Digraph.labels g)
   |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
 

@@ -10,7 +10,7 @@ let run (type v) (module S : Semiring.S with type t = v)
     ?(weight = fun (_ : Edge.t) -> S.one) g expr ~max_length : v result =
   if max_length < 0 then invalid_arg "Eval.run: negative max_length";
   let m = Subset.make expr in
-  let masks = List.filter (fun mask -> mask <> 0) (Subset.graph_masks m g) in
+  let free_steps = Subset.free_steps m g in
   let initial = Subset.initial m in
   let epsilon = if Subset.accepting m initial then Some S.one else None in
   (* configuration: (source vertex, state, current vertex) -> value *)
@@ -23,7 +23,6 @@ let run (type v) (module S : Semiring.S with type t = v)
     in
     Hashtbl.replace tbl key (S.add current value)
   in
-  let all_edges = Digraph.edges g in
   (* seed: first edges *)
   List.iter
     (fun e ->
@@ -39,7 +38,7 @@ let run (type v) (module S : Semiring.S with type t = v)
           ()
         end
       end)
-    all_edges;
+    (Subset.first_edges m g);
   let flush_accepting () =
     Hashtbl.iter
       (fun (src, state, v) value ->
@@ -63,10 +62,7 @@ let run (type v) (module S : Semiring.S with type t = v)
         in
         let v = Vertex.of_int vertex in
         List.iter (fun e -> consume e true) (Digraph.out_edges g v);
-        if Subset.has_live_free_step m state ~masks then
-          List.iter
-            (fun e -> if not (Vertex.equal (Edge.tail e) v) then consume e false)
-            all_edges)
+        List.iter (fun e -> consume e false) (free_steps state v))
       level;
     Hashtbl.reset level;
     Hashtbl.iter (fun key value -> Hashtbl.replace level key value) next;

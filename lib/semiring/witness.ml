@@ -4,7 +4,7 @@ open Mrpa_automata
 type t = {
   graph : Digraph.t;
   machine : Subset.t;
-  masks : int list;
+  free_steps : int -> Vertex.t -> Edge.t list;
   max_length : int;
   weight : Edge.t -> float;
 }
@@ -12,25 +12,18 @@ type t = {
 let prepare ~weight graph expr ~max_length =
   if max_length < 0 then invalid_arg "Witness.prepare: negative max_length";
   let machine = Subset.make expr in
-  let masks =
-    List.filter (fun mask -> mask <> 0) (Subset.graph_masks machine graph)
-  in
-  { graph; machine; masks; max_length; weight }
+  let free_steps = Subset.free_steps machine graph in
+  { graph; machine; free_steps; max_length; weight }
 
 (* Candidate (edge, adjacency) continuations from a configuration; vertex
    [-1] is the pre-first-edge state. *)
 let candidates t state vertex =
-  if vertex < 0 then List.map (fun e -> (e, true)) (Digraph.edges t.graph)
+  if vertex < 0 then
+    List.map (fun e -> (e, true)) (Subset.first_edges t.machine t.graph)
   else begin
     let v = Vertex.of_int vertex in
-    let local = List.map (fun e -> (e, true)) (Digraph.out_edges t.graph v) in
-    if Subset.has_live_free_step t.machine state ~masks:t.masks then
-      local
-      @ List.filter_map
-          (fun e ->
-            if Vertex.equal (Edge.tail e) v then None else Some (e, false))
-          (Digraph.edges t.graph)
-    else local
+    List.map (fun e -> (e, true)) (Digraph.out_edges t.graph v)
+    @ List.map (fun e -> (e, false)) (t.free_steps state v)
   end
 
 (* Minimal suffix cost from (state, vertex) to acceptance (at [target] when
@@ -79,7 +72,7 @@ let reconstruct t ~source ~target =
   let first_candidates =
     match source with
     | Some v -> List.map (fun e -> (e, true)) (Digraph.out_edges t.graph v)
-    | None -> List.map (fun e -> (e, true)) (Digraph.edges t.graph)
+    | None -> candidates t initial (-1)
   in
   let step_cost state _vertex remaining (e, adj) =
     let mask = Subset.mask_of_edge t.machine e in

@@ -29,7 +29,8 @@ type result_key = {
 
 type t = {
   graph : Digraph.t;
-  signature : Mrpa_lint.Signature.t;
+  signature : Mrpa_lint.Signature.t option Atomic.t;
+      (* built on first use: only the [lint] verb reads it. *)
   profile : Stat.profile;
   plans : (plan_key, (compiled, string) result) Lru.t;
   results : (result_key, (string * string) list) Lru.t;
@@ -46,15 +47,15 @@ type t = {
 let default_plan_cache_capacity = 1024
 let default_result_cache_capacity = 256
 
-(* Both abstractions are computed eagerly, once, at snapshot construction:
-   they are immutable values over a frozen graph, so any number of session
-   threads can read them without synchronisation — a lazy cell would need a
-   lock for exactly the same sharing. *)
+(* The profile is computed eagerly, once, at snapshot construction: every
+   compile reads it. The signature is built on first use (see
+   [signature]). Both are immutable values over a frozen graph, so any
+   number of session threads can read them without synchronisation. *)
 let of_frozen ?(plan_cache_capacity = default_plan_cache_capacity)
     ?(result_cache_capacity = default_result_cache_capacity) graph =
   {
     graph;
-    signature = Mrpa_lint.Signature.make graph;
+    signature = Atomic.make None;
     profile = Stat.profile graph;
     plans = Lru.create ~capacity:plan_cache_capacity;
     results = Lru.create ~capacity:result_cache_capacity;
@@ -109,7 +110,7 @@ let compile_uncached t ~max_length ~simple query =
       Mrpa_lint.Cost.analyze ~stats:t.profile t.graph ~max_length spanned
     in
     let plan =
-      Optimizer.plan ~simple ~stats:t.profile ~max_length t.graph
+      Optimizer.plan ~simple ~stats:t.profile ~cost ~max_length t.graph
         (Mrpa_core.Spanned.strip spanned)
     in
     Ok { spanned; cost; plan }
@@ -160,6 +161,17 @@ let result_cache_stats t =
 let plan_cache_length t = Lru.length t.plans
 let result_cache_length t = Lru.length t.results
 let graph t = t.graph
-let signature t = t.signature
+(* Compute-once without a lock: threads that race on the first request
+   each build an equal signature over the same frozen graph and the last
+   store wins, as with a cold plan-cache key. (A shared [Lazy.t] would not
+   do: forcing it from a second thread mid-build raises [Undefined].) *)
+let signature t =
+  match Atomic.get t.signature with
+  | Some s -> s
+  | None ->
+    let s = Mrpa_lint.Signature.make t.graph in
+    Atomic.set t.signature (Some s);
+    s
+
 let profile t = t.profile
 let pp_stats fmt t = Digraph.pp_stats fmt t.graph

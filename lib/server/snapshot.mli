@@ -38,8 +38,10 @@ type compiled = {
       (** parsed with spans — what {!Mrpa_lint.Lint.analyze} wants. *)
   cost : Mrpa_lint.Cost.t;
       (** {!Mrpa_lint.Cost.analyze} of the {e original} expression — what
-          admission control and the [lint] verb report. (The plan carries
-          its own analysis of the {e optimised} form.) *)
+          admission control and the [lint] verb report. The compile runs it
+          once and hands it to {!Optimizer.plan}: when no rewrite fires,
+          [plan.cost] is this same record; otherwise the plan carries its
+          own analysis of the {e optimised} form. *)
   plan : Plan.t;  (** the planner's choice, ready for {!Engine.query_plan}. *)
 }
 
@@ -70,8 +72,10 @@ val graph : t -> Digraph.t
 (** The frozen graph. [Digraph.is_frozen (graph t)] always holds. *)
 
 val signature : t -> Mrpa_lint.Signature.t
-(** The graph's label signature, computed once at snapshot construction —
-    the static analyzer's per-request edge rescans amortised to zero.
+(** The graph's label signature — the static analyzer's per-request edge
+    rescans amortised to zero. Built on the first call, not at snapshot
+    construction, since only the [lint] verb reads it; safe to call from
+    many threads at once (a racing duplicate build is discarded).
     Immutable, so freely shared across session threads. *)
 
 val profile : t -> Stat.profile

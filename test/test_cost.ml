@@ -282,6 +282,139 @@ let test_peak_frontier_positive () =
   Alcotest.(check bool) "frontier bound is positive" true
     (I.b_le (I.Fin 1) c.Cost.peak_frontier)
 
+(* --- Cold path: a plan-cache miss costs O(|query|), not O(|E|) ----------- *)
+
+(* A social graph and one four times its size: the larger holds the
+   smaller unchanged (same ids) plus three more drawn under other seeds,
+   with renamed vertices. An anchor in the first copy has the same
+   neighbourhood in both graphs while |E| grows fourfold. *)
+let social_pair () =
+  let draw seed =
+    Generate.social ~rng:(Prng.create seed) ~n_people:2_000 ~n_orgs:100
+      ~n_projects:200
+  in
+  let small = draw 1 in
+  let large = Digraph.copy small in
+  for k = 2 to 4 do
+    let h = draw k in
+    let name v = Printf.sprintf "c%d.%s" k (Digraph.vertex_name h v) in
+    Digraph.iter_edges
+      (fun e ->
+        ignore
+          (Digraph.add large (name (Edge.tail e))
+             (Digraph.label_name h (Edge.label e))
+             (name (Edge.head e))))
+      h
+  done;
+  Alcotest.(check bool) "four times the edges" true
+    (Digraph.n_edges large >= 4 * Digraph.n_edges small * 9 / 10);
+  (Mrpa_server.Snapshot.of_graph small, Mrpa_server.Snapshot.of_graph large)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let check_flat what small large =
+  if Float.abs (small -. large) > 0.1 *. Float.max small large then
+    Alcotest.failf "%s allocates %.0f words on the small graph, %.0f on the \
+                    4x one" what small large
+
+let compile snap ~max_length query =
+  match Mrpa_server.Snapshot.compile snap ~max_length ~simple:false query with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "%s: %s" query e
+
+let five_step anchor =
+  Printf.sprintf
+    "[%s,knows,_] . [_,knows,_] . [_,knows,_] . [_,knows,_] . [_,works_for,_]"
+    anchor
+
+let test_compile_flat () =
+  let words snap =
+    (* the first compile warms whatever a snapshot sets up once *)
+    ignore (compile snap ~max_length:5 (five_step "p1999"));
+    minor_words (fun () -> compile snap ~max_length:5 (five_step "p1500"))
+  in
+  let small, large = social_pair () in
+  check_flat "Snapshot.compile" (words small) (words large)
+
+let test_count_flat () =
+  let words snap =
+    let c = compile snap ~max_length:2 "[p1500,knows,_] . [_,works_for,_]" in
+    let g = Mrpa_server.Snapshot.graph snap in
+    let n = ref 0 in
+    let w =
+      minor_words (fun () ->
+          n := fst (Mrpa_engine.Engine.count_plan g c.Mrpa_server.Snapshot.plan))
+    in
+    Alcotest.(check bool) "the anchor has answers" true (!n > 0);
+    w
+  in
+  let small, large = social_pair () in
+  check_flat "Engine.count_plan" (words small) (words large)
+
+(* Random add/remove sequences over a small fixed vocabulary. *)
+type op = Add of int * int * int | Remove of int * int * int
+
+let ops_gen =
+  QCheck2.Gen.(
+    list_size (int_range 0 60)
+      (let* add = bool in
+       let* t = int_bound 4 and* l = int_bound 2 and* h = int_bound 4 in
+       return (if add then Add (t, l, h) else Remove (t, l, h))))
+
+let print_ops ops =
+  String.concat ";"
+    (List.map
+       (function
+         | Add (t, l, h) -> Printf.sprintf "+%d%d%d" t l h
+         | Remove (t, l, h) -> Printf.sprintf "-%d%d%d" t l h)
+       ops)
+
+let graph_of_ops ops =
+  let g = Digraph.create () in
+  let vs = Array.init 5 (fun i -> Digraph.vertex g (Printf.sprintf "v%d" i)) in
+  let ls = Array.init 3 (fun i -> Digraph.label g (Printf.sprintf "l%d" i)) in
+  List.iter
+    (fun op ->
+      match op with
+      | Add (t, l, h) -> ignore (Digraph.add_edge g (Edge.v vs.(t) ls.(l) vs.(h)))
+      | Remove (t, l, h) ->
+        ignore (Digraph.remove_edge g (Edge.v vs.(t) ls.(l) vs.(h))))
+    ops;
+  g
+
+let counts_agree g =
+  List.for_all
+    (fun l ->
+      Digraph.n_edges_with_label g l
+      = List.length (Digraph.edges_with_label g l))
+    (Digraph.labels g)
+  && List.for_all
+       (fun v ->
+         Digraph.out_degree g v = List.length (Digraph.out_edges g v)
+         && Digraph.in_degree g v = List.length (Digraph.in_edges g v))
+       (Digraph.vertices g)
+
+let qcheck_label_counts =
+  H.qtest ~count:300 "per-label counts match the buckets" ops_gen print_ops
+    (fun ops -> counts_agree (graph_of_ops ops))
+
+let qcheck_freeze_keeps_order =
+  H.qtest ~count:300 "accessors return the same lists after freeze" ops_gen
+    print_ops (fun ops ->
+      let g = graph_of_ops ops in
+      let reads () =
+        ( Digraph.edges g,
+          List.map (Digraph.out_edges g) (Digraph.vertices g),
+          List.map (Digraph.in_edges g) (Digraph.vertices g),
+          List.map (Digraph.edges_with_label g) (Digraph.labels g) )
+      in
+      let before = reads () in
+      Digraph.freeze g;
+      reads () = before && counts_agree g)
+
 let () =
   Alcotest.run "cost"
     [
@@ -313,4 +446,13 @@ let () =
             test_l013_zero_selectivity;
         ] );
       ("soundness", [ qcheck_bounds_sound ]);
+      ( "cold path",
+        [
+          Alcotest.test_case "compile allocation flat in |E|" `Quick
+            test_compile_flat;
+          Alcotest.test_case "anchored count allocation flat in |E|" `Quick
+            test_count_flat;
+          qcheck_label_counts;
+          qcheck_freeze_keeps_order;
+        ] );
     ]

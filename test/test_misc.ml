@@ -254,6 +254,37 @@ let test_json_epsilon_path () =
     (contains "\"edges\":[]" json);
   Alcotest.(check bool) "length 0" true (contains "\"length\":0" json)
 
+(* The exact bytes of a fixed result, with names that need escaping: the
+   wire format is a contract, so any change to the writer shows here. *)
+let test_json_result_bytes () =
+  let g = Digraph.create () in
+  let e1 = Digraph.add g "a\"b" "k\n" "c\\d" in
+  let e2 = Digraph.add g "c\\d" "k\n" "\x01" in
+  let r =
+    {
+      Mrpa_engine.Engine.paths =
+        Path_set.of_list [ Path.of_edges [ e1; e2 ]; Path.of_edge e2 ];
+      plan =
+        Mrpa_engine.Optimizer.plan ~max_length:2 g
+          (Expr.union (Expr.sel Selector.universe) Expr.empty);
+      verdict = Mrpa_engine.Err.Complete;
+      stats = { Mrpa_engine.Eval.paths = 2; elapsed_s = 0.0012344 };
+    }
+  in
+  let edge1 = {|{"tail":"a\"b","label":"k\n","head":"c\\d"}|}
+  and edge2 = {|{"tail":"c\\d","label":"k\n","head":"\u0001"}|} in
+  Alcotest.(check string) "result bytes"
+    ({|{"paths":[{"edges":[|} ^ edge2
+   ^ {|],"label_word":["k\n"],"length":1,"joint":true},{"edges":[|}
+   ^ edge1 ^ "," ^ edge2
+   ^ {|],"label_word":["k\n","k\n"],"length":2,"joint":true}],"count":2,|}
+   ^ {|"elapsed_ms":1.234,"strategy":"product-bfs","verdict":"complete",|}
+   ^ {|"rewrites":["union-empty"]}|})
+    (Mrpa_engine.Render.result_json g r);
+  Alcotest.(check string) "envelope bytes" {|{"a\"k":1,"b\tc":[],"":{}}|}
+    (Mrpa_engine.Render.obj
+       [ ("a\"k", "1"); ("b\tc", "[]"); ("", Mrpa_engine.Render.obj []) ])
+
 let () =
   Alcotest.run "mrpa_misc"
     [
@@ -285,6 +316,7 @@ let () =
           Alcotest.test_case "result shape" `Quick test_json_result_shape;
           Alcotest.test_case "tuples" `Quick test_json_tuples;
           Alcotest.test_case "epsilon path" `Quick test_json_epsilon_path;
+          Alcotest.test_case "result bytes" `Quick test_json_result_bytes;
         ] );
       ( "surfaces",
         [

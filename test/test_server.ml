@@ -562,6 +562,34 @@ let test_server_lint_verb () =
           Alcotest.(check int) "no query dispatched" 0
             (counter_of_stats j "server.queries")))
 
+(* The lint signature is built on first use, without a lock: threads that
+   race on a fresh snapshot's first lint must all get a good answer. *)
+let test_server_concurrent_first_lint () =
+  let n = 6 in
+  with_server ~snapshot:(Snapshot.of_graph (H.paper_graph ()))
+    (fun _server connect _path ->
+      let answers = Array.make n None in
+      let lint i () =
+        let conn = connect () in
+        Fun.protect
+          ~finally:(fun () -> Client.close conn)
+          (fun () ->
+            answers.(i) <-
+              Some
+                (Client.request conn
+                   (simple_req ~query:"[i,alpha,_] . [_,beta,_]" Wire.Lint)))
+      in
+      List.iter Thread.join (List.init n (fun i -> Thread.create (lint i) ()));
+      Array.iteri
+        (fun i answer ->
+          match answer with
+          | None -> Alcotest.failf "lint %d: no answer" i
+          | Some r ->
+            let j = expect_ok (Printf.sprintf "lint %d" i) r in
+            Alcotest.(check bool) "has lint payload" true
+              (Option.is_some (Json.member "lint" j)))
+        answers)
+
 let test_server_admission_control () =
   (* Pick the ceiling from the analysis itself so the test tracks the cost
      model: just enough for the cheap anchored query, strictly less than
@@ -1714,6 +1742,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_server_roundtrip;
           Alcotest.test_case "clamps options" `Quick test_server_clamps_options;
           Alcotest.test_case "lint verb" `Quick test_server_lint_verb;
+          Alcotest.test_case "concurrent first lint" `Quick
+            test_server_concurrent_first_lint;
           Alcotest.test_case "admission control" `Quick
             test_server_admission_control;
           Alcotest.test_case "shutdown verb" `Quick test_server_shutdown_verb;
