@@ -1003,13 +1003,14 @@ let sample_cmd =
     let expr = parse_or_die g query in
     let optimized, _ = Mrpa_engine.Optimizer.simplify expr in
     let sampler = Mrpa_automata.Sampler.prepare g optimized ~max_length in
-    begin
-      let population = Mrpa_automata.Sampler.population sampler in
+    match Mrpa_automata.Sampler.population sampler with
+    | exception Mrpa_automata.Counting.Overflow ->
+      or_die (Error Mrpa_engine.Engine.overflow_error)
+    | population ->
       Format.printf "population: %d path(s)@." population;
       List.iter
         (fun p -> Format.printf "%a@." (Digraph.pp_path g) p)
         (Mrpa_automata.Sampler.sample sampler (Prng.create seed) n)
-    end
   in
   let term =
     Term.(const run $ graph_arg $ query_pos $ max_length_arg $ n_arg $ seed_arg)

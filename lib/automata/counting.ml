@@ -10,11 +10,18 @@ type stats = { mutable subset_states : int; mutable peak_configs : int }
 
 let fresh_stats () = { subset_states = 0; peak_configs = 0 }
 
+exception Overflow
+
+(* Counts are non-negative, so a sum past [max_int] wraps negative. *)
+let add a b =
+  let s = a + b in
+  if s < 0 then raise Overflow else s
+
 let count_by_length ?stats ?(guard = Mrpa_core.Guard.none) g expr ~max_length =
   if max_length < 0 then invalid_arg "Counting.count_by_length: negative bound";
   let record f = match stats with None -> () | Some s -> f s in
   let m = Subset.make expr in
-  let free_steps = Subset.free_steps m g in
+  let p = Subset.product m g in
   let counts = Array.make (max_length + 1) 0 in
   let initial = Subset.initial m in
   if Subset.accepting m initial then counts.(0) <- 1;
@@ -22,7 +29,7 @@ let count_by_length ?stats ?(guard = Mrpa_core.Guard.none) g expr ~max_length =
   Hashtbl.add level (initial, -1) 1;
   let bump tbl key c =
     Hashtbl.replace tbl key
-      (c + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+      (add c (Option.value ~default:0 (Hashtbl.find_opt tbl key)))
   in
   (try
     for len = 1 to max_length do
@@ -32,30 +39,15 @@ let count_by_length ?stats ?(guard = Mrpa_core.Guard.none) g expr ~max_length =
         (* One poll per expanded configuration; live = DP table being
            built. Hashtbl.length is O(1), so this is cheap. *)
         guard.Mrpa_core.Guard.poll ~cost:1 ~live:(Hashtbl.length next);
-        let consume e adj =
-          let mask = Subset.mask_of_edge m e in
-          if mask <> 0 then begin
-            let state' = Subset.step m state ~mask ~adj in
-            if not (Subset.is_dead m state') then
-              bump next (state', Vertex.to_int (Edge.head e)) c
-          end
-        in
-        if vertex < 0 then
-          (* before the first edge the candidates are the first positions'
-             matches; the adjacency bit is vacuous (mirrors recognition). *)
-          List.iter (fun e -> consume e true) (Subset.first_edges m g)
-        else begin
-          let v = Vertex.of_int vertex in
-          List.iter (fun e -> consume e true) (Digraph.out_edges g v);
-          List.iter (fun e -> consume e false) (free_steps state v)
-        end)
+        Subset.iter_next p state vertex (fun e state' ->
+            bump next (state', Vertex.to_int (Edge.head e)) c))
       level;
     Hashtbl.reset level;
     record (fun s -> s.peak_configs <- max s.peak_configs (Hashtbl.length next));
     Hashtbl.iter
       (fun (state, vertex) c ->
         Hashtbl.replace level (state, vertex) c;
-        if Subset.accepting m state then counts.(len) <- counts.(len) + c)
+        if Subset.accepting m state then counts.(len) <- add counts.(len) c)
       next
     done
   with Mrpa_core.Guard.Abort _ ->
@@ -67,4 +59,4 @@ let count_by_length ?stats ?(guard = Mrpa_core.Guard.none) g expr ~max_length =
   counts
 
 let count ?stats ?guard g expr ~max_length =
-  Array.fold_left ( + ) 0 (count_by_length ?stats ?guard g expr ~max_length)
+  Array.fold_left add 0 (count_by_length ?stats ?guard g expr ~max_length)

@@ -27,6 +27,14 @@ type stats = {
 val fresh_stats : unit -> stats
 (** A zeroed record; pass as [?stats] to have the count fill it in. *)
 
+exception Overflow
+(** A count exceeded [max_int]. Counts never wrap: every sum a count or a
+    sample ({!Sampler}) takes goes through {!add}. *)
+
+val add : int -> int -> int
+(** Checked addition of two non-negative counts; raises {!Overflow} where
+    native addition would wrap. *)
+
 val count_by_length :
   ?stats:stats ->
   ?guard:Guard.t ->
@@ -42,11 +50,15 @@ val count_by_length :
     1, live = configurations in the level being built). On
     {!Mrpa_core.Guard.Abort} the counts accumulated for completed lengths
     are returned as-is and later entries stay 0 — every entry is a sound
-    lower bound, and lengths the run finished are exact. *)
+    lower bound, and lengths the run finished are exact.
+
+    @raise Overflow when a count exceeds [max_int]. *)
 
 val count :
   ?stats:stats -> ?guard:Guard.t -> Digraph.t -> Expr.t -> max_length:int -> int
 (** Total over all lengths up to the bound — equal to
     [Path_set.cardinal (Expr.denote g ~max_length r)] (property-tested).
     Under a guard abort this is a sound lower bound (see
-    {!count_by_length}). *)
+    {!count_by_length}).
+
+    @raise Overflow when the total exceeds [max_int]. *)

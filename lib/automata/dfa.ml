@@ -1,9 +1,5 @@
 open Mrpa_graph
 
-let successors (a : Glushkov.t) p =
-  if p = 0 then List.map (fun q -> (q, Glushkov.Free)) a.first
-  else a.follow.(p)
-
 (* Position-set transition on a quotient letter (signature mask, adjacency
    bit). [pos_sig.(q)] is the bit index of position [q]'s selector. *)
 let step_mask (a : Glushkov.t) pos_sig config mask adj =
@@ -17,12 +13,9 @@ let step_mask (a : Glushkov.t) pos_sig config mask adj =
             && mask land (1 lsl pos_sig.(q)) <> 0
             && not (List.mem q !next)
           then next := q :: !next)
-        (successors a p))
+        (Glushkov.successors a p))
     config;
   List.sort Int.compare !next
-
-let accepting_config (a : Glushkov.t) config =
-  List.exists (fun p -> if p = 0 then a.nullable else a.last.(p)) config
 
 let pos_signature_indices (a : Glushkov.t) alpha =
   Array.init (a.n_positions + 1) (fun p ->
@@ -82,7 +75,7 @@ let create ?alpha g expr =
   let members = Array.of_list (List.rev !states) in
   (* trans rows were produced in discovery order *)
   let trans = Array.of_list (List.rev !trans_acc) in
-  let accept = Array.map (accepting_config glushkov) members in
+  let accept = Array.map (Glushkov.accepting glushkov) members in
   { glushkov; alpha; pos_sig; masks; mask_ids; trans; accept; members }
 
 let n_states t = Array.length t.trans
@@ -95,7 +88,7 @@ let accepts t path =
      the construction alphabet is met. *)
   let rec run_dynamic config prev i =
     if config = [] then false
-    else if i >= n then accepting_config t.glushkov config
+    else if i >= n then Glushkov.accepting t.glushkov config
     else
       let mask = Edge_signature.mask_of_edge t.alpha edges.(i) in
       let adj = match prev with None -> true | Some pe -> Edge.adjacent pe edges.(i) in

@@ -61,7 +61,7 @@ val pp : Format.formatter -> t -> unit
 
 (** {1 Shared subset-construction primitives}
 
-    Used by {!Lazy_dfa}; exposed because both determinisers step position
+    Used by {!Subset}; exposed because both determinisers step position
     sets by quotient letters the same way. *)
 
 val pos_signature_indices : Glushkov.t -> Edge_signature.t -> int array
@@ -72,5 +72,3 @@ val step_mask : Glushkov.t -> int array -> int list -> int -> bool -> int list
 (** [step_mask a pos_sig config mask adj]: the sorted position set reachable
     from [config] by consuming any edge with signature [mask] whose
     adjacency to the previous edge is [adj]. *)
-
-val accepting_config : Glushkov.t -> int list -> bool

@@ -11,10 +11,6 @@ type stats = {
 let fresh_stats () =
   { edges_scanned = 0; paths_emitted = 0; max_depth = 0; max_frontier = 0 }
 
-let successors (a : Glushkov.t) p =
-  if p = 0 then List.map (fun q -> (q, Glushkov.Free)) a.first
-  else a.follow.(p)
-
 (* Simple-path pruning works on the vertex itinerary (Path.vertices): the
    tails of all consumed edges plus the {e final} head. Only tails are
    permanent — an intermediate head leaves the itinerary when the next step
@@ -27,7 +23,6 @@ let to_seq ?stats ?(guard = Guard.none) ?(simple = false) g (a : Glushkov.t)
     ~max_length =
   if max_length < 0 then invalid_arg "Generator.to_seq: negative max_length";
   let bump f = match stats with None -> () | Some s -> f s in
-  let accepting p = if p = 0 then a.nullable else a.last.(p) in
   let emit_ok tails e =
     (not simple)
     || (not (Vertex.Set.mem (Edge.head e) tails))
@@ -68,7 +63,7 @@ let to_seq ?stats ?(guard = Guard.none) ?(simple = false) g (a : Glushkov.t)
                 if simple then Vertex.Set.add (Edge.tail e) tails else tails
               in
               let here =
-                if accepting q && emit_ok tails' e then
+                if Glushkov.final a q && emit_ok tails' e then
                   fun () ->
                     bump (fun s -> s.paths_emitted <- s.paths_emitted + 1);
                     Seq.Cons (Path.of_edges (List.rev rev_edges'), Seq.empty)
@@ -76,7 +71,7 @@ let to_seq ?stats ?(guard = Guard.none) ?(simple = false) g (a : Glushkov.t)
               in
               Seq.append here (extend q (Some e) rev_edges' tails' (len + 1)))
             (List.to_seq candidates))
-        (List.to_seq (successors a p))
+        (List.to_seq (Glushkov.successors a p))
   in
   let eps =
     if a.nullable then

@@ -95,11 +95,9 @@ let build expr =
 let n_states a = a.n_positions + 1
 let initial _ = [ 0 ]
 
-let accepting a config =
-  List.exists (fun p -> if p = 0 then a.nullable else a.last.(p)) config
+let final a p = if p = 0 then a.nullable else a.last.(p)
+let accepting a config = List.exists (final a) config
 
-(* Candidate (position, kind) successors of a configuration. From the
-   initial state 0 the candidates are First with no adjacency constraint. *)
 let successors a p =
   if p = 0 then List.map (fun q -> (q, Free)) a.first else a.follow.(p)
 

@@ -50,19 +50,20 @@ val accepts : t -> Path.t -> bool
     known deterministically and the simulation is exact. [ε] is accepted iff
     the expression is nullable. *)
 
-val step :
-  t -> current:int list -> prev:Edge.t option -> Edge.t -> int list
-(** One simulation step: the positions reachable from [current] by consuming
-    the given edge, where [prev] is the previously consumed edge ([None]
-    when [current] still contains the initial state only). Exposed for the
-    lazy-DFA and the generators. Initial state is encoded as position [0]. *)
+val successors : t -> int -> (int * kind) list
+(** [successors a p]: the positions that may consume the edge after
+    position [p], with their boundary kind. From the initial state [0] these
+    are the [first] positions, marked {!Free}: the first edge has no
+    predecessor to be adjacent to. Every walker of the automaton (the
+    determinisers, the generators, the renderer) steps through this one
+    rule. *)
 
-val initial : t -> int list
-(** [[0]] — the start configuration for {!step}. *)
+val final : t -> int -> bool
+(** May a run end at this position? Position [0] is final iff the
+    expression is nullable. *)
 
 val accepting : t -> int list -> bool
-(** Is any position in the configuration accepting? (Position 0 is accepting
-    iff the expression is nullable.) *)
+(** Is any position in the configuration {!final}? *)
 
 val pp : Format.formatter -> t -> unit
 (** Debug rendering: positions, selectors, first/last/follow. *)

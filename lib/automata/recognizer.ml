@@ -115,8 +115,8 @@ let make ?(strategy = Nfa) ?graph r =
   | Cubic -> cubic_staged r
   | Nfa -> make_nfa r
   | Lazy_dfa ->
-    let d = Lazy_dfa.create r in
-    fun path -> Lazy_dfa.accepts d path
+    let d = Subset.make r in
+    fun path -> Subset.accepts d path
   | Eager_dfa -> (
     match graph with
     | None -> invalid_arg "Recognizer.make: Eager_dfa needs ~graph"

@@ -10,7 +10,7 @@
       in the path length [n]. Used as the oracle.
     - {!nfa}: Glushkov position-set simulation; linear passes with small
       per-edge cost.
-    - lazy DFA ({!Lazy_dfa}): determinises on demand, caching subset states
+    - lazy DFA ({!Subset}): determinises on demand, caching subset states
       keyed by edge signature and adjacency; amortises repeated recognition
       over path corpora.
     - eager/minimised DFA ({!Dfa}): built against a graph's edge universe. *)

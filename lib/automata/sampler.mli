@@ -26,14 +26,18 @@ val prepare : Digraph.t -> Expr.t -> max_length:int -> t
 
 val population : t -> int
 (** [|denote|] within the bound — equal to {!Counting.count}
-    (property-tested). *)
+    (property-tested).
+
+    @raise Counting.Overflow when a count exceeds [max_int]. *)
 
 val draw : t -> Prng.t -> Path.t option
-(** One uniform draw; [None] when the denoted set is empty. *)
+(** One uniform draw; [None] when the denoted set is empty.
+
+    @raise Counting.Overflow when the population exceeds [max_int]. *)
 
 val sample : t -> Prng.t -> int -> Path.t list
 (** [sample t rng n]: [n] independent uniform draws (with replacement).
-    Empty list when the population is empty. *)
+    Empty list when the population is empty. Raises as {!draw}. *)
 
 val sample_expr :
   rng:Prng.t -> Digraph.t -> Expr.t -> max_length:int -> int -> Path.t list

@@ -22,10 +22,6 @@ let fresh_stats () =
     peak_live_paths = 0;
   }
 
-let successors (a : Glushkov.t) p =
-  if p = 0 then List.map (fun q -> (q, Glushkov.Free)) a.first
-  else a.follow.(p)
-
 exception Limit_reached
 
 let run_automaton ?trace ?stats ?(guard = Guard.none) ?(simple = false) ?limit
@@ -51,7 +47,6 @@ let run_automaton ?trace ?stats ?(guard = Guard.none) ?(simple = false) ?limit
           if p = 0 then Path_set.empty
           else Path_set.of_edges (Selector.enumerate g a.selector_of.(p)))
     in
-    let accepting p = if p = 0 then a.nullable else a.last.(p) in
     let cap s = Path_set.filter (fun pa -> Path.length pa <= max_length) s in
     let keep s = if simple then Path_set.restrict_simple s else s in
     let collected = ref Path_set.empty in
@@ -104,12 +99,12 @@ let run_automaton ?trace ?stats ?(guard = Guard.none) ?(simple = false) ?limit
                       max s.peak_stack_paths (Path_set.cardinal joined));
                 (* Short-circuit: under a limit, accepted paths are banked
                    per transition, before the rest of the level is joined. *)
-                if limit <> None && accepting q then collect joined;
+                if limit <> None && Glushkov.final a q then collect joined;
                 match Hashtbl.find_opt next q with
                 | Some r -> r := Path_set.union !r joined
                 | None -> Hashtbl.add next q (ref joined)
               end)
-            (successors a state))
+            (Glushkov.successors a state))
         level;
       let merged =
         Hashtbl.fold (fun q r acc -> (q, !r) :: acc) next []
@@ -129,7 +124,7 @@ let run_automaton ?trace ?stats ?(guard = Guard.none) ?(simple = false) ?limit
       List.iter
         (fun (q, stack_top) ->
           observe depth q stack_top;
-          if limit = None && accepting q then collect stack_top)
+          if limit = None && Glushkov.final a q then collect stack_top)
         merged;
       merged
     in
@@ -142,7 +137,7 @@ let run_automaton ?trace ?stats ?(guard = Guard.none) ?(simple = false) ?limit
        layer upstream reads the abort reason off its own state. *)
     (try
        observe 0 0 Path_set.epsilon;
-       if accepting 0 then collect Path_set.epsilon;
+       if Glushkov.final a 0 then collect Path_set.epsilon;
        bump (fun s -> s.peak_live_paths <- max s.peak_live_paths 1);
        loop 1 initial_level
      with Limit_reached | Guard.Abort _ -> ());

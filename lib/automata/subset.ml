@@ -52,26 +52,32 @@ let step t id ~mask ~adj =
     Hashtbl.add t.trans (id, mask, adj) id';
     id'
 
-let mask_of_edge t e = Edge_signature.mask_of_edge t.alpha e
-
-let step_edge t id ~prev e =
-  let adj = match prev with None -> true | Some pe -> Edge.adjacent pe e in
-  step t id ~mask:(mask_of_edge t e) ~adj
-
 let accepting t id =
   match Hashtbl.find_opt t.accept_cache id with
   | Some b -> b
   | None ->
-    let b = Dfa.accepting_config t.glushkov t.members.(id) in
+    let b = Glushkov.accepting t.glushkov t.members.(id) in
     Hashtbl.add t.accept_cache id b;
     b
 
 let is_dead t id = t.members.(id) = []
 
+let accepts t path =
+  let edges = Path.to_array path in
+  let rec run state prev i =
+    if i >= Array.length edges then accepting t state
+    else
+      let e = edges.(i) in
+      let adj = match prev with None -> true | Some pe -> Edge.adjacent pe e in
+      let mask = Edge_signature.mask_of_edge t.alpha e in
+      run (step t state ~mask ~adj) (Some e) (i + 1)
+  in
+  run (initial t) None 0
+
+(* The edges a first step can consume; an edge that several first positions
+   match is kept at the first of them only. *)
 let first_edges t g =
   let sel q = t.glushkov.Glushkov.selector_of.(q) in
-  (* An edge that several first positions match is kept at the first of
-     them only. *)
   let rec union earlier = function
     | [] -> []
     | q :: rest ->
@@ -85,30 +91,62 @@ let first_edges t g =
   | [ q ] -> Mrpa_core.Selector.matching g (sel q)
   | first -> union [] first
 
-let free_steps t g =
+type product = {
+  machine : t;
+  graph : Digraph.t;
+  first : Edge.t list Lazy.t;
+  (* Only when the expression has a Free follow pair (a ×∘), and built on
+     first use: the graph's nonzero signatures and its edge list. *)
+  free : (int list * Edge.t list) Lazy.t option;
+}
+
+let product t g =
   let has_free =
     Array.exists
       (List.exists (fun (_, kind) -> kind = Glushkov.Free))
       t.glushkov.Glushkov.follow
   in
-  if not has_free then fun _ _ -> []
+  let scan () =
+    ( List.filter
+        (fun mask -> mask <> 0)
+        (Edge_signature.masks_of_graph t.alpha g),
+      Digraph.edges g )
+  in
+  {
+    machine = t;
+    graph = g;
+    first = lazy (first_edges t g);
+    free = (if has_free then Some (Lazy.from_fun scan) else None);
+  }
+
+let iter_next p state vertex f =
+  let m = p.machine in
+  let consume adj e =
+    (* a zero mask matches no position: skip the transition lookup *)
+    let mask = Edge_signature.mask_of_edge m.alpha e in
+    if mask <> 0 then begin
+      let state' = step m state ~mask ~adj in
+      if not (is_dead m state') then f e state'
+    end
+  in
+  if vertex < 0 then List.iter (consume true) (Lazy.force p.first)
   else begin
-    (* Built on the first call that needs them: the graph's nonzero
-       signatures and its edge list. *)
-    let scan =
-      lazy
-        ( List.filter (fun mask -> mask <> 0)
-            (Edge_signature.masks_of_graph t.alpha g),
-          Digraph.edges g )
-    in
-    fun id v ->
+    let v = Vertex.of_int vertex in
+    List.iter (consume true) (Digraph.out_edges p.graph v);
+    match p.free with
+    | None -> ()
+    | Some scan ->
+      (* A ×∘ step may take any edge not leaving [v]; the scan is skipped
+         when no adjacency-free letter leads anywhere from [state]. *)
       let masks, edges = Lazy.force scan in
       if
         List.exists
-          (fun mask -> not (is_dead t (step t id ~mask ~adj:false)))
+          (fun mask -> not (is_dead m (step m state ~mask ~adj:false)))
           masks
-      then List.filter (fun e -> not (Vertex.equal (Edge.tail e) v)) edges
-      else []
+      then
+        List.iter
+          (fun e -> if not (Vertex.equal (Edge.tail e) v) then consume false e)
+          edges
   end
 
 let n_cached_states t = t.n_states

@@ -1,11 +1,14 @@
 (** Shared lazy subset-construction runtime.
 
-    {!Lazy_dfa} (recognition), {!Counting} (path counting) and
-    {!Mrpa_semiring.Eval} (weighted aggregation) all walk the same
+    Recognition ({!Recognizer}'s lazy-DFA strategy, {!accepts}),
+    {!Counting} (path counting), {!Sampler} (uniform sampling),
+    {!Mrpa_semiring.Eval} (weighted aggregation) and
+    {!Mrpa_semiring.Witness} (cheapest witnesses) all walk the same
     deterministic machine: position sets of the Glushkov automaton, stepped
     by the (signature mask, adjacency bit) quotient letters of
     {!Edge_signature}, with states interned on demand. This module is that
-    machine, factored out once.
+    machine, factored out once, and {!iter_next} is the one product step
+    through which every dynamic program reads the graph.
 
     Determinism is the load-bearing property: each path corresponds to
     exactly one trajectory of interned states, so trajectory-level dynamic
@@ -24,38 +27,34 @@ val initial : t -> int
 (** The interned start state (the configuration holding only the Glushkov
     initial position). *)
 
-val step : t -> int -> mask:int -> adj:bool -> int
-(** Deterministic transition on a quotient letter, interning the successor
-    on first use. *)
-
-val step_edge : t -> int -> prev:Edge.t option -> Edge.t -> int
-(** Convenience: compute the letter from a concrete edge and its
-    predecessor ([prev = None] means this is the first edge). *)
-
 val accepting : t -> int -> bool
 
-val is_dead : t -> int -> bool
-(** The empty configuration: no run can continue. *)
+val accepts : t -> Path.t -> bool
+(** Recognition: run the path's edges through the machine. No graph is
+    needed — states materialise from the edges actually seen — so one [t]
+    recognises a stream of paths, reusing its cache across calls. *)
 
-val mask_of_edge : t -> Edge.t -> int
-(** Signature of an edge under the expression's selector alphabet. *)
+(** {1 The automaton × graph product} *)
 
-val first_edges : t -> Digraph.t -> Edge.t list
-(** The edges a first step can consume: the union of
-    {!Mrpa_core.Selector.matching} over the Glushkov [first] positions,
-    each edge once (an edge matching two first positions is still one
-    path). Every consumer seeds its first level from this list, so an
-    anchored expression touches only the anchor's neighbourhood. *)
+type product
+(** The machine paired with a graph. Holds the first-step candidates (built
+    once, on first use) and the adjacency-free candidates of [×∘] steps
+    (built only when the expression has one). Shares [t]'s caches, so it is
+    single-threaded too. *)
 
-val free_steps : t -> Digraph.t -> int -> Vertex.t -> Edge.t list
-(** [free_steps m g] is the candidate function for adjacency-free steps:
-    [free_steps m g state v] lists the edges of [g] not leaving [v] when
-    some adjacency-false letter leads anywhere from [state], and [[]]
-    otherwise — then only out-edges of [v] can extend a trajectory, the
-    common pure-join case. The graph's signatures and edge list are built
-    on the first call that needs them, and never when the expression has
-    no {!Glushkov.Free} follow pair (no [×∘]). Apply it once per run and
-    reuse the result. *)
+val product : t -> Digraph.t -> product
+
+val iter_next : product -> int -> int -> (Edge.t -> int -> unit) -> unit
+(** [iter_next p state vertex f] calls [f e state'] for every live successor
+    of the configuration [(state, vertex)]: [e] is the consumed edge and
+    [state'] the non-dead state it leads to, so the next configuration is
+    [(state', head e)]. Vertex [-1] means before the first edge: the
+    candidates are then the edges matched by a Glushkov [first] position,
+    each once (an edge matching two first positions is still one path), so
+    an anchored expression touches only the anchor's neighbourhood.
+    Otherwise they are the out-edges of [vertex] (adjacent) and, when some
+    adjacency-free letter leads anywhere from [state], the edges not leaving
+    [vertex] (a [×∘] step). *)
 
 val n_cached_states : t -> int
 (** Diagnostic: subset states materialised so far. *)

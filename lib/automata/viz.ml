@@ -14,25 +14,20 @@ let selector_text ?graph s =
   | Some g -> Format.asprintf "%a" (Selector.pp_named g) s
   | None -> Format.asprintf "%a" Selector.pp s
 
-let successors (a : Glushkov.t) p =
-  if p = 0 then List.map (fun q -> (q, Glushkov.Free)) a.first
-  else a.follow.(p)
-
 let to_dot ?(name = "automaton") ?graph (a : Glushkov.t) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf (Printf.sprintf "digraph \"%s\" {\n" (escape name));
   Buffer.add_string buf "  rankdir=LR;\n";
   Buffer.add_string buf "  start [shape=point, label=\"\"];\n";
-  let accepting p = if p = 0 then a.Glushkov.nullable else a.Glushkov.last.(p) in
   (* the start state is state 0; it is drawn as the entry arrow's target *)
   Buffer.add_string buf
     (Printf.sprintf "  q0 [shape=%s, label=\"q0\"];\n"
-       (if accepting 0 then "doublecircle" else "circle"));
+       (if Glushkov.final a 0 then "doublecircle" else "circle"));
   Buffer.add_string buf "  start -> q0;\n";
   for p = 1 to a.Glushkov.n_positions do
     Buffer.add_string buf
       (Printf.sprintf "  q%d [shape=%s, label=\"q%d\"];\n" p
-         (if accepting p then "doublecircle" else "circle")
+         (if Glushkov.final a p then "doublecircle" else "circle")
          p)
   done;
   for p = 0 to a.Glushkov.n_positions do
@@ -46,7 +41,7 @@ let to_dot ?(name = "automaton") ?graph (a : Glushkov.t) =
         Buffer.add_string buf
           (Printf.sprintf "  q%d -> q%d [label=\"%s\"%s];\n" p q (escape label)
              style))
-      (successors a p)
+      (Glushkov.successors a p)
   done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

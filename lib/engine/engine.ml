@@ -86,10 +86,17 @@ let count_expr ?strategy ?simple ?(max_length = default_max_length) ?limit
   count_plan ?strategy ?limit ?budget g
     (Optimizer.plan ?simple ~max_length g expr)
 
+let overflow_error =
+  Printf.sprintf "path count exceeds max_int (%d); lower the length bound"
+    max_int
+
 let count_governed ?strategy ?simple ?max_length ?limit ?budget g text =
   match Parser.parse g text with
   | Error e -> Error (Parser.render_error ~source:text e)
-  | Ok expr -> Ok (count_expr ?strategy ?simple ?max_length ?limit ?budget g expr)
+  | Ok expr -> (
+    match count_expr ?strategy ?simple ?max_length ?limit ?budget g expr with
+    | counted -> Ok counted
+    | exception Mrpa_automata.Counting.Overflow -> Error overflow_error)
 
 let count ?max_length g text =
   Stdlib.Result.map fst (count_governed ?max_length g text)

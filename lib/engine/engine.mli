@@ -102,7 +102,10 @@ val count_plan :
     the plan runs as {!query_plan} does, under [strategy] when one is
     forced and with [limit] pushed down, and the count is the size of that
     answer with its verdict (so a limit below the true count reports
-    [Partial Limit]). *)
+    [Partial Limit]).
+
+    @raise Mrpa_automata.Counting.Overflow when the count exceeds
+    [max_int]; a count never wraps. *)
 
 val count_expr :
   ?strategy:Plan.strategy ->
@@ -125,7 +128,11 @@ val count_governed :
   string ->
   (int * Err.verdict, string) Stdlib.result
 (** {!count_expr} on a textual query; [Error] carries a rendered parse
-    error. *)
+    error, or {!overflow_error}. *)
+
+val overflow_error : string
+(** The error every front door reports for a count past [max_int]
+    ({!Mrpa_automata.Counting.Overflow}). *)
 
 val count :
   ?max_length:int -> Digraph.t -> string -> (int, string) Stdlib.result

@@ -10,7 +10,7 @@ let run (type v) (module S : Semiring.S with type t = v)
     ?(weight = fun (_ : Edge.t) -> S.one) g expr ~max_length : v result =
   if max_length < 0 then invalid_arg "Eval.run: negative max_length";
   let m = Subset.make expr in
-  let free_steps = Subset.free_steps m g in
+  let p = Subset.product m g in
   let initial = Subset.initial m in
   let epsilon = if Subset.accepting m initial then Some S.one else None in
   (* configuration: (source vertex, state, current vertex) -> value *)
@@ -24,21 +24,10 @@ let run (type v) (module S : Semiring.S with type t = v)
     Hashtbl.replace tbl key (S.add current value)
   in
   (* seed: first edges *)
-  List.iter
-    (fun e ->
-      let mask = Subset.mask_of_edge m e in
-      if mask <> 0 then begin
-        let state = Subset.step m initial ~mask ~adj:true in
-        if not (Subset.is_dead m state) then begin
-          let key =
-            (Vertex.to_int (Edge.tail e), state, Vertex.to_int (Edge.head e))
-          in
-          let value = weight e in
-          combine level key value;
-          ()
-        end
-      end)
-    (Subset.first_edges m g);
+  Subset.iter_next p initial (-1) (fun e state ->
+      combine level
+        (Vertex.to_int (Edge.tail e), state, Vertex.to_int (Edge.head e))
+        (weight e));
   let flush_accepting () =
     Hashtbl.iter
       (fun (src, state, v) value ->
@@ -50,19 +39,10 @@ let run (type v) (module S : Semiring.S with type t = v)
     let next : (int * int * int, v) Hashtbl.t = Hashtbl.create 64 in
     Hashtbl.iter
       (fun (src, state, vertex) value ->
-        let consume e adj =
-          let mask = Subset.mask_of_edge m e in
-          if mask <> 0 then begin
-            let state' = Subset.step m state ~mask ~adj in
-            if not (Subset.is_dead m state') then
-              combine next
-                (src, state', Vertex.to_int (Edge.head e))
-                (S.mul value (weight e))
-          end
-        in
-        let v = Vertex.of_int vertex in
-        List.iter (fun e -> consume e true) (Digraph.out_edges g v);
-        List.iter (fun e -> consume e false) (free_steps state v))
+        Subset.iter_next p state vertex (fun e state' ->
+            combine next
+              (src, state', Vertex.to_int (Edge.head e))
+              (S.mul value (weight e))))
       level;
     Hashtbl.reset level;
     Hashtbl.iter (fun key value -> Hashtbl.replace level key value) next;

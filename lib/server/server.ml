@@ -268,19 +268,26 @@ let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey gen0
     if r.Engine.verdict = Err.Complete then
       Snapshot.cache_result snap ~generation:gen0 rkey payload;
     Wire.response_ok ~id:req.Wire.id payload
-  | Wire.Count ->
-    let n, verdict =
+  | Wire.Count -> (
+    match
       Engine.count_plan ?strategy:o.Wire.strategy ?limit:o.Wire.limit ~budget
         g c.Snapshot.plan
-    in
-    m_incr t "server.counts";
-    note_verdict verdict;
-    let payload =
-      [ ("count", string_of_int n); ("verdict", esc (Err.verdict_name verdict)) ]
-    in
-    if verdict = Err.Complete then
-      Snapshot.cache_result snap ~generation:gen0 rkey payload;
-    Wire.response_ok ~id:req.Wire.id payload
+    with
+    | exception Mrpa_automata.Counting.Overflow ->
+      m_incr t "server.query_errors";
+      Wire.response_error ~id:req.Wire.id ~code:Wire.Query_error
+        Engine.overflow_error
+    | n, verdict ->
+      m_incr t "server.counts";
+      note_verdict verdict;
+      let payload =
+        [
+          ("count", string_of_int n); ("verdict", esc (Err.verdict_name verdict));
+        ]
+      in
+      if verdict = Err.Complete then
+        Snapshot.cache_result snap ~generation:gen0 rkey payload;
+      Wire.response_ok ~id:req.Wire.id payload)
   | Wire.Lint | Wire.Stats | Wire.Ping | Wire.Shutdown | Wire.Health
   | Wire.Sub | Wire.Views _ ->
     assert false (* handled inline *)

@@ -191,7 +191,9 @@ val budget_of_options : options -> Budget.t
 
 type error_code =
   | Bad_request  (** unparseable or malformed request line. *)
-  | Query_error  (** the query failed to parse / name resolution failed. *)
+  | Query_error
+      (** the query failed to parse / name resolution failed, or its count
+          exceeds [max_int]. *)
   | Overloaded  (** the job queue is full; retry later. *)
   | Shutting_down  (** the server is draining. *)
   | Internal  (** a bug: unexpected exception while serving. *)

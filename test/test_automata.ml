@@ -186,17 +186,17 @@ let qcheck_min_dfa_equals_dfa =
 
 let test_lazy_dfa_caches () =
   let g = H.paper_graph () in
-  let d = Lazy_dfa.create (fig1_expr g) in
+  let d = Subset.make (fig1_expr g) in
   let e = H.e g in
   let p =
     Path.of_edges [ e "i" "alpha" "j"; e "j" "beta" "i"; e "i" "alpha" "k" ]
   in
-  Alcotest.(check bool) "accepts" true (Lazy_dfa.accepts d p);
-  let states_after_one = Lazy_dfa.n_cached_states d in
+  Alcotest.(check bool) "accepts" true (Subset.accepts d p);
+  let states_after_one = Subset.n_cached_states d in
   Alcotest.(check bool) "cached something" true (states_after_one > 0);
-  Alcotest.(check bool) "accepts again" true (Lazy_dfa.accepts d p);
+  Alcotest.(check bool) "accepts again" true (Subset.accepts d p);
   Alcotest.(check int) "no new states on repeat" states_after_one
-    (Lazy_dfa.n_cached_states d)
+    (Subset.n_cached_states d)
 
 (* --- Generators ------------------------------------------------------------ *)
 

@@ -339,20 +339,45 @@ let test_compile_flat () =
   let small, large = social_pair () in
   check_flat "Snapshot.compile" (words small) (words large)
 
+(* Every dynamic program over the automaton x graph product reads the graph
+   through Subset.iter_next; each must stay in the anchor's neighbourhood. *)
 let test_count_flat () =
-  let words snap =
-    let c = compile snap ~max_length:2 "[p1500,knows,_] . [_,works_for,_]" in
-    let g = Mrpa_server.Snapshot.graph snap in
-    let n = ref 0 in
-    let w =
-      minor_words (fun () ->
-          n := fst (Mrpa_engine.Engine.count_plan g c.Mrpa_server.Snapshot.plan))
-    in
-    Alcotest.(check bool) "the anchor has answers" true (!n > 0);
-    w
+  let runs =
+    [
+      ( "Engine.count_plan",
+        fun g plan -> fst (Mrpa_engine.Engine.count_plan g plan) );
+      ( "Sampler.population",
+        fun g plan ->
+          Mrpa_automata.Sampler.population
+            (Mrpa_automata.Sampler.prepare g plan.Mrpa_engine.Plan.optimized
+               ~max_length:2) );
+      ( "Witness.cheapest_any",
+        fun g plan ->
+          let w =
+            Mrpa_semiring.Witness.prepare
+              ~weight:(fun _ -> 1.0)
+              g plan.Mrpa_engine.Plan.optimized ~max_length:2
+          in
+          match Mrpa_semiring.Witness.cheapest_any w with
+          | Some (p, _) -> Path.length p
+          | None -> 0 );
+    ]
   in
   let small, large = social_pair () in
-  check_flat "Engine.count_plan" (words small) (words large)
+  List.iter
+    (fun (what, run) ->
+      let words snap =
+        let c = compile snap ~max_length:2 "[p1500,knows,_] . [_,works_for,_]" in
+        let g = Mrpa_server.Snapshot.graph snap in
+        let n = ref 0 in
+        let w =
+          minor_words (fun () -> n := run g c.Mrpa_server.Snapshot.plan)
+        in
+        Alcotest.(check bool) (what ^ ": the anchor has answers") true (!n > 0);
+        w
+      in
+      check_flat what (words small) (words large))
+    runs
 
 (* Random add/remove sequences over a small fixed vocabulary. *)
 type op = Add of int * int * int | Remove of int * int * int

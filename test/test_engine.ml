@@ -693,6 +693,33 @@ let test_engine_count_text () =
   | Error msg -> Alcotest.fail msg
   | Ok n -> Alcotest.(check int) "4 ββ paths" 4 n
 
+(* Counts never wrap: on the 20-vertex complete graph the number of walks
+   up to length 13 still fits an OCaml int, up to length 14 it does not.
+   The DP, the sampler and the count front door all refuse the latter. *)
+let test_count_overflow () =
+  let g = Generate.complete ~n:20 ~n_labels:1 in
+  let all = Expr.star (Expr.sel Selector.universe) in
+  let fits = 887785206425426781 in
+  Alcotest.(check int) "length 13 exact" fits
+    (Mrpa_automata.Counting.count g all ~max_length:13);
+  Alcotest.(check int) "sampler population" fits
+    (Mrpa_automata.Sampler.population
+       (Mrpa_automata.Sampler.prepare g all ~max_length:13));
+  Alcotest.check_raises "length 14 count" Mrpa_automata.Counting.Overflow
+    (fun () -> ignore (Mrpa_automata.Counting.count g all ~max_length:14));
+  Alcotest.check_raises "length 14 sampler" Mrpa_automata.Counting.Overflow
+    (fun () ->
+      ignore
+        (Mrpa_automata.Sampler.population
+           (Mrpa_automata.Sampler.prepare g all ~max_length:14)));
+  let count max_length = Engine.count_governed ~max_length g "[_,_,_]*" in
+  Alcotest.(check (result (pair int string) string))
+    "front door, length 13" (Ok (fits, "complete"))
+    (Result.map (fun (n, v) -> (n, Err.verdict_name v)) (count 13));
+  Alcotest.(check (result (pair int string) string))
+    "front door, length 14" (Error Engine.overflow_error)
+    (Result.map (fun (n, v) -> (n, Err.verdict_name v)) (count 14))
+
 let test_engine_fig1_text_query () =
   let rng = Prng.create 123 in
   let g = Generate.fig1 ~rng ~n_noise_vertices:3 ~n_noise_edges:5 in
@@ -933,6 +960,8 @@ let () =
           Alcotest.test_case "simple flag" `Quick test_engine_simple_flag;
           Alcotest.test_case "count text" `Quick test_engine_count_text;
           Alcotest.test_case "count contract" `Quick test_engine_count_contract;
+          Alcotest.test_case "count overflow is an error" `Quick
+            test_count_overflow;
           qcheck_strategies_agree_end_to_end;
           qcheck_engine_count_matches_query;
         ] );

@@ -1500,6 +1500,44 @@ let test_count_contract () =
         ( int_at (Option.bind r (Json.member "count")),
           str_at (Option.bind r (Json.member "verdict")) ))
 
+(* A count past max_int is a query_error over the wire, never a wrapped
+   number; the largest count below it travels exactly. *)
+let test_count_overflow () =
+  let g = Generate.complete ~n:20 ~n_labels:1 in
+  with_server ~snapshot:(Snapshot.of_graph g) (fun _server connect _path ->
+      let conn = connect () in
+      Fun.protect
+        ~finally:(fun () -> Client.close conn)
+        (fun () ->
+          let count max_length =
+            let options =
+              { Wire.default_options with max_length = Some max_length }
+            in
+            match
+              Client.request_raw conn
+                (Wire.encode_request
+                   (simple_req ~query:"[_,_,_]*" ~options Wire.Count))
+            with
+            | Error m -> Alcotest.failf "transport error: %s" m
+            | Ok line -> line
+          in
+          let contains line sub =
+            let n = String.length sub in
+            let rec at i =
+              i + n <= String.length line
+              && (String.sub line i n = sub || at (i + 1))
+            in
+            at 0
+          in
+          let line = count 13 in
+          Alcotest.(check bool) ("exact count: " ^ line) true
+            (contains line {|"count":887785206425426781,|});
+          let line = count 14 in
+          Alcotest.(check bool) ("query_error: " ^ line) true
+            (contains line {|"code":"query_error"|});
+          Alcotest.(check bool) ("no count: " ^ line) false
+            (contains line {|"count"|})))
+
 let test_max_length_zero_all_strategies () =
   with_server (fun _server connect _path ->
       let conn = connect () in
@@ -1770,6 +1808,8 @@ let () =
           Alcotest.test_case "overlong integer literal" `Quick
             test_overlong_integer;
           Alcotest.test_case "count contract" `Quick test_count_contract;
+          Alcotest.test_case "count overflow is a query error" `Quick
+            test_count_overflow;
         ] );
       ( "retry",
         [
