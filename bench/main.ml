@@ -1511,7 +1511,7 @@ let exp_zipf ~full =
       and other = Atomic.get other in
       let ok_qps = float_of_int ok /. wall_s in
       let plan_hits, plan_misses = Snapshot.plan_cache_stats snap in
-      let res_hits, res_misses, _ = Snapshot.result_cache_stats snap in
+      let res_hits, res_misses = Snapshot.result_cache_stats snap in
       let rate_of h m =
         if h + m = 0 then 0.0 else float_of_int h /. float_of_int (h + m)
       in

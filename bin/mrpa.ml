@@ -660,8 +660,8 @@ let shell_cmd =
                else if starts_with ":lint" then
                  let source = rest ":lint" in
                  match
-                   Mrpa_engine.Engine.lint ~signature:(Lazy.force signature) g
-                     source
+                   Mrpa_engine.Engine.lint ~signature:(Lazy.force signature)
+                     ~max_length g source
                  with
                  | Ok diags ->
                    if diags = [] then Format.printf "no findings@."
@@ -1431,8 +1431,9 @@ let serve_cmd =
       & info [ "result-cache" ] ~docv:"N"
           ~doc:
             "Capacity of the result cache (entries) holding \
-             Complete-verdict responses, invalidated whenever the source \
-             graph changes. 0 disables the cache.")
+             Complete-verdict responses. Each served snapshot has its own; \
+             entries are answers over that snapshot's immutable graph, so \
+             they are evicted but never invalidated. 0 disables the cache.")
   in
   let run graph (front, limits) role journal follow min_staleness_ms workers
       queue max_fuel max_predicted_cost plan_cache result_cache =

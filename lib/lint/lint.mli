@@ -19,6 +19,7 @@ val default_max_length : int
 val analyze :
   ?signature:Signature.t ->
   ?stats:Stat.profile ->
+  ?cost:Cost.t ->
   ?max_length:int ->
   ?fuel:int ->
   ?deadline_ms:float ->
@@ -29,8 +30,11 @@ val analyze :
     order, most severe first). Pass [?signature] and [?stats] to reuse a
     precomputed {!Signature.t} / {!Mrpa_graph.Stat.profile} across many
     queries over the same graph (the server caches both on its snapshot).
-    [max_length] is the star-unrolling bound the cost analysis assumes;
-    [fuel] / [deadline_ms] enable the L012 budget-feasibility check. *)
+    Pass [?cost] to reuse a {!Cost.analyze} of this same expression at
+    this [max_length] (the server's plan cache holds one); it is run here
+    otherwise. [max_length] is the star-unrolling bound the cost analysis
+    assumes; [fuel] / [deadline_ms] enable the L012 budget-feasibility
+    check. *)
 
 val analyze_expr :
   ?signature:Signature.t ->

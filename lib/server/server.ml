@@ -51,22 +51,15 @@ type repl =
 
 type t = {
   config : config;
-  (* The snapshot all sessions/workers read. Standalone servers set it
-     once; primary/replica role threads swap in a fresh frozen copy of
-     their live graph as the journal stream advances. Always read it
-     exactly once per request. *)
+  (* The snapshot all sessions/workers read, with its caches and the
+     journal sequence number it includes. Standalone servers set it once;
+     primary/replica role threads publish a fresh frozen copy of their
+     live graph as the journal stream advances. Always read it exactly
+     once per request. *)
   snapshot : Snapshot.t Atomic.t;
-  (* Journal sequence number the current snapshot includes — the
-     bounded-staleness gate waits on this, not on the live graph, so
-     [min_seq] means "the answer reflects seq >= S", not merely "the
-     server has heard of it". *)
-  snap_seq : int Atomic.t;
-  (* The live graph the current snapshot watches for result-cache
-     invalidation; only the single role thread touches it. *)
-  mutable snap_source : Digraph.t option;
-  (* The materialized-view registry. Word views ride the same edge-observer
-     plane that invalidates the result cache; expression views are
-     re-projected from the serving snapshot on demand. *)
+  (* The materialized-view registry. Word views observe the live graph's
+     edges; expression views are re-projected from the serving snapshot
+     on demand. *)
   views : Views.t;
   repl : repl;
   pool : Pool.t;
@@ -84,11 +77,11 @@ type t = {
 }
 
 let create ?snapshot config =
-  let snapshot, snap_seq, snap_source, repl =
+  let snapshot, live, repl =
     match config.role with
     | Standalone -> (
       match snapshot with
-      | Some s -> (s, 0, None, No_replication)
+      | Some s -> (s, None, No_replication)
       | None -> invalid_arg "Server.create: a standalone server needs a snapshot")
     | Primary { journal } ->
       let source = Replication.Source.create journal in
@@ -96,8 +89,7 @@ let create ?snapshot config =
          first request, not from the first poll. *)
       ignore (Replication.Source.poll source);
       let g = Replication.Source.graph source in
-      ( Snapshot.of_graph g,
-        Replication.Source.last_seq source,
+      ( Snapshot.of_graph ~seq:(Replication.Source.last_seq source) g,
         Some g,
         Primary_repl
           {
@@ -110,7 +102,6 @@ let create ?snapshot config =
       let appl = Replication.Apply.create () in
       let g = Replication.Apply.graph appl in
       ( Snapshot.of_graph g,
-        0,
         Some g,
         Replica_repl
           {
@@ -127,14 +118,10 @@ let create ?snapshot config =
   (* Primary/replica: observe the live graph so word views fold in every
      journal-applied write. Standalone: no live source — views are built
      from (and stay consistent with) the immutable snapshot. *)
-  (match snap_source with
-  | Some g -> Views.attach views g
-  | None -> ());
+  Option.iter (Views.attach views) live;
   {
     config;
     snapshot = Atomic.make snapshot;
-    snap_seq = Atomic.make snap_seq;
-    snap_source;
     views;
     repl;
     pool =
@@ -229,26 +216,17 @@ let await_drain ss =
 
 let esc = Metrics.escape_string
 
-(* Swap in a fresh frozen snapshot of the live graph [g] at journal
+(* Publish a fresh frozen snapshot of the live graph [g] at journal
    sequence [seq]. Role-thread only (the sole mutator of the live graph,
-   so copying it here is race-free). The old snapshot's invalidation
-   observers are detached from whichever graph it was watching; sessions
-   still holding the old snapshot keep using it consistently. *)
+   so copying it here is race-free); sessions still holding the old
+   snapshot keep using it, caches and all, consistently. *)
 let refresh_snapshot t g ~seq =
-  let old = Atomic.get t.snapshot in
-  let fresh = Snapshot.of_graph g in
-  Atomic.set t.snapshot fresh;
-  Atomic.set t.snap_seq seq;
-  (match t.snap_source with
-  | Some watched -> Snapshot.unwatch old watched
-  | None -> ());
-  t.snap_source <- Some g
+  Atomic.set t.snapshot (Snapshot.of_graph ~seq g)
 
-(* Execute a compiled plan for query/count. [gen0] is the result-cache
-   generation observed before dispatch; a Complete payload is offered back
-   to the cache under it, so a write racing with this evaluation silently
-   vetoes the insert (Snapshot.cache_result). *)
-let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey gen0
+(* Execute a compiled plan for query/count. A Complete payload is an
+   answer over [snap]'s immutable graph, so it goes into [snap]'s result
+   cache. *)
+let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey
     (c : Snapshot.compiled) budget =
   let g = Snapshot.graph snap in
   let note_verdict verdict =
@@ -266,7 +244,7 @@ let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey gen0
     note_verdict r.Engine.verdict;
     let payload = [ ("result", Render.result_json g r) ] in
     if r.Engine.verdict = Err.Complete then
-      Snapshot.cache_result snap ~generation:gen0 rkey payload;
+      Snapshot.cache_result snap rkey payload;
     Wire.response_ok ~id:req.Wire.id payload
   | Wire.Count -> (
     match
@@ -286,7 +264,7 @@ let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey gen0
         ]
       in
       if verdict = Err.Complete then
-        Snapshot.cache_result snap ~generation:gen0 rkey payload;
+        Snapshot.cache_result snap rkey payload;
       Wire.response_ok ~id:req.Wire.id payload)
   | Wire.Lint | Wire.Stats | Wire.Ping | Wire.Shutdown | Wire.Health
   | Wire.Sub | Wire.Views _ ->
@@ -308,14 +286,13 @@ let lint_response t (req : Wire.request) =
     Wire.response_error ~id:req.Wire.id ~code:Wire.Query_error msg
   | Ok c ->
     m_incr t "server.lints";
-    let stats = Snapshot.profile snap in
+    let cost = c.Snapshot.cost in
     let diags =
       Mrpa_lint.Lint.analyze
         ~signature:(Snapshot.signature snap)
-        ~stats ~max_length ?fuel:o.Wire.fuel ?deadline_ms:o.Wire.deadline_ms g
+        ~cost ~max_length ?fuel:o.Wire.fuel ?deadline_ms:o.Wire.deadline_ms g
         c.Snapshot.spanned
     in
-    let cost = c.Snapshot.cost in
     let bound_json = function
       | Mrpa_lint.Interval.Fin n -> string_of_int n
       | Mrpa_lint.Interval.Inf -> esc "inf"
@@ -368,7 +345,7 @@ let stats_response t req =
   let snap = snapshot t in
   let g = Snapshot.graph snap in
   let plan_hits, plan_misses = Snapshot.plan_cache_stats snap in
-  let res_hits, res_misses, res_invals = Snapshot.result_cache_stats snap in
+  let res_hits, res_misses = Snapshot.result_cache_stats snap in
   (* Views totals take the registry lock — do it before metrics_lock so the
      two never nest. *)
   let n_views = Views.count t.views in
@@ -391,7 +368,6 @@ let stats_response t req =
           (Snapshot.plan_cache_length snap);
         Metrics.set t.metrics "server.result_cache_hits" res_hits;
         Metrics.set t.metrics "server.result_cache_misses" res_misses;
-        Metrics.set t.metrics "server.result_cache_invalidations" res_invals;
         Metrics.set t.metrics "server.result_cache_size"
           (Snapshot.result_cache_length snap);
         Metrics.set t.metrics "server.views" n_views;
@@ -451,9 +427,8 @@ let submit_governed t ss (req : Wire.request) budget run =
 let dispatch_async t snap ss (req : Wire.request) effective rkey
     (c : Snapshot.compiled) =
   let budget = Wire.budget_of_options effective in
-  let gen0 = Snapshot.generation snap in
   submit_governed t ss req budget (fun () ->
-      eval_compiled t snap req effective rkey gen0 c budget)
+      eval_compiled t snap req effective rkey c budget)
 
 (* --- Sessions ------------------------------------------------------------ *)
 
@@ -468,20 +443,22 @@ let shutdown_allowed t ss =
    hostage. *)
 let stale_wait_ms = 500.0
 
-(* [min_seq] is checked against the sequence number the {e snapshot}
-   includes, not the live graph's: the promise is "the answer reflects seq
-   >= S", and answers come from the snapshot. [max_staleness_ms] is a
+(* The snapshot a gated read is answered from, or the [stale] message.
+   [min_seq] is checked against {!Snapshot.seq} of the snapshot returned,
+   not against the live graph: the promise is "the answer reflects seq >=
+   S", and answers come from that snapshot. [max_staleness_ms] is a
    replica-only check — standalone and primary servers are the authority
    for their own data and are never stale; a primary trivially satisfies
    any [min_seq] its tailer has reached. *)
-let staleness_error t (o : Wire.options) =
-  if o.Wire.min_seq = None && o.Wire.max_staleness_ms = None then None
+let serving_snapshot t (o : Wire.options) =
+  if o.Wire.min_seq = None && o.Wire.max_staleness_ms = None then
+    Ok (snapshot t)
   else begin
-    let seq_ok () =
+    let seq_ok snap =
       match (o.Wire.min_seq, t.repl) with
       | None, _ -> true
       | Some s, No_replication -> s = 0
-      | Some s, (Primary_repl _ | Replica_repl _) -> Atomic.get t.snap_seq >= s
+      | Some s, (Primary_repl _ | Replica_repl _) -> Snapshot.seq snap >= s
     in
     let fresh_ok () =
       match (o.Wire.max_staleness_ms, t.repl) with
@@ -494,17 +471,18 @@ let staleness_error t (o : Wire.options) =
       Int64.add (Metrics.now_ns ()) (Int64.of_float (stale_wait_ms *. 1e6))
     in
     let rec wait () =
-      if seq_ok () && fresh_ok () then None
+      let snap = snapshot t in
+      if seq_ok snap && fresh_ok () then Ok snap
       else if
         stopping t
         || Int64.compare (Metrics.now_ns ()) deadline >= 0
       then begin
         m_incr t "server.stale";
-        Some
-          (if not (seq_ok ()) then
+        Error
+          (if not (seq_ok snap) then
              Printf.sprintf
                "snapshot is at seq %d, behind the requested min_seq %d"
-               (Atomic.get t.snap_seq)
+               (Snapshot.seq snap)
                (Option.value ~default:0 o.Wire.min_seq)
            else
              Printf.sprintf
@@ -521,13 +499,10 @@ let staleness_error t (o : Wire.options) =
 
 let handle_eval t ss (req : Wire.request) =
   let effective = Wire.clamp_request t.config.limits req in
-  match staleness_error t effective with
-  | Some msg ->
+  match serving_snapshot t effective with
+  | Error msg ->
     send ss (Wire.response_error ~id:req.Wire.id ~code:Wire.Stale msg)
-  | None -> (
-    (* Read the snapshot once, after the gate: the catch-up wait must be
-       able to observe a refresh. *)
-    let snap = snapshot t in
+  | Ok snap -> (
     let query_text = Option.get req.Wire.query in
     let max_length = Option.get effective.Wire.max_length in
     let rkey =
@@ -572,8 +547,7 @@ let with_role_lock t f =
   | Replica_repl r -> with_lock r.rep_lock f
 
 (* The graph a freshly registered word view materialises from: the live
-   graph when there is one (read under the role lock — [t.snap_source] can
-   lag one loop iteration behind an epoch change), the frozen snapshot
+   graph when there is one (read under the role lock), the frozen snapshot
    otherwise. *)
 let register_graph t =
   match t.repl with
@@ -649,16 +623,13 @@ let views_register t (req : Wire.request) (v : Wire.view_req) =
     Wire.response_error ~id:req.Wire.id ~code:Wire.Bad_request
       "view registration needs a \"word\" or a \"query\""
 
-(* A worker-side view read. [seq0] is read {e before} the snapshot:
-   refresh_snapshot publishes the snapshot first, so any snapshot observed
-   after reading [seq0] includes at least that sequence — which makes
-   "as_of_seq >= seq0" the sound freshness test and [seq0] the sound
-   lower bound reported back to the client. *)
-let views_read t (req : Wire.request) (v : Wire.view_req)
+(* A worker-side view read from [snap], the snapshot the staleness gate
+   passed. Its {!Snapshot.seq} is the freshness test for a cached
+   projection and the [as_of_seq] reported back to the client. *)
+let views_read t snap (req : Wire.request) (v : Wire.view_req)
     (effective : Wire.options) budget =
   let name = Option.get v.Wire.view_name in
-  let seq0 = Atomic.get t.snap_seq in
-  let snap = snapshot t in
+  let seq0 = Snapshot.seq snap in
   let g = Snapshot.graph snap in
   let reproject ~query ~max_length =
     match Snapshot.compile snap ~max_length ~simple:false query with
@@ -847,7 +818,7 @@ let handle_views t ss (req : Wire.request) (v : Wire.view_req) =
     end
   | Wire.V_list ->
     m_incr t "server.view_lists";
-    let infos = Views.list t.views ~snap_seq:(Atomic.get t.snap_seq) in
+    let infos = Views.list t.views ~snap_seq:(Snapshot.seq (snapshot t)) in
     send ss
       (Wire.response_ok ~id:req.Wire.id
          [
@@ -860,13 +831,13 @@ let handle_views t ss (req : Wire.request) (v : Wire.view_req) =
        budget, and even a cheap word-view extraction must not let a flood
        of view reads starve the session threads. *)
     let effective = Wire.clamp t.config.limits req.Wire.options in
-    match staleness_error t effective with
-    | Some msg ->
+    match serving_snapshot t effective with
+    | Error msg ->
       send ss (Wire.response_error ~id:req.Wire.id ~code:Wire.Stale msg)
-    | None ->
+    | Ok snap ->
       let budget = Wire.budget_of_options effective in
       submit_governed t ss req budget (fun () ->
-          views_read t req v effective budget))
+          views_read t snap req v effective budget))
 
 (* --- Replication verbs --------------------------------------------------- *)
 
@@ -916,7 +887,7 @@ let health_response t req =
         ("last_seq", string_of_int last);
         ("primary_seq", string_of_int pseq);
         ("lag", string_of_int (max 0 (pseq - last)));
-        ("snap_seq", string_of_int (Atomic.get t.snap_seq));
+        ("snap_seq", string_of_int (Snapshot.seq (snapshot t)));
         ("epoch", string_of_int r.rep_epoch);
         ("connected", if r.rep_connected then "true" else "false");
         ("staleness_ms", Printf.sprintf "%.1f" staleness);

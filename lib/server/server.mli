@@ -26,14 +26,17 @@
       [workers + queue], not by demand.
     - {b Snapshot and caches} — all workers read one frozen {!Snapshot.t};
       soundness of concurrent reads is by construction (mutation is
-      unrepresentable), not by locking. The snapshot also carries the
-      compiled-plan LRU (admission control, [lint] and evaluation share one
-      parse + cost analysis per query text) and the bounded result cache
-      for Complete-verdict responses, invalidated by edge observers on the
-      snapshot's source graph. Both surface in [stats] as
+      unrepresentable), not by locking. The snapshot is the one unit of
+      publication: it carries the journal sequence number it includes
+      (what [min_seq], [views] and [health] read), the compiled-plan LRU
+      (admission control, [lint] and evaluation share one parse + cost
+      analysis per query text) and the bounded result cache for
+      Complete-verdict responses. Cache entries are answers over the
+      immutable graph and are never invalidated; a write becomes visible
+      when the role thread publishes a new snapshot, with empty caches.
+      The serving snapshot's caches surface in [stats] as
       [server.plan_cache_{hits,misses,size}],
-      [server.result_cache_{hits,misses,invalidations,size}] and
-      [server.parses].
+      [server.result_cache_{hits,misses,size}] and [server.parses].
     - {b Budgets} — each query's clamped options become a fresh
       {!Mrpa_engine.Budget.t}; the server keeps every in-flight budget in a
       registry so shutdown can {!Mrpa_engine.Budget.cancel} them all, which

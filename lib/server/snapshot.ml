@@ -29,19 +29,13 @@ type result_key = {
 
 type t = {
   graph : Digraph.t;
+  seq : int;
   signature : Mrpa_lint.Signature.t option Atomic.t;
       (* built on first use: only the [lint] verb reads it. *)
   profile : Stat.profile;
   plans : (plan_key, (compiled, string) result) Lru.t;
   results : (result_key, (string * string) list) Lru.t;
   parses : int Atomic.t;
-  generation : int Atomic.t;
-  invalidations : int Atomic.t;
-  (* Serialises result-cache invalidation against insertion so a worker
-     that computed its answer before a write can never slip it into the
-     cache after the write's clear (see [cache_result]). *)
-  result_lock : Mutex.t;
-  mutable observer : Edge.t -> unit;
 }
 
 let default_plan_cache_capacity = 1024
@@ -52,52 +46,32 @@ let default_result_cache_capacity = 256
    [signature]). Both are immutable values over a frozen graph, so any
    number of session threads can read them without synchronisation. *)
 let of_frozen ?(plan_cache_capacity = default_plan_cache_capacity)
-    ?(result_cache_capacity = default_result_cache_capacity) graph =
+    ?(result_cache_capacity = default_result_cache_capacity) ?(seq = 0) graph =
   {
     graph;
+    seq;
     signature = Atomic.make None;
     profile = Stat.profile graph;
     plans = Lru.create ~capacity:plan_cache_capacity;
     results = Lru.create ~capacity:result_cache_capacity;
     parses = Atomic.make 0;
-    generation = Atomic.make 0;
-    invalidations = Atomic.make 0;
-    result_lock = Mutex.create ();
-    observer = ignore;
   }
 
-let generation t = Atomic.get t.generation
-
-let invalidate_results t =
-  Mutex.lock t.result_lock;
-  Atomic.incr t.generation;
-  Lru.clear t.results;
-  Atomic.incr t.invalidations;
-  Mutex.unlock t.result_lock
-
-let watch t source =
-  if not (Digraph.is_frozen source) then begin
-    let f = fun (_ : Edge.t) -> invalidate_results t in
-    t.observer <- f;
-    Digraph.on_edge_added source f;
-    Digraph.on_edge_removed source f
-  end
-
-let unwatch t source =
-  Digraph.off_edge_added source t.observer;
-  Digraph.off_edge_removed source t.observer
-
-let of_graph ?plan_cache_capacity ?result_cache_capacity g =
+let of_graph ?plan_cache_capacity ?result_cache_capacity ?seq g =
   let copy = Digraph.copy g in
   Digraph.freeze copy;
-  let t = of_frozen ?plan_cache_capacity ?result_cache_capacity copy in
-  watch t g;
-  t
+  of_frozen ?plan_cache_capacity ?result_cache_capacity ?seq copy
 
 let load ?plan_cache_capacity ?result_cache_capacity path =
   let g = Io.load path in
   Digraph.freeze g;
   of_frozen ?plan_cache_capacity ?result_cache_capacity g
+
+let seq t = t.seq
+
+(* Kept for perfbench's replay, which predates snapshots carrying [seq]. *)
+let generation = seq
+let unwatch (_ : t) (_ : Digraph.t) = ()
 
 (* --- Compiled-plan cache ------------------------------------------------ *)
 
@@ -143,20 +117,14 @@ let result_key ~verb ~query ~max_length ~simple ~strategy ~limit =
 
 let cached_result t key = Lru.find t.results key
 
-let cache_result t ~generation:g0 key payload =
-  Mutex.lock t.result_lock;
-  (* The entry is only stored if no write invalidated the cache since the
-     caller looked up [generation t]; otherwise the (still snapshot-correct
-     but contract-stale) payload is dropped on the floor. *)
-  if Atomic.get t.generation = g0 then Lru.add t.results key payload;
-  Mutex.unlock t.result_lock
+let cache_result t ?(generation = t.seq) key payload =
+  if generation = t.seq then Lru.add t.results key payload
 
 (* --- Accessors ---------------------------------------------------------- *)
 
 let plan_cache_stats t = (Lru.hits t.plans, Lru.misses t.plans)
 
-let result_cache_stats t =
-  (Lru.hits t.results, Lru.misses t.results, Atomic.get t.invalidations)
+let result_cache_stats t = (Lru.hits t.results, Lru.misses t.results)
 
 let plan_cache_length t = Lru.length t.plans
 let result_cache_length t = Lru.length t.results

@@ -1,6 +1,7 @@
 (** Read-only frozen graph snapshots, shared by all workers — plus the
-    server's two caches, which live here because their lifetime {e is} the
-    snapshot's lifetime.
+    server's two caches and the journal sequence number the graph
+    includes, which live here because their lifetime {e is} the snapshot's
+    lifetime. A snapshot is the one unit the server publishes.
 
     The live {!Mrpa_graph.Digraph.t} is single-threaded — edge insertion
     mutates adjacency buckets and fires arbitrary observer closures, so
@@ -19,14 +20,11 @@
 
     {b Result cache.} Complete (non-partial) responses can be cached by
     payload under a key that includes verb, query and every
-    semantics-affecting option. Invalidation is generation-based:
-    {!of_graph} registers edge observers on the {e source} graph, so any
-    write — direct or replayed through {!Mrpa_graph.Journal} — bumps the
-    generation and clears the cache. {!cache_result} re-checks the
-    generation under the same lock, so a result computed before a write can
-    never be served after it. The snapshot itself never changes; staleness
-    here is relative to the live source graph, and refreshing the snapshot
-    ({!of_graph} again) is the documented path to observing writes. *)
+    semantics-affecting option. An entry is an answer over the snapshot's
+    immutable graph, so it is LRU-evicted but never invalidated: a write
+    becomes visible by publishing a new snapshot (which starts with empty
+    caches), and a client that must see a write asks for it with
+    [min_seq] against {!seq}. *)
 
 open Mrpa_graph
 open Mrpa_engine
@@ -46,27 +44,30 @@ type compiled = {
 }
 
 val of_graph :
-  ?plan_cache_capacity:int -> ?result_cache_capacity:int -> Digraph.t -> t
+  ?plan_cache_capacity:int ->
+  ?result_cache_capacity:int ->
+  ?seq:int ->
+  Digraph.t ->
+  t
 (** Freeze a private deep {!Digraph.copy} of the graph. The original stays
-    live and mutable; later mutations to it are invisible to the snapshot
-    but {e do} invalidate its result cache (edge observers are registered
-    on the source unless it is already frozen). Cache capacities default to
-    1024 plans / 256 results; [0] disables a cache. *)
+    live and mutable; later mutations to it are invisible to the snapshot.
+    [seq] (default [0]) is the journal sequence number the graph includes.
+    Cache capacities default to 1024 plans / 256 results; [0] disables a
+    cache. *)
 
 val load :
   ?plan_cache_capacity:int -> ?result_cache_capacity:int -> string -> t
 (** {!Io.load} a TSV edge list and freeze it in place (no copy — the graph
-    was never shared while mutable, and there is no live source to watch).
-    Raises like {!Io.load}. *)
+    was never shared while mutable). Its {!seq} is [0]. Raises like
+    {!Io.load}. *)
 
-val watch : t -> Digraph.t -> unit
-(** Register result-cache invalidation observers on a live graph (no-op on
-    a frozen one). {!of_graph} does this for its source automatically; call
-    it yourself when the snapshot was {!load}ed but writes arrive on a
-    separate live graph (e.g. a journal replay target). *)
+val seq : t -> int
+(** The journal sequence number the snapshot includes — what [min_seq],
+    [views] and [health] report and gate on. *)
 
 val unwatch : t -> Digraph.t -> unit
-(** Deregister the observers {!watch} installed on that graph. *)
+(** Does nothing: a snapshot watches no graph. Kept for perfbench's
+    write-mix replay, which still calls it. *)
 
 val graph : t -> Digraph.t
 (** The frozen graph. [Digraph.is_frozen (graph t)] always holds. *)
@@ -120,27 +121,22 @@ val result_key :
     from {e clamped} options so equivalent requests share an entry. *)
 
 val generation : t -> int
-(** Current invalidation generation. Read it {e before} evaluating; pass it
-    to {!cache_result} afterwards. *)
+(** {!seq}. Kept for perfbench's replay, which passes it back to
+    {!cache_result}. *)
 
 val cached_result : t -> result_key -> (string * string) list option
 (** Cached response payload fields ([(key, raw_json_value)] pairs, minus
     the envelope — the envelope carries the per-request [id]). *)
 
 val cache_result :
-  t -> generation:int -> result_key -> (string * string) list -> unit
-(** Store a payload computed at [generation]. Dropped silently if any write
-    invalidated the cache since — that is the no-stale-reads guarantee.
-    Only {e Complete}-verdict payloads should be stored: a partial result
-    depends on the budget that produced it, a complete one is the full
-    denotation under the keyed options and nothing else. *)
+  t -> ?generation:int -> result_key -> (string * string) list -> unit
+(** Store a payload. Only {e Complete}-verdict payloads should be stored:
+    a partial result depends on the budget that produced it, a complete
+    one is the full denotation under the keyed options and nothing else. A
+    payload offered with a [generation] other than {!seq} is dropped; the
+    argument is kept for perfbench's replay. *)
 
-val invalidate_results : t -> unit
-(** Bump the generation and drop every cached result. Fired by the edge
-    observers on every write to a watched source graph; public for tests
-    and for callers with out-of-band write knowledge. *)
-
-val result_cache_stats : t -> int * int * int
-(** [(hits, misses, invalidations)]. *)
+val result_cache_stats : t -> int * int
+(** [(hits, misses)]. *)
 
 val result_cache_length : t -> int

@@ -494,6 +494,60 @@ let test_e2e_replication () =
             "replica still serves its prefix" (Some 3)
             (Option.bind (health_field r_ep "last_seq") Json.to_int_opt)))
 
+(* Read-your-writes through a warm cache: a cached answer on a primary
+   never hides a later write from a read that asks for it with [min_seq].
+   Cache counters belong to the serving snapshot and restart at each
+   publish, so each hit is counted on the snapshot serving it. *)
+let test_read_your_writes_warm_cache () =
+  with_tmp_dir (fun dir ->
+      let journal = Filename.concat dir "primary.log" in
+      let ep = Wire.Unix_socket (Filename.concat dir "p.sock") in
+      let writer = Digraph.create () in
+      let j = Journal.attach ~on_warning:ignore writer journal in
+      ignore (Digraph.add writer "a" "knows" "b");
+      Journal.sync j;
+      let primary =
+        Server.create (base_config ep (Server.Primary { journal }))
+      in
+      let thread = Thread.create (fun () -> Server.serve primary) () in
+      Fun.protect
+        ~finally:(fun () ->
+          Server.stop primary;
+          Thread.join thread;
+          Journal.close j)
+        (fun () ->
+          await "primary health" (fun () ->
+              health_field ep "role" = Some (Json.String "primary"));
+          let count ?min_seq () =
+            let req =
+              { Wire.id = Json.Null; verb = Wire.Count;
+                query = Some "[a,knows,_]";
+                options = { Wire.default_options with min_seq } }
+            in
+            match Client.request_retry ep req with
+            | Error m -> Alcotest.failf "count: %s" m
+            | Ok line -> (
+              match Json.parse line with
+              | Error _ -> None
+              | Ok json -> Option.bind (Json.member "count" json) Json.to_int_opt)
+          in
+          let hits () =
+            fst (Snapshot.result_cache_stats (Server.snapshot primary))
+          in
+          Alcotest.(check (option int)) "one edge" (Some 1) (count ());
+          Alcotest.(check (option int)) "one edge again" (Some 1) (count ());
+          Alcotest.(check int) "the repeat is a hit" 1 (hits ());
+          ignore (Digraph.add writer "a" "knows" "c");
+          Journal.sync j;
+          Alcotest.(check (option int)) "min_seq 2 sees the write" (Some 2)
+            (count ~min_seq:2 ());
+          Alcotest.(check int) "published at seq 2" 2
+            (Snapshot.seq (Server.snapshot primary));
+          let before = hits () in
+          Alcotest.(check (option int)) "repeat sees it too" (Some 2)
+            (count ~min_seq:2 ());
+          Alcotest.(check int) "the repeat is a hit" (before + 1) (hits ())))
+
 (* Standalone servers answer health too, and reject min_seq demands — they
    have no journal to be at any sequence of. *)
 let test_standalone_health_and_stale () =
@@ -557,5 +611,7 @@ let () =
             test_e2e_replication;
           Alcotest.test_case "standalone health" `Quick
             test_standalone_health_and_stale;
+          Alcotest.test_case "read-your-writes through a warm cache" `Quick
+            test_read_your_writes_warm_cache;
         ] );
     ]
