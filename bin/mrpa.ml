@@ -1793,7 +1793,7 @@ let route_cmd =
       & opt int Mrpa_server.Router.default_frontier_cap
       & info [ "frontier-cap" ] ~docv:"N"
           ~doc:
-            "Widest join frontier inlined into a narrowed selector's \
+            "Widest frontier inlined into a narrowed selector's \
              source position; wider frontiers still narrow the dispatch \
              targets but leave the selector text unrewritten.")
   in
@@ -1838,9 +1838,10 @@ let route_cmd =
     (Cmd.info "route"
        ~doc:
          "Front a sharded fleet of `mrpa serve` processes with one \
-          mrpa.wire/1 endpoint: queries scatter to the shards that can own \
-          matching edges (hash of the tail vertex, per --shard-map) and \
-          gather through the path algebra itself. Per-shard deadlines, \
+          mrpa.wire/1 endpoint: each query gathers the subgraph it can \
+          reach from the shards that own its edges (hash of the tail \
+          vertex, per --shard-map) and runs the engine's plan on it. \
+          Per-shard deadlines, \
           failover across each shard's replica endpoints, and a per-shard \
           circuit breaker keep one dead shard from taking the fleet down: \
           the answer degrades to a sound subset (partial:shard_unavailable, \

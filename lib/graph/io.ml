@@ -1,18 +1,27 @@
 exception Malformed of int * string
 
-let write_channel oc g =
-  output_string oc "# mrpa multi-relational graph\n";
-  (* Persist every vertex so isolated vertices survive a round-trip. *)
+(* Every vertex goes out as a directive, so isolated vertices survive a
+   round-trip, and so does every label that carries no edge. *)
+let write_lines emit g =
+  emit "# mrpa multi-relational graph\n";
   List.iter
-    (fun v -> Printf.fprintf oc "vertex\t%s\n" (Digraph.vertex_name g v))
+    (fun v -> emit (Printf.sprintf "vertex\t%s\n" (Digraph.vertex_name g v)))
     (Digraph.vertices g);
   Digraph.iter_edges
     (fun e ->
-      Printf.fprintf oc "%s\t%s\t%s\n"
-        (Digraph.vertex_name g (Edge.tail e))
-        (Digraph.label_name g (Edge.label e))
-        (Digraph.vertex_name g (Edge.head e)))
-    g
+      emit
+        (Printf.sprintf "%s\t%s\t%s\n"
+           (Digraph.vertex_name g (Edge.tail e))
+           (Digraph.label_name g (Edge.label e))
+           (Digraph.vertex_name g (Edge.head e))))
+    g;
+  List.iter
+    (fun l ->
+      if Digraph.n_edges_with_label g l = 0 then
+        emit (Printf.sprintf "label\t%s\n" (Digraph.label_name g l)))
+    (Digraph.labels g)
+
+let write_channel oc g = write_lines (output_string oc) g
 
 let parse_line g lineno line =
   let line = String.trim line in
@@ -20,6 +29,7 @@ let parse_line g lineno line =
   else
     match String.split_on_char '\t' line with
     | [ "vertex"; name ] -> ignore (Digraph.vertex g name)
+    | [ "label"; name ] -> ignore (Digraph.label g name)
     | [ tail; label; head ] -> ignore (Digraph.add g tail label head)
     | _ -> raise (Malformed (lineno, line))
 
@@ -57,18 +67,5 @@ let of_string s =
 
 let to_string g =
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf "# mrpa multi-relational graph\n";
-  List.iter
-    (fun v ->
-      Buffer.add_string buf
-        (Printf.sprintf "vertex\t%s\n" (Digraph.vertex_name g v)))
-    (Digraph.vertices g);
-  Digraph.iter_edges
-    (fun e ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s\t%s\t%s\n"
-           (Digraph.vertex_name g (Edge.tail e))
-           (Digraph.label_name g (Edge.label e))
-           (Digraph.vertex_name g (Edge.head e))))
-    g;
+  write_lines (Buffer.add_string buf) g;
   Buffer.contents buf

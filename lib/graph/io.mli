@@ -1,16 +1,17 @@
 (** Plain-text serialisation of multi-relational graphs.
 
     The format is one edge per line, [tail<TAB>label<TAB>head], with ['#']
-    comment lines and blank lines ignored. Isolated vertices are persisted as
-    [vertex<TAB>name] directives so that reading back a written graph
-    reproduces [V] exactly, not just the endpoints of [E]. *)
+    comment lines and blank lines ignored. Every vertex is persisted as a
+    [vertex<TAB>name] directive, and every label that carries no edge as a
+    [label<TAB>name] directive, so that reading back a written graph
+    reproduces [V] and [Ω] exactly, not just the names [E] mentions. *)
 
 exception Malformed of int * string
 (** [Malformed (line_number, line)] on unparseable input. *)
 
 val write_channel : out_channel -> Digraph.t -> unit
 (** Writes the graph; deterministic: vertices in id order, edges in insertion
-    order. *)
+    order, then edgeless labels in id order. *)
 
 val read_channel : in_channel -> Digraph.t
 (** Parses a graph written by {!write_channel} (or by hand). Raises

@@ -88,12 +88,6 @@ let add t k v =
             t.evictions <- t.evictions + 1
         done)
 
-let clear t =
-  with_lock t (fun () ->
-      Hashtbl.reset t.table;
-      t.head <- None;
-      t.tail <- None)
-
 let length t = with_lock t (fun () -> Hashtbl.length t.table)
 let hits t = with_lock t (fun () -> t.hits)
 let misses t = with_lock t (fun () -> t.misses)

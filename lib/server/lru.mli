@@ -28,10 +28,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Insert or replace; the entry becomes most-recently-used. When the
     cache is over capacity the least-recently-used entry is evicted. *)
 
-val clear : ('k, 'v) t -> unit
-(** Drop every entry. Hit/miss/eviction counters are preserved — clearing
-    is invalidation, not statistical amnesia. *)
-
 val length : ('k, 'v) t -> int
 
 val hits : ('k, 'v) t -> int

@@ -69,7 +69,8 @@ let counter_names =
   [ "router.connections"; "router.requests"; "router.queries";
     "router.counts"; "router.dispatches"; "router.partial"; "router.degraded";
     "router.breaker_opens"; "router.breaker_fastfails"; "router.idle_timeouts";
-    "router.oversized_requests"; "router.blank_floods" ]
+    "router.oversized_requests"; "router.blank_floods";
+    "router.edges_gathered" ]
 
 let create config =
   if Shardmap.n_shards config.map = 0 then
@@ -97,7 +98,8 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-let m_incr t key = with_lock t.lock (fun () -> Metrics.incr t.metrics key)
+let m_incr ?by t key =
+  with_lock t.lock (fun () -> Metrics.incr ?by t.metrics key)
 
 let shard_index_exn t name =
   match Shardmap.index_of t.config.map name with
@@ -369,24 +371,15 @@ let all_shards map = List.init (Shardmap.n_shards map) Fun.id
 let owners map names =
   List.sort_uniq compare (List.map (Shardmap.owner map) names)
 
-let inter_names xs frontier =
-  let f = StrSet.of_list frontier in
-  List.filter (fun x -> StrSet.mem x f) xs
-
-let diff_names frontier xs =
-  let x = StrSet.of_list xs in
-  List.filter (fun f -> not (StrSet.mem f x)) frontier
-
 let texts = List.map (fun (n : Parser.name) -> n.Parser.text)
 let tails triples = List.map (fun (t, _, _) -> t.Parser.text) triples
 
-(* Narrow an atom against the frontier of head vertices flowing out of the
-   join's left operand. Returns [None] when the narrowed atom is provably
-   empty (no dispatch at all), otherwise the (possibly rewritten) atom and
-   the shard indices that can own matching edges. Narrowing is a pure
-   optimisation: a too-wide dispatch is filtered again by the router-side
-   [Path_set.join], so the fallbacks (frontier wider than [frontier_cap],
-   unquotable data-derived names) only cost work, never soundness. *)
+(* Narrow an atom to the edges leaving [frontier] ([None]: anywhere).
+   Returns [None] when the narrowed atom is provably empty (no dispatch at
+   all), otherwise the (possibly rewritten) atom and the shard indices
+   that can own matching edges. A frontier wider than [frontier_cap]
+   narrows only the targets; the extra edges it fetches are real edges,
+   and {!fetch_atom} keeps only the heads of those leaving the frontier. *)
 let narrow_atom map ~frontier_cap frontier (atom : Parser.atom) =
   match (frontier, atom) with
   (* Unconstrained: target by the atom's own source position. *)
@@ -398,10 +391,10 @@ let narrow_atom map ~frontier_cap frontier (atom : Parser.atom) =
     let names =
       match p.src with
       | Any -> frontier
-      | Only ns -> inter_names (texts ns) frontier
-      | Except ns -> diff_names frontier (texts ns)
+      | Only ns -> StrSet.inter (StrSet.of_list (texts ns)) frontier
+      | Except ns -> StrSet.diff frontier (StrSet.of_list (texts ns))
     in
-    match names with
+    match StrSet.elements names with
     | [] -> None
     | names ->
       let targets = owners map names in
@@ -410,37 +403,24 @@ let narrow_atom map ~frontier_cap frontier (atom : Parser.atom) =
         Some (Parser.Pattern { p with src = Only src }, targets)
       else Some (atom, targets))
   | Some frontier, Parser.Edges triples -> (
-    let f = StrSet.of_list frontier in
-    let at_frontier (t, _, _) = StrSet.mem t.Parser.text f in
+    let at_frontier (t, _, _) = StrSet.mem t.Parser.text frontier in
     match List.filter at_frontier triples with
     | [] -> None
     | kept -> Some (Parser.Edges kept, owners map (tails kept)))
 
-(* A complemented {e label} position is the one construct a shard cannot
-   answer soundly when it does not know the name: on that shard the
-   complement is vacuously true (none of its edges carry a label it has
-   never seen), so the correct contribution is {e non-empty} — but its
-   graph-relative parser refuses the query instead. Complemented {e
-   vertex} positions never hit this: the partitioner replicates the full
-   vertex universe, so a vertex unknown on one shard is unknown on all —
-   a global typo caught by the all-shards-error rule. *)
-let atom_has_label_complement = function
-  | Parser.Pattern { lbl = Except _; _ } -> true
-  | Parser.Pattern _ | Parser.Edges _ -> false
-
-(* --- Scatter-gather evaluation ------------------------------------------- *)
+(* --- Gathering the reachable subgraph ------------------------------------ *)
 
 exception Fatal of Wire.error_code * string
 
 type ctx = {
   rt : t;
-  scratch : Digraph.t;  (* per-request; interns gathered names *)
+  scratch : Digraph.t;  (* per-request: every gathered edge *)
   options : Wire.options;  (* clamped *)
-  eff_max_length : int;
   abs_deadline : float option;
   mutable reasons : Err.reason list;
   mutable missing : StrSet.t;
-  atom_cache : (string, Path_set.t) Hashtbl.t;
+  atom_cache : (string, (string * string) list) Hashtbl.t;
+      (* dispatch key -> (tail, head) of the edges it fetched *)
 }
 
 let note_reason ctx r =
@@ -468,41 +448,26 @@ let final_verdict ctx =
   | [] -> Err.Complete
   | r :: _ -> Err.Partial r
 
-let deadline_expired ctx =
-  match ctx.abs_deadline with
-  | Some d -> Unix.gettimeofday () > d
-  | None -> false
+(* Milliseconds left of the request's deadline, at least [floor]. *)
+let remaining_ms ctx ~floor =
+  Option.map
+    (fun d -> Float.max floor ((d -. Unix.gettimeofday ()) *. 1000.0))
+    ctx.abs_deadline
 
-let cap ctx s =
-  Path_set.filter (fun p -> Path.length p <= ctx.eff_max_length) s
-
-(* The router's stand-in for the engine's live-path budget: materialised
-   intermediates above [max_paths] are truncated to a sound subset. *)
-let guard_mem ctx s =
-  match ctx.options.Wire.max_paths with
-  | Some m when Path_set.cardinal s > m ->
-    note_reason ctx Err.Memory;
-    Path_set.truncate m s
-  | _ -> s
-
-let dispatch_deadline ctx =
-  match ctx.abs_deadline with
-  | Some d -> d
-  | None -> Unix.gettimeofday () +. (ctx.rt.config.shard_timeout_ms /. 1000.0)
-
-(* Options forwarded with every atom dispatch: the shard only ever
-   evaluates one selector (single-edge paths), so strategy / limit /
-   simple / max_length are the router's business, while the governed
-   budgets and the staleness bounds ride through so each shard enforces
-   them locally. *)
-let atom_options ctx ~remaining_ms =
+(* Options forwarded with every atom dispatch. A shard only fetches edges
+   for one selector (single-edge paths); the request's own strategy,
+   limit, path mode and fuel / live-path budgets govern the engine run
+   over the gathered subgraph, so only the deadline rides through. *)
+let atom_options ctx =
   {
     ctx.options with
     Wire.strategy = None;
     limit = None;
     max_length = Some 1;
     simple = false;
-    deadline_ms = remaining_ms;
+    deadline_ms = remaining_ms ctx ~floor:1.0;
+    fuel = None;
+    max_paths = None;
     from_seq = None;
     epoch = None;
   }
@@ -545,148 +510,204 @@ let edges_of_result json =
       paths
   | _ -> raise (Fatal (Wire.Internal, "shard response carries no paths"))
 
-let eval_atom ctx frontier atom =
-  if ctx.eff_max_length < 1 then Path_set.empty
-  else
-    match
-      narrow_atom ctx.rt.config.map ~frontier_cap:ctx.rt.config.frontier_cap
-        frontier atom
-    with
-    | None -> Path_set.empty
-    | Some (narrowed, targets) ->
-      let text =
-        match Unparse.atom narrowed with
-        | Some s -> s
-        | None -> (
-          (* Data-derived names defeated quoting; fall back to the original
-             un-narrowed atom (parsed from user text, always renderable). *)
-          match Unparse.atom atom with
-          | Some s -> s
-          | None ->
-            raise (Fatal (Wire.Internal, "unrenderable selector atom")))
-      in
-      let key = text ^ "@" ^ String.concat "," (List.map string_of_int targets) in
-      (match Hashtbl.find_opt ctx.atom_cache key with
-      | Some cached -> cached
-      | None ->
-        let abs_deadline = dispatch_deadline ctx in
-        let remaining_ms =
-          Option.map
-            (fun d -> Float.max 1.0 ((d -. Unix.gettimeofday ()) *. 1000.0))
-            ctx.abs_deadline
-        in
-        let mk_req () =
-          {
-            Wire.id = fresh_id ctx.rt;
-            verb = Wire.Query;
-            query = Some text;
-            options = atom_options ctx ~remaining_ms;
-          }
-        in
-        let outcomes = scatter ctx.rt targets mk_req ~abs_deadline in
-        let edges = ref [] in
-        let qerrs = ref [] in
-        let answered = ref 0 in
-        List.iter
-          (fun (idx, outcome) ->
-            match outcome with
-            | D_ok json ->
-              incr answered;
-              (match shard_verdict_of_result json with
-              | Some r -> note_reason ctx r
-              | None -> ());
-              edges := List.rev_append (edges_of_result json) !edges
-            | D_wire (code, msg) when code = Wire.error_code_name Wire.Query_error
-              ->
-              if atom_has_label_complement atom then
-                raise
-                  (Fatal
-                     ( Wire.Query_error,
-                       Printf.sprintf
-                         "shard %s: %s (a complemented label position cannot \
-                          be answered soundly by a shard that does not know \
-                          the name)"
-                         (Shardmap.shard ctx.rt.config.map idx).Shardmap.name
-                         msg ))
-              else qerrs := (idx, msg) :: !qerrs
-            | D_wire (code, msg) ->
-              raise
-                (Fatal
-                   ( (if code = Wire.error_code_name Wire.Infeasible then
-                        Wire.Infeasible
-                      else Wire.Internal),
-                     Printf.sprintf "shard %s: %s"
-                       (Shardmap.shard ctx.rt.config.map idx).Shardmap.name msg
-                   ))
-            | D_unavailable -> note_missing ctx idx)
-          outcomes;
-        (* A name unknown on one shard while another matched it is just an
-           empty contribution; unknown on {e every} shard that answered —
-           and every shard answered — is the typo the single-server parser
-           would have caught. *)
-        (match (!qerrs, !answered) with
-        | (_, msg) :: _, 0 when List.length !qerrs = List.length targets ->
-          raise (Fatal (Wire.Query_error, msg))
-        | _ -> ());
-        let pset =
-          Path_set.of_list
-            (List.map
-               (fun (a, b, c) -> Path.of_edge (Digraph.add ctx.scratch a b c))
-               !edges)
-        in
-        Hashtbl.replace ctx.atom_cache key pset;
-        pset)
+(* A shard's parser rejects a whole atom when it does not know a name the
+   atom spells. That rejection is an empty contribution only when the
+   atom's every position is a wildcard or a single name: an edge carrying
+   a name the shard does not know is not on that shard. A name set or a
+   complement ([{r0,r2}], [!alpha]) also matches edges of names the shard
+   does know, so rejecting it hides those edges. Partitions replicate
+   both name universes, so this only arises on shards whose graph does
+   not (a part written before label directives, a journal-backed shard). *)
+let rejection_is_empty = function
+  | Parser.Pattern { src; lbl; dst } ->
+    List.for_all
+      (function Parser.Any | Parser.Only [ _ ] -> true | _ -> false)
+      [ src; lbl; dst ]
+  | Parser.Edges [ _ ] -> true
+  | Parser.Edges _ -> false
 
-(* Heads of the left operand's paths, as names, for the frontier handoff.
-   [None] when the set contains ε (a path starting anywhere may follow). *)
-let frontier_of ctx pset =
-  let exception Eps in
+(* Scatter one atom's dispatch (its rendering [text]) and add the edges it
+   fetches to the scratch graph; the (tail, head) names of those edges. *)
+let scatter_atom ctx atom text targets =
+  let mk_req () =
+    {
+      Wire.id = fresh_id ctx.rt;
+      verb = Wire.Query;
+      query = Some text;
+      options = atom_options ctx;
+    }
+  in
+  let abs_deadline =
+    match ctx.abs_deadline with
+    | Some d -> d
+    | None -> Unix.gettimeofday () +. (ctx.rt.config.shard_timeout_ms /. 1000.0)
+  in
+  let edges = ref [] in
+  let qerrs = ref [] in
+  let answered = ref 0 in
+  List.iter
+    (fun (idx, outcome) ->
+      match outcome with
+      | D_ok json ->
+        incr answered;
+        (match shard_verdict_of_result json with
+        | Some r -> note_reason ctx r
+        | None -> ());
+        edges := List.rev_append (edges_of_result json) !edges
+      | D_wire (code, msg) when code = Wire.error_code_name Wire.Query_error ->
+        qerrs := (idx, msg) :: !qerrs
+      | D_wire (code, msg) ->
+        raise
+          (Fatal
+             ( (if code = Wire.error_code_name Wire.Infeasible then
+                  Wire.Infeasible
+                else Wire.Internal),
+               Printf.sprintf "shard %s: %s"
+                 (Shardmap.shard ctx.rt.config.map idx).Shardmap.name msg ))
+      | D_unavailable -> note_missing ctx idx)
+    (scatter ctx.rt targets mk_req ~abs_deadline);
+  (* A name unknown on {e every} targeted shard is the typo the
+     single-server parser would have caught. Where only some shards reject
+     the atom, their share of its edges is missing unless the rejection
+     is empty: the answer stays a sound subset, flagged. *)
+  (match (!qerrs, !answered) with
+  | (_, msg) :: _, 0 when List.length !qerrs = List.length targets ->
+    raise (Fatal (Wire.Query_error, msg))
+  | qerrs, _ ->
+    if not (rejection_is_empty atom) then
+      List.iter (fun (idx, _) -> note_missing ctx idx) qerrs);
+  m_incr ~by:(List.length !edges) ctx.rt "router.edges_gathered";
+  List.map
+    (fun (a, b, c) ->
+      ignore (Digraph.add ctx.scratch a b c);
+      (a, c))
+    !edges
+
+(* Fetch every edge matching [atom] that leaves [frontier] ([None]:
+   anywhere) into the scratch graph; the heads of those edges. *)
+let fetch_atom ctx frontier atom =
   match
-    Path_set.fold
-      (fun p acc ->
-        match Path.head p with
-        | None -> raise Eps
-        | Some v -> StrSet.add (Digraph.vertex_name ctx.scratch v) acc)
-      pset StrSet.empty
+    narrow_atom ctx.rt.config.map ~frontier_cap:ctx.rt.config.frontier_cap
+      frontier atom
   with
-  | s -> Some (StrSet.elements s)
-  | exception Eps -> None
+  | None -> Some StrSet.empty
+  | Some (narrowed, targets) ->
+    let text =
+      match Unparse.atom narrowed with
+      | Some s -> s
+      | None -> (
+        (* Data-derived names defeated quoting; fall back to the original
+           un-narrowed atom (parsed from user text, always renderable). *)
+        match Unparse.atom atom with
+        | Some s -> s
+        | None -> raise (Fatal (Wire.Internal, "unrenderable selector atom")))
+    in
+    let key = text ^ "@" ^ String.concat "," (List.map string_of_int targets) in
+    let edges =
+      match Hashtbl.find_opt ctx.atom_cache key with
+      | Some edges -> edges
+      | None ->
+        let edges = scatter_atom ctx narrowed text targets in
+        Hashtbl.replace ctx.atom_cache key edges;
+        edges
+    in
+    let leaves tail =
+      match frontier with None -> true | Some f -> StrSet.mem tail f
+    in
+    Some
+      (List.fold_left
+         (fun acc (tail, head) ->
+           if leaves tail then StrSet.add head acc else acc)
+         StrSet.empty edges)
 
-(* Mirrors {!Mrpa_core.Expr.denote}: the length cap applies to {e every}
-   selector / join / product result, and the star is the bounded closure.
-   The incoming [frontier] only ever {e narrows dispatches} — every
-   algebraic filter happens here, so narrowing can never change the
-   result, only the bytes on the wire. *)
-let rec eval ctx frontier (e : Parser.tree) =
-  if deadline_expired ctx then begin
+(* A lower bound on the length of every path [e] denotes. *)
+let rec min_len (e : Parser.tree) =
+  match e.Spanned.node with
+  | Spanned.Empty | Spanned.Epsilon | Spanned.Star _ -> 0
+  | Spanned.Sel _ -> 1
+  | Spanned.Union (a, b) -> min (min_len a) (min_len b)
+  | Spanned.Join (a, b) | Spanned.Product (a, b) -> min_len a + min_len b
+
+(* Fetch into the scratch graph every edge of every path of [e] that
+   starts in [frontier] ([None]: anywhere) and has at most [left] edges;
+   the vertices those paths can end at. This is the automaton × graph
+   product walked one frontier at a time: a star costs the frontier it
+   reaches, not its whole label. Every scratch edge is a real edge, so
+   stopping early (deadline, missing shard) leaves a sound subset. *)
+let rec gather ctx frontier left (e : Parser.tree) =
+  match ctx.abs_deadline with
+  | Some d when Unix.gettimeofday () > d ->
     note_reason ctx Err.Deadline;
-    Path_set.empty
-  end
-  else
+    Some StrSet.empty
+  | _ -> (
     match e.Spanned.node with
-    | Spanned.Empty -> Path_set.empty
-    | Spanned.Epsilon -> Path_set.epsilon
-    | Spanned.Sel atom -> eval_atom ctx frontier atom
-    | Spanned.Union (a, b) ->
-      guard_mem ctx
-        (Path_set.union (eval ctx frontier a) (eval ctx frontier b))
+    | Spanned.Empty -> Some StrSet.empty
+    | Spanned.Epsilon -> frontier
+    | Spanned.Sel atom ->
+      if left < 1 then Some StrSet.empty else fetch_atom ctx frontier atom
+    | Spanned.Union (a, b) -> (
+      let heads_a = gather ctx frontier left a in
+      match (heads_a, gather ctx frontier left b) with
+      | Some x, Some y -> Some (StrSet.union x y)
+      | _ -> None)
     | Spanned.Join (a, b) ->
-      let pa = eval ctx frontier a in
-      if Path_set.is_empty pa then Path_set.empty
-      else
-        let fr = frontier_of ctx pa in
-        let pb = eval ctx fr b in
-        guard_mem ctx (cap ctx (Path_set.join pa pb))
-    | Spanned.Product (a, b) ->
-      let pa = eval ctx frontier a in
-      if Path_set.is_empty pa then Path_set.empty
-      else guard_mem ctx (cap ctx (Path_set.product pa (eval ctx None b)))
-    | Spanned.Star a ->
-      (* The closure wanders: its inner paths may start anywhere, so the
-         frontier does not pass through (the parent join still filters). *)
-      let pa = eval ctx None a in
-      guard_mem ctx
-        (Path_set.star_bounded pa ~max_length:ctx.eff_max_length)
+      gather ctx (gather ctx frontier left a) (left - min_len a) b
+    | Spanned.Product (a, b) -> (
+      match gather ctx frontier left a with
+      | Some s when StrSet.is_empty s -> Some StrSet.empty
+      | _ -> gather ctx None (left - min_len a) b)
+    | Spanned.Star a -> (
+      match frontier with
+      | None ->
+        (* Every piece may start anywhere: one unconstrained pass covers
+           them all. *)
+        ignore (gather ctx None left a);
+        None
+      | Some start ->
+        (* Each non-ε piece spends at least [step] edges; a vertex is
+           expanded once, at the level it is first reached, with the
+           largest budget any later visit could have. *)
+        let step = max 1 (min_len a) in
+        let rec level reached fresh left =
+          if StrSet.is_empty fresh || left < 1 then Some reached
+          else
+            match gather ctx (Some fresh) left a with
+            | None ->
+              ignore (gather ctx None (left - step) a);
+              None
+            | Some heads ->
+              let fresh = StrSet.diff heads reached in
+              level (StrSet.union reached fresh) fresh (left - step)
+        in
+        level start start left))
+
+(* Every vertex and label name the query spells, interned into the
+   scratch graph so that resolving accepts names no fetched edge brought
+   in. *)
+let intern_names g (q : Parser.query) =
+  let add f = List.iter (fun (n : Parser.name) -> ignore (f g n.Parser.text)) in
+  let position f = function
+    | Parser.Any -> ()
+    | Only ns | Except ns -> add f ns
+  in
+  List.iter
+    (fun tree ->
+      List.iter
+        (fun (t : Parser.tree) ->
+          match t.Spanned.node with
+          | Spanned.Sel (Parser.Pattern p) ->
+            position Digraph.vertex p.src;
+            position Digraph.label p.lbl;
+            position Digraph.vertex p.dst
+          | Spanned.Sel (Parser.Edges triples) ->
+            List.iter
+              (fun (a, l, b) ->
+                add Digraph.vertex [ a; b ];
+                add Digraph.label [ l ])
+              triples
+          | _ -> ())
+        (Spanned.subterms tree))
+    (q.Parser.body :: q.Parser.lets)
 
 (* --- Verb handling ------------------------------------------------------- *)
 
@@ -697,6 +718,42 @@ let missing_json ctx =
   | [] -> None
   | names -> Some ("[" ^ String.concat "," (List.map esc names) ^ "]")
 
+(* Gather, then run the engine's own plan over the gathered subgraph,
+   under the request's options and what is left of its deadline. The
+   engine's verdict joins the gather's reasons. *)
+let evaluate ctx verb query =
+  let o = ctx.options in
+  let max_length = Option.get o.Wire.max_length in
+  ignore (gather ctx None max_length query.Parser.body);
+  intern_names ctx.scratch query;
+  Digraph.freeze ctx.scratch;
+  let plan =
+    match Parser.resolve ctx.scratch query with
+    | Ok spanned ->
+      Optimizer.plan ~simple:o.Wire.simple ~max_length ctx.scratch
+        (Spanned.strip spanned)
+    | Error e ->
+      raise (Fatal (Wire.Query_error, Format.asprintf "%a" Parser.pp_error e))
+  in
+  let budget =
+    Wire.budget_of_options
+      { o with Wire.deadline_ms = remaining_ms ctx ~floor:0.0 }
+  in
+  let strategy = o.Wire.strategy and limit = o.Wire.limit in
+  let answer, verdict =
+    match verb with
+    | Wire.Count -> (
+      match Engine.count_plan ?strategy ?limit ~budget ctx.scratch plan with
+      | n, verdict -> (`Count n, verdict)
+      | exception Mrpa_automata.Counting.Overflow ->
+        raise (Fatal (Wire.Query_error, Engine.overflow_error)))
+    | _ ->
+      let r = Engine.query_plan ?strategy ?limit ~budget ctx.scratch plan in
+      (`Paths r, r.Engine.verdict)
+  in
+  (match verdict with Err.Partial r -> note_reason ctx r | Err.Complete -> ());
+  answer
+
 let handle_query t (req : Wire.request) (o : Wire.options) =
   let started = Unix.gettimeofday () in
   let query_text = Option.value ~default:"" req.Wire.query in
@@ -704,13 +761,12 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
   | Error e ->
     Wire.response_error ~id:req.Wire.id ~code:Wire.Query_error
       (Format.asprintf "%a" Parser.pp_error e)
-  | Ok { Parser.body; _ } -> (
+  | Ok query -> (
     let ctx =
       {
         rt = t;
         scratch = Digraph.create ();
         options = o;
-        eff_max_length = Option.get o.Wire.max_length;
         abs_deadline =
           Option.map (fun ms -> started +. (ms /. 1000.0)) o.Wire.deadline_ms;
         reasons = [];
@@ -718,50 +774,41 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
         atom_cache = Hashtbl.create 8;
       }
     in
-    match eval ctx None body with
+    match evaluate ctx req.Wire.verb query with
     | exception Fatal (code, msg) ->
       Wire.response_error ~id:req.Wire.id ~code msg
-    | pset ->
-      let pset = if o.Wire.simple then Path_set.restrict_simple pset else pset in
-      let pset =
-        match o.Wire.limit with
-        | Some k when Path_set.cardinal pset > k ->
-          note_reason ctx Err.Limit;
-          Path_set.truncate k pset
-        | _ -> pset
-      in
+    | answer -> (
       let verdict = final_verdict ctx in
-      (match verdict with
-      | Err.Complete -> ()
-      | Err.Partial _ -> m_incr t "router.partial");
+      if verdict <> Err.Complete then m_incr t "router.partial";
       if not (StrSet.is_empty ctx.missing) then m_incr t "router.degraded";
-      let missing_frag =
-        match missing_json ctx with
-        | None -> ""
-        | Some j -> ",\"missing_shards\":" ^ j
-      in
-      let elapsed_ms = (Unix.gettimeofday () -. started) *. 1000.0 in
-      (match req.Wire.verb with
-      | Wire.Count ->
+      let missing = missing_json ctx in
+      match answer with
+      | `Count n ->
         m_incr t "router.counts";
         Wire.response_ok ~id:req.Wire.id
           ([
-             ("count", string_of_int (Path_set.cardinal pset));
+             ("count", string_of_int n);
              ("verdict", esc (Err.verdict_name verdict));
            ]
-          @
-          match missing_json ctx with
-          | None -> []
-          | Some j -> [ ("missing_shards", j) ])
-      | _ ->
+          @ match missing with None -> [] | Some j -> [ ("missing_shards", j) ])
+      | `Paths r ->
         m_incr t "router.queries";
+        (* [elapsed_ms] covers the whole routed request, gathering
+           included, not only the engine run over the gathered subgraph. *)
+        let stats =
+          { r.Engine.stats with elapsed_s = Unix.gettimeofday () -. started }
+        in
         let result =
-          Printf.sprintf
-            {|{"paths":%s,"count":%d,"elapsed_ms":%.3f,"strategy":"scatter","verdict":%s%s}|}
-            (Render.paths_json ctx.scratch pset)
-            (Path_set.cardinal pset) elapsed_ms
-            (esc (Err.verdict_name verdict))
-            missing_frag
+          Render.result_json ctx.scratch { r with Engine.verdict; stats }
+        in
+        (* The engine's result object, with the missing shards spliced in
+           before its closing brace. *)
+        let result =
+          match missing with
+          | None -> result
+          | Some j ->
+            String.sub result 0 (String.length result - 1)
+            ^ ",\"missing_shards\":" ^ j ^ "}"
         in
         Wire.response_ok ~id:req.Wire.id [ ("result", result) ]))
 

@@ -1,15 +1,21 @@
 (** Scatter-gather router: one [mrpa.wire/1] front door for a sharded
     fleet of [mrpa serve] processes.
 
-    The router owns no graph. It splits each [query] / [count] into
-    single-selector {e atom} dispatches, scatters every atom to the shards
-    that can own matching edges (placement is by hash of the tail vertex —
-    {!Shardmap.owner}), and re-assembles the gathered edges with the
-    algebra itself ({!Mrpa_core.Path_set.join} / [product] /
-    [star_bounded]), so the paper's [./∘] adjacency condition {e is} the
-    shard-boundary handoff: at every join the frontier of head vertices
-    from the left operand narrows both the dispatch targets and the
-    selector text of the right operand (DESIGN §11).
+    The router owns no graph. For each [query] / [count] it {e gathers}
+    the subgraph the query can reach into a per-request scratch graph,
+    then runs the engine's own plan on it ({!Mrpa_engine.Engine.query_plan}
+    / [count_plan]) under the request's options: the gathered subgraph
+    holds every path the query denotes, so the count, paths and verdict
+    under [max_length], [simple] and [limit] are a single server's (an
+    unforced strategy and the [fuel] / [max_paths] meters see the
+    smaller graph, so those can differ). Gathering walks the query one frontier at a time
+    (the paper's §IV-B automaton × graph product): each selector atom is
+    a single-selector dispatch to the shards that can own matching edges
+    (placement is by hash of the tail vertex — {!Shardmap.owner}), and
+    at every join, and every level of a star, the head vertices reached
+    so far narrow both the dispatch targets and the selector text of the
+    next atom (DESIGN §11). A star costs the frontier it reaches, not its
+    whole label.
 
     Robustness is the point:
 
@@ -24,8 +30,9 @@
       while open, dispatches fail fast with no I/O; after
       [breaker_cooldown_ms] the next dispatch half-opens it with a
       [health] probe and closes it again on success;
-    - {b sound degraded answers}: a shard that cannot be reached
-      contributes nothing — the response verdict becomes
+    - {b sound degraded answers}: a shard that cannot be reached, or
+      that rejects an atom whose other matches it may hold because its
+      graph lacks a name the atom spells, contributes nothing — the response verdict becomes
       [Partial Shard_unavailable] (exit code 3 at the CLI) and the
       response names every missing shard in [missing_shards]. The
       answer is always a subset of the true denotation, never a wrong or

@@ -131,13 +131,17 @@ let partition t g =
   let parts =
     Array.map (fun _ -> Digraph.create ()) t.shards
   in
-  (* Replicate V everywhere first, in id order, so every shard resolves
-     every vertex name (isolated where it owns no edges). *)
-  List.iter
-    (fun v ->
-      let name = Digraph.vertex_name g v in
-      Array.iter (fun p -> ignore (Digraph.vertex p name)) parts)
-    (Digraph.vertices g);
+  (* Replicate V and Ω everywhere first, in id order, so every shard
+     resolves every vertex and label name (isolated, or edgeless, where it
+     owns no edges). *)
+  let replicate intern names =
+    List.iter
+      (fun name -> Array.iter (fun p -> ignore (intern p name)) parts)
+      names
+  in
+  replicate Digraph.vertex
+    (List.map (Digraph.vertex_name g) (Digraph.vertices g));
+  replicate Digraph.label (List.map (Digraph.label_name g) (Digraph.labels g));
   Digraph.iter_edges
     (fun e ->
       let tail = Digraph.vertex_name g (Mrpa_graph.Edge.tail e) in

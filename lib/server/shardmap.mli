@@ -68,16 +68,15 @@ val owner : t -> string -> int
 
     The write-side half of the contract: split a whole graph into the
     per-shard graphs the map describes. Every shard receives the {e full
-    vertex universe} (as isolated-vertex directives where it owns no
-    edges) so vertex names resolve on every shard — the router relies on
-    this to distinguish "no matching edges here" from "unknown name
-    everywhere" (see DESIGN §11). Labels are only present where an owned
-    edge carries them. *)
+    vertex and label universes} (as isolated-vertex and edgeless-label
+    directives where it owns no edges) so every name resolves on every
+    shard — the router relies on this to distinguish "no matching edges
+    here" from "unknown name everywhere" (see DESIGN §11). *)
 
 val partition : t -> Mrpa_graph.Digraph.t -> Mrpa_graph.Digraph.t array
 (** [partition m g] is one graph per shard, index-aligned with the map:
-    all of [V], plus the edges whose tail it owns. The union of the parts
-    is exactly [g]; the parts' edge sets are disjoint. *)
+    all of [V] and [Ω], plus the edges whose tail it owns. The union of the
+    parts is exactly [g]; the parts' edge sets are disjoint. *)
 
 val write_partition :
   t -> Mrpa_graph.Digraph.t -> dir:string -> (string * int) list

@@ -80,6 +80,9 @@ let count_rows =
     row "[_,k,_]*" ~max_length:3 ~simple:true 8 "complete";
     row "[_,k,_]*" ~max_length:3 ~simple:true ~limit:2 2 "partial:limit";
     row "[_,k,_]" ~limit:0 0 "partial:limit";
+    (* A limit equal to the answer still reports the limit: evaluation
+       stops at it without looking further. *)
+    row "[_,k,_]" ~limit:4 4 "partial:limit";
   ]
 
 let count_row_name r =

@@ -609,6 +609,21 @@ let contains needle hay =
   let rec at i = i + nl <= hl && (String.sub hay i nl = needle || at (i + 1)) in
   at 0
 
+let test_io_preserves_edgeless_labels () =
+  let g = Digraph.create () in
+  ignore (Digraph.label g "unused");
+  ignore (Digraph.add g "a" "r" "b");
+  let text = Io.to_string g in
+  let h = Io.of_string text in
+  Alcotest.(check bool) "unused label kept" true
+    (Option.is_some (Digraph.find_label h "unused"));
+  Alcotest.(check int) "no extra label" 2 (Digraph.n_labels h);
+  Alcotest.(check bool) "written as a directive" true
+    (contains "label\tunused\n" text);
+  (* A graph whose labels all carry edges writes no label directive. *)
+  Alcotest.(check bool) "no directive when every label is used" false
+    (contains "label\t" (Io.to_string (H.paper_graph ())))
+
 let test_graphml_output () =
   let g = H.paper_graph () in
   let xml = Graphml.to_string g in
@@ -1006,6 +1021,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_io_roundtrip_fixture;
           Alcotest.test_case "isolated vertices" `Quick
             test_io_preserves_isolated_vertices;
+          Alcotest.test_case "edgeless labels" `Quick
+            test_io_preserves_edgeless_labels;
           Alcotest.test_case "comments" `Quick test_io_comments_and_blanks;
           Alcotest.test_case "malformed" `Quick test_io_malformed;
           qcheck_io_roundtrip;

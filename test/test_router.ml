@@ -139,8 +139,9 @@ let stop_shard (server, thread) =
 (* Partition [graph] across [n] single-server shards on Unix sockets in a
    temp dir, build an (unserved — driven through [handle_line]) router over
    them, and hand everything to [f]. The fleet is torn down afterwards even
-   if [f] kills some of it first. *)
-let with_fleet ?(n = 3) ?(graph = H.paper_graph ()) ?(tune = fun c -> c) f =
+   if [f] kills some of it first. [partition] builds the shards' graphs. *)
+let with_fleet ?(n = 3) ?(graph = H.paper_graph ()) ?(tune = fun c -> c)
+    ?(partition = Shardmap.partition) f =
   let dir = Filename.temp_file "mrpa_route" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -158,7 +159,7 @@ let with_fleet ?(n = 3) ?(graph = H.paper_graph ()) ?(tune = fun c -> c) f =
     | Ok m -> m
     | Error e -> Alcotest.failf "fleet map: %s" e
   in
-  let parts = Shardmap.partition map graph in
+  let parts = partition map graph in
   let shards =
     Hashtbl.create n (* name -> running shard, so tests can kill/restart *)
   in
@@ -185,8 +186,10 @@ let with_fleet ?(n = 3) ?(graph = H.paper_graph ()) ?(tune = fun c -> c) f =
   in
   Fun.protect
     ~finally:(fun () ->
-      Hashtbl.iter (fun _ s -> stop_shard s) shards;
-      Array.iteri (fun _ _ -> ()) parts;
+      (* Stop every shard before joining any, so their listeners' poll
+         intervals run out together. *)
+      Hashtbl.iter (fun _ (server, _) -> Server.stop server) shards;
+      Hashtbl.iter (fun _ (_, thread) -> Thread.join thread) shards;
       List.iter
         (fun nm -> if Sys.file_exists (sock nm) then Sys.remove (sock nm))
         names;
@@ -240,6 +243,11 @@ let result_member j name =
   Option.bind (Json.member "result" j) (Json.member name)
 
 let result_verdict j = Option.bind (result_member j "verdict") Json.to_string_opt
+
+(* The count and verdict of a count response. *)
+let count_of j =
+  ( Option.bind (Json.member "count" j) Json.to_int_opt,
+    Option.bind (Json.member "verdict" j) Json.to_string_opt )
 
 let missing_shards j =
   (* On query responses [missing_shards] lives in the result; on count
@@ -310,6 +318,9 @@ let parity_queries =
     "let a = [_,alpha,_] in a . [_,beta,_] . a";
     "[i,_,_]{1,3}";
     "empty | [k,alpha,_]";
+    (* Shard s0 owns no alpha edge, but knows the label: the complement
+       is answered, not refused. *)
+    "[_,!alpha,_]";
   ]
 
 let test_router_parity () =
@@ -401,8 +412,7 @@ let test_router_count_contract () =
           Alcotest.(check (pair (option int) (option string)))
             name
             (Some row.H.c_count, Some row.H.c_verdict)
-            ( Option.bind (Json.member "count" j) Json.to_int_opt,
-              Option.bind (Json.member "verdict" j) Json.to_string_opt ))
+            (count_of j))
         H.count_rows)
 
 let test_router_query_errors () =
@@ -420,12 +430,6 @@ let test_router_query_errors () =
         (Router.handle_line router (query_req "unknown_macro"));
       expect_error Wire.Query_error
         (Router.handle_line router (query_req "[i,alpha,_] trailing"));
-      (* A complemented label on a shard that has never seen the name is
-         refused (conservatively sound) rather than silently under-
-         reported: shard s0 owns no alpha edges, and its vacuously-true
-         complement would otherwise come back as a fake-empty answer. *)
-      expect_error Wire.Query_error
-        (Router.handle_line router (query_req "[_,!alpha,_]"));
       (* Unsupported verbs are refused, not silently dropped. *)
       expect_error Wire.Bad_request
         (Router.handle_line router
@@ -832,6 +836,264 @@ let test_client_failover_rotates () =
         ignore (expect_ok line);
         Alcotest.(check int) "no backoff inside the first cycle" 0 !slept)
 
+(* --- The router against the engine --------------------------------------- *)
+
+let engine_plan graph ~simple ~max_length text =
+  Mrpa_engine.Optimizer.plan ~simple ~max_length graph
+    (Mrpa_engine.Parser.parse_exn graph text)
+
+(* One request through the router and through the engine on the whole
+   graph, as a single server runs it: the counts, verdicts and (short of a
+   limit, which may keep different paths) the path sets agree. *)
+let check_against_engine router graph ~verb (o : Wire.options) text =
+  let name =
+    Printf.sprintf "%s %s max_length=%d%s%s" (Wire.verb_name verb) text
+      (Option.get o.Wire.max_length)
+      (if o.Wire.simple then " simple" else "")
+      (match o.Wire.limit with Some k -> Printf.sprintf " limit=%d" k | None -> "")
+  in
+  let plan =
+    engine_plan graph ~simple:o.Wire.simple
+      ~max_length:(Option.get o.Wire.max_length) text
+  in
+  let j = expect_ok (Router.handle_line router (query_req ~verb ~options:o text)) in
+  match verb with
+  | Wire.Count ->
+    let n, v = Mrpa_engine.Engine.count_plan ?limit:o.Wire.limit graph plan in
+    Alcotest.(check (pair (option int) (option string)))
+      name
+      (Some n, Some (Mrpa_engine.Err.verdict_name v))
+      (count_of j)
+  | _ ->
+    let r = Mrpa_engine.Engine.query_plan ?limit:o.Wire.limit graph plan in
+    let verdict = Mrpa_engine.Err.verdict_name r.Mrpa_engine.Engine.verdict in
+    Alcotest.(check (option string)) (name ^ " verdict") (Some verdict)
+      (result_verdict j);
+    let got = response_signatures j in
+    if verdict = "partial:limit" then begin
+      let full =
+        engine_signatures graph
+          (Mrpa_engine.Engine.query_plan graph plan).Mrpa_engine.Engine.paths
+      in
+      Alcotest.(check int) (name ^ " count")
+        (Path_set.cardinal r.Mrpa_engine.Engine.paths)
+        (List.length (List.sort_uniq compare got));
+      List.iter
+        (fun p -> Alcotest.(check bool) (name ^ " sound") true (List.mem p full))
+        got
+    end
+    else
+      Alcotest.(check (list (list (triple string string string))))
+        (name ^ " paths")
+        (engine_signatures graph r.Mrpa_engine.Engine.paths)
+        got
+
+(* A random graph over 1-3 shards, and a few random expressions each run
+   under a few option sets through both verbs. *)
+let differential_gen =
+  QCheck2.Gen.(
+    let* recipe = H.recipe_gen in
+    let* seeds = list_size (return 3) (int_bound 1_000_000) in
+    let* n = int_range 1 3 in
+    let* options =
+      list_size (return 2)
+        (triple (int_range 1 4) bool (option (int_range 0 6)))
+    in
+    return (recipe, seeds, n, options))
+
+let print_differential (recipe, seeds, n, options) =
+  Printf.sprintf "%s seeds=[%s] shards=%d options=[%s]" (H.print_recipe recipe)
+    (String.concat ";" (List.map string_of_int seeds))
+    n
+    (String.concat "; "
+       (List.map
+          (fun (m, s, l) ->
+            Printf.sprintf "max_length=%d simple=%b limit=%s" m s
+              (match l with Some k -> string_of_int k | None -> "-"))
+          options))
+
+let qcheck_router_equals_engine =
+  H.qtest ~count:40 "router equals engine on random queries" differential_gen
+    print_differential (fun (recipe, seeds, n, options) ->
+      let graph = H.graph_of_recipe recipe in
+      with_fleet ~n ~graph (fun router ~graph ~kill:_ ~restart:_ ->
+          List.iter
+            (fun seed ->
+              let text =
+                Mrpa_engine.Unparse.expr graph
+                  (H.random_expr (Mrpa_graph.Prng.create seed) graph)
+              in
+              List.iter
+                (fun (max_length, simple, limit) ->
+                  let o =
+                    {
+                      Wire.default_options with
+                      Wire.max_length = Some max_length;
+                      simple;
+                      limit;
+                    }
+                  in
+                  List.iter
+                    (fun verb -> check_against_engine router graph ~verb o text)
+                    [ Wire.Query; Wire.Count ])
+                options)
+            seeds);
+      true)
+
+(* Every shard knows every label, so a shard that owns no edge of a label
+   answers an atom naming it with nothing rather than an error that used
+   to drop the shard's other matches. *)
+let label_fault_graph () =
+  let g = Mrpa_graph.Digraph.create () in
+  List.iter
+    (fun (t, l, h) -> ignore (Mrpa_graph.Digraph.add g t l h))
+    [
+      ("v3", "r0", "v3"); ("v3", "r2", "v0"); ("v1", "r0", "v1");
+      ("v3", "r1", "v2"); ("v0", "r1", "v2"); ("v1", "r2", "v2");
+      ("v2", "r0", "v3"); ("v1", "r1", "v3"); ("v1", "r2", "v3");
+      ("v3", "r2", "v2"); ("v3", "r0", "v1"); ("v1", "r1", "v0");
+      ("v0", "r2", "v3"); ("v3", "r2", "v1");
+    ];
+  g
+
+let test_router_label_universe () =
+  with_fleet ~graph:(label_fault_graph ()) (fun router ~graph ~kill:_ ~restart:_ ->
+      let o = { Wire.default_options with Wire.max_length = Some 3 } in
+      let j =
+        expect_ok
+          (Router.handle_line router
+             (query_req ~verb:Wire.Count ~options:o "[_,{r0,r2},_]"))
+      in
+      Alcotest.(check (pair (option int) (option string)))
+        "every r0/r2 edge" (Some 10, Some "complete") (count_of j);
+      List.iter
+        (fun verb ->
+          check_against_engine router graph ~verb o "[_,{r0,r2},_]* . E")
+        [ Wire.Query; Wire.Count ])
+
+(* A shard graph rebuilt from its vertices and edges alone, as a
+   journal-backed shard or a part saved before label directives is: it
+   knows only the labels it owns an edge of. *)
+let edges_only_partition map g =
+  let module D = Mrpa_graph.Digraph in
+  Array.map
+    (fun part ->
+      let g' = D.create () in
+      List.iter
+        (fun v -> ignore (D.vertex g' (D.vertex_name part v)))
+        (D.vertices part);
+      D.iter_edges
+        (fun e ->
+          let open Mrpa_graph.Edge in
+          ignore
+            (D.add g'
+               (D.vertex_name part (tail e))
+               (D.label_name part (label e))
+               (D.vertex_name part (head e))))
+        part;
+      g')
+    (Shardmap.partition map g)
+
+(* On such a fleet a shard rejects an atom naming a label it owns no edge
+   of. For a name set or a complement that hides the shard's other
+   matches, so the answer is a flagged subset, never complete; a single
+   name hides nothing. *)
+let test_router_label_unknown_on_a_shard () =
+  with_fleet ~graph:(label_fault_graph ()) ~partition:edges_only_partition
+    (fun router ~graph ~kill:_ ~restart:_ ->
+      let count text =
+        let j =
+          expect_ok
+            (Router.handle_line router (query_req ~verb:Wire.Count text))
+        in
+        (count_of j, missing_shards j)
+      in
+      let engine_count text =
+        fst
+          (Mrpa_engine.Engine.count_plan graph
+             (engine_plan graph ~simple:false ~max_length:8 text))
+      in
+      Alcotest.(check (pair (pair (option int) (option string)) (list string)))
+        "a single name: complete"
+        ((Some (engine_count "[_,r0,_]"), Some "complete"), [])
+        (count "[_,r0,_]");
+      List.iter
+        (fun text ->
+          let (n, verdict), missing = count text in
+          Alcotest.(check (option string))
+            (text ^ " is flagged") (Some "partial:shard_unavailable") verdict;
+          Alcotest.(check bool)
+            (text ^ " names s1 missing") true (List.mem "s1" missing);
+          Alcotest.(check bool)
+            (text ^ " is a subset") true
+            (Option.get n < engine_count text))
+        [ "[_,{r0,r2},_]"; "[_,!r0,_]" ];
+      let j = expect_ok (Router.handle_line router (query_req "[_,!r0,_]")) in
+      Alcotest.(check (option string))
+        "query verb too" (Some "partial:shard_unavailable") (result_verdict j))
+
+(* A count whose live-path budget trips is the engine's count under the
+   same budget: the budget governs the engine run, not the shard fetches. *)
+let test_router_count_memory () =
+  let ring = Mrpa_graph.Generate.ring ~n:12 ~n_labels:3 in
+  with_fleet ~graph:ring (fun router ~graph ~kill:_ ~restart:_ ->
+      let text = "E*" and max_length = 8 and max_paths = 2 in
+      let n, v =
+        Mrpa_engine.Engine.count_plan
+          ~budget:(Mrpa_engine.Budget.create ~max_live:max_paths ())
+          graph
+          (engine_plan graph ~simple:false ~max_length text)
+      in
+      Alcotest.(check string) "the budget trips" "partial:memory"
+        (Mrpa_engine.Err.verdict_name v);
+      let o =
+        {
+          Wire.default_options with
+          Wire.max_length = Some max_length;
+          max_paths = Some max_paths;
+        }
+      in
+      let j =
+        expect_ok
+          (Router.handle_line router (query_req ~verb:Wire.Count ~options:o text))
+      in
+      Alcotest.(check (pair (option int) (option string)))
+        "engine count under the budget"
+        (Some n, Some "partial:memory")
+        (count_of j))
+
+(* An anchored star fetches the frontier it reaches, not its whole label:
+   the deterministic work counter behind the routed workload's gain. *)
+let test_router_gathers_reachable () =
+  let graph =
+    Mrpa_graph.Generate.fig1 ~rng:(Mrpa_graph.Prng.create 7)
+      ~n_noise_vertices:200 ~n_noise_edges:600
+  in
+  let beta =
+    Mrpa_graph.Digraph.n_edges_with_label graph
+      (Mrpa_graph.Digraph.label graph "beta")
+  in
+  with_fleet ~n:2 ~graph (fun router ~graph ~kill:_ ~restart:_ ->
+      let text = "[n16,alpha,_] . [_,beta,_]*" in
+      let o = { Wire.default_options with Wire.max_length = Some 3 } in
+      let before = Option.get (router_counter router "router.edges_gathered") in
+      check_against_engine router graph ~verb:Wire.Query o text;
+      let gathered =
+        Option.get (router_counter router "router.edges_gathered") - before
+      in
+      let out l =
+        Mrpa_graph.Digraph.successors graph
+          ~label:(Mrpa_graph.Digraph.label graph l)
+          (Mrpa_graph.Digraph.vertex graph "n16")
+      in
+      Alcotest.(check bool) "the anchor has alpha and beta out-edges" true
+        (out "alpha" <> [] && out "beta" <> []);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d edges gathered, under 10%% of %d beta edges"
+           gathered beta)
+        true
+        (gathered * 10 < beta))
+
 let () =
   Alcotest.run "router"
     [
@@ -850,6 +1112,15 @@ let () =
           Alcotest.test_case "query errors" `Quick test_router_query_errors;
           Alcotest.test_case "count contract" `Quick
             test_router_count_contract;
+          Alcotest.test_case "every shard knows every label" `Quick
+            test_router_label_universe;
+          Alcotest.test_case "a shard that lacks a label" `Quick
+            test_router_label_unknown_on_a_shard;
+          Alcotest.test_case "count under a live-path budget" `Quick
+            test_router_count_memory;
+          Alcotest.test_case "anchored star gathers its frontier" `Quick
+            test_router_gathers_reachable;
+          qcheck_router_equals_engine;
         ] );
       ( "robustness",
         [

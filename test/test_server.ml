@@ -958,18 +958,6 @@ let test_lru_capacity_zero_disabled () =
   Alcotest.(check (option int)) "always misses" None (Lru.find c "a");
   Alcotest.(check int) "no evictions" 0 (Lru.evictions c)
 
-let test_lru_clear_keeps_counters () =
-  let c = Lru.create ~capacity:4 in
-  Lru.add c 1 "x";
-  ignore (Lru.find c 1);
-  ignore (Lru.find c 2);
-  Lru.clear c;
-  Alcotest.(check int) "empty" 0 (Lru.length c);
-  Alcotest.(check int) "hits kept" 1 (Lru.hits c);
-  Alcotest.(check int) "misses kept" 1 (Lru.misses c);
-  (* entries are really gone, not just hidden *)
-  Alcotest.(check (option string)) "post-clear miss" None (Lru.find c 1)
-
 (* --- Compiled-plan cache --------------------------------------------------- *)
 
 let test_compile_parses_once () =
@@ -1633,8 +1621,6 @@ let () =
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
           Alcotest.test_case "capacity zero disabled" `Quick
             test_lru_capacity_zero_disabled;
-          Alcotest.test_case "clear keeps counters" `Quick
-            test_lru_clear_keeps_counters;
         ] );
       ( "plan-cache",
         [
