@@ -96,10 +96,12 @@ let generate_automaton ?stats ?(guard = Guard.none) ?max_paths ?simple g a
       | exception Guard.Abort _ -> acc
       | Seq.Nil -> acc
       | Seq.Cons (p, rest) ->
-        if Path_set.mem p acc then collect acc n rest
+        (* [add] returns [acc] itself when [p] is already banked. *)
+        let acc' = Path_set.add p acc in
+        if acc' == acc then collect acc n rest
         else (
           match guard.Guard.poll ~cost:0 ~live:(n + 1) with
-          | () -> collect (Path_set.add p acc) (n + 1) rest
+          | () -> collect acc' (n + 1) rest
           | exception Guard.Abort _ -> acc)
   in
   collect Path_set.empty 0 seq

@@ -69,14 +69,25 @@ let escape_char = function
   | c when Char.code c < 0x20 -> Some (Printf.sprintf "\\u%04x" (Char.code c))
   | _ -> None
 
+(* Names are almost always plain, so they are added whole. *)
+let plain s =
+  let rec go i =
+    i >= String.length s
+    || (let c = String.unsafe_get s i in
+        c <> '"' && c <> '\\' && Char.code c >= 0x20 && go (i + 1))
+  in
+  go 0
+
 let add_escaped buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match escape_char c with
-      | None -> Buffer.add_char buf c
-      | Some e -> Buffer.add_string buf e)
-    s;
+  if plain s then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match escape_char c with
+        | None -> Buffer.add_char buf c
+        | Some e -> Buffer.add_string buf e)
+      s;
   Buffer.add_char buf '"'
 
 let escape_string s =

@@ -381,6 +381,11 @@ let parse_crpq_raw graph input =
 let pp_error fmt e =
   Format.fprintf fmt "parse error at offset %d: %s" e.position e.message
 
+let error_offset msg =
+  Scanf.sscanf_opt msg "parse error at offset %d:" (fun o ->
+      if o >= 0 then Some o else None)
+  |> Option.join
+
 let render_error ~source e =
   let span = Span.point e.position in
   match Mrpa_lint.Diagnostic.excerpt ~source span with

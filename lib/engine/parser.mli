@@ -94,3 +94,7 @@ val pp_error : Format.formatter -> error -> unit
 val render_error : source:string -> error -> string
 (** {!pp_error} followed by the offending source line with a caret at the
     error's byte offset (the same rendering lint diagnostics use). *)
+
+val error_offset : string -> int option
+(** The byte offset a message rendered by {!pp_error} or {!render_error}
+    names; [None] for any other text. *)

@@ -59,39 +59,48 @@ let add_items buf iter add xs =
   Buffer.add_char buf ']'
 
 let add_path g buf p =
-  let add_vertex v = Metrics.add_escaped buf (Digraph.vertex_name g v) in
-  let add_label l = Metrics.add_escaped buf (Digraph.label_name g l) in
-  Buffer.add_string buf {|{"edges":|};
-  add_items buf Path.iter
-    (fun e ->
-      Buffer.add_string buf {|{"tail":|};
-      add_vertex (Edge.tail e);
-      Buffer.add_string buf {|,"label":|};
-      add_label (Edge.label e);
-      Buffer.add_string buf {|,"head":|};
-      add_vertex (Edge.head e);
-      Buffer.add_char buf '}')
-    p;
-  Buffer.add_string buf {|,"label_word":|};
-  add_items buf Path.iter (fun e -> add_label (Edge.label e)) p;
-  Buffer.add_string buf {|,"length":|};
-  Buffer.add_string buf (string_of_int (Path.length p));
+  let name s = Metrics.add_escaped buf s in
+  let n = Path.length p in
+  Buffer.add_string buf {|{"edges":[|};
+  for i = 1 to n do
+    let e = Path.nth p i in
+    if i > 1 then Buffer.add_char buf ',';
+    Buffer.add_string buf {|{"tail":|};
+    name (Digraph.vertex_name g (Edge.tail e));
+    Buffer.add_string buf {|,"label":|};
+    name (Digraph.label_name g (Edge.label e));
+    Buffer.add_string buf {|,"head":|};
+    name (Digraph.vertex_name g (Edge.head e));
+    Buffer.add_char buf '}'
+  done;
+  Buffer.add_string buf {|],"label_word":[|};
+  for i = 1 to n do
+    if i > 1 then Buffer.add_char buf ',';
+    name (Digraph.label_name g (Edge.label (Path.nth p i)))
+  done;
+  Buffer.add_string buf {|],"length":|};
+  Buffer.add_string buf (string_of_int n);
   Buffer.add_string buf {|,"joint":|};
   Buffer.add_string buf (string_of_bool (Path.is_joint p));
   Buffer.add_char buf '}'
 
 let add_paths g buf s = add_items buf Path_set.iter (add_path g buf) s
 
-let to_string add =
-  let buf = Buffer.create 1024 in
+(* Sized for the paths up front (about 64 bytes per path and per edge), so
+   a large answer is not copied again each time the buffer doubles. *)
+let to_string ?(paths = Path_set.empty) add =
+  let buf =
+    Buffer.create
+      (Path_set.fold (fun p n -> n + 64 + (64 * Path.length p)) paths 1024)
+  in
   add buf;
   Buffer.contents buf
 
 let path_json g p = to_string (fun buf -> add_path g buf p)
-let paths_json g s = to_string (fun buf -> add_paths g buf s)
+let paths_json g s = to_string ~paths:s (fun buf -> add_paths g buf s)
 
 let result_json g (r : Engine.result) =
-  to_string (fun buf ->
+  to_string ~paths:r.Engine.paths (fun buf ->
       Buffer.add_string buf {|{"paths":|};
       add_paths g buf r.Engine.paths;
       Buffer.add_string buf {|,"count":|};

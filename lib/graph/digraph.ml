@@ -222,17 +222,37 @@ let materialise_reverse g ?(suffix = "_rev") alpha =
     (edges_with_label g alpha);
   rev
 
-let copy g =
-  let h = create ~vertex_capacity:(max 1 (n_vertices g)) () in
-  (* Re-intern names in id order so ids are preserved. *)
-  List.iter
-    (fun (_, name) -> ignore (vertex h name))
-    (Interner.to_list g.vertex_names);
-  List.iter
-    (fun (_, name) -> ignore (label h name))
-    (Interner.to_list g.label_names);
-  iter_edges (fun e -> ignore (add_edge h e)) g;
-  h
+(* One structural copy: fresh interners, edge set and bucket records (a
+   bucket is mutable, so it is never shared) over the same immutable edge
+   lists. A list is reversed once when the copy's order differs from the
+   source's (live: newest first; frozen: insertion order) and shared as is
+   otherwise. No edge is re-inserted and no name re-interned. *)
+let copy_as ~frozen g =
+  let order = if frozen = g.frozen then Fun.id else List.rev in
+  let fresh _ b = Some { es = order b.es; n = b.n } in
+  let vertex_index tbl =
+    let t = Vertex.Tbl.copy tbl in
+    Vertex.Tbl.filter_map_inplace fresh t;
+    t
+  in
+  let by_label = Label.Tbl.copy g.by_label in
+  Label.Tbl.filter_map_inplace fresh by_label;
+  {
+    vertex_names = Interner.copy g.vertex_names;
+    label_names = Interner.copy g.label_names;
+    edge_count = g.edge_count;
+    out_adj = vertex_index g.out_adj;
+    in_adj = vertex_index g.in_adj;
+    by_label;
+    edge_set = Edge.Tbl.copy g.edge_set;
+    insertion = order g.insertion;
+    added_observers = [];
+    removed_observers = [];
+    frozen;
+  }
+
+let copy = copy_as ~frozen:false
+let frozen_copy = copy_as ~frozen:true
 
 let edge_universe g = Edge.Set.of_list (edges g)
 

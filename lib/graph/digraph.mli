@@ -16,8 +16,8 @@
     [Invalid_argument], after which all remaining operations are pure reads
     of tables that no longer change — safe to share across any number of
     threads or domains without locks. The server's snapshot layer
-    ({!Mrpa_server.Snapshot}) builds on exactly this: freeze a private
-    {!copy}, then let every worker read it concurrently. *)
+    ({!Mrpa_server.Snapshot}) builds on exactly this: it publishes a
+    {!frozen_copy}, then lets every worker read it concurrently. *)
 
 type t
 
@@ -176,7 +176,20 @@ val is_frozen : t -> bool
 (** {1 Whole-graph utilities} *)
 
 val copy : t -> t
-(** Deep, independent copy. *)
+(** Independent mutable copy: later mutations of either graph are
+    invisible to the other, and ids are preserved. It copies the name
+    tables and the edge set, gives every index bucket a fresh record, and
+    shares the immutable edge lists themselves (reversed once, in [O(|E|)],
+    only when the source is frozen). Observers are not copied. *)
+
+val frozen_copy : t -> t
+(** [frozen_copy g] is [let c = copy g in freeze c; c], in one structural
+    pass: the same fresh name tables, edge set and bucket records, with
+    each index list of a live [g] reversed once into insertion order (a
+    frozen [g]'s lists are shared as they are). No edge is re-inserted and
+    no name re-interned, so its cost is one [Hashtbl.copy] per table plus
+    one list reversal per index — about a third of copy-then-freeze. [g]
+    is only read and stays as it was. *)
 
 val edge_universe : t -> Edge.Set.t
 (** The edge set [E] as a set value (used as the finite alphabet universe by

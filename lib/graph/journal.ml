@@ -73,6 +73,7 @@ let split_content content =
 let apply_payload_exn g payload =
   match String.split_on_char '\t' (String.trim payload) with
   | [ "vertex"; name ] -> ignore (Digraph.vertex g name)
+  | [ "label"; name ] -> ignore (Digraph.label g name)
   | [ "add"; tail; label; head ] -> ignore (Digraph.add g tail label head)
   | [ "del"; tail; label; head ] ->
     let resolve what find name =
@@ -395,6 +396,9 @@ let sync t =
              t.path (Unix.error_message e))
   end
 
+(* Every vertex, every edge, then every label that carries no edge (as
+   {!Io} writes a graph), so a compacted journal replays to the same
+   vertex and label universes. *)
 let snapshot_payloads g =
   let vertices =
     List.map
@@ -404,7 +408,15 @@ let snapshot_payloads g =
   let edges =
     List.rev (Digraph.fold_edges (fun e acc -> entry_payload g "add" e :: acc) g [])
   in
-  vertices @ edges
+  let edgeless =
+    List.filter_map
+      (fun l ->
+        if Digraph.n_edges_with_label g l = 0 then
+          Some (Printf.sprintf "label\t%s" (Digraph.label_name g l))
+        else None)
+      (Digraph.labels g)
+  in
+  vertices @ edges @ edgeless
 
 (* Write [payloads] as a fresh v2 journal at [dst], atomically: frame and
    fsync into [tmp] first, then rename over. Any failure removes the tmp

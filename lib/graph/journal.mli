@@ -13,8 +13,10 @@ v2 (written by default):  #mrpa.journal/2          (header line)
     v2 frames every record with a 1-based sequence number and the CRC-32
     ({!Crc32}) of ["SEQ\tPAYLOAD"], so torn writes, bit rot and lost
     records are {e detected} at replay instead of silently corrupting the
-    rebuilt graph. Payload kinds are [add]/[del]/[vertex] as in v1; blank
-    lines and lines starting with ['#'] are comments in both formats.
+    rebuilt graph. Payload kinds are [add]/[del]/[vertex]/[label] in both
+    formats ([label NAME] registers a relation type that may carry no
+    edge); blank lines and lines starting with ['#'] are comments in both
+    formats.
 
     {2 Durability contract}
 
@@ -87,7 +89,8 @@ val fsync_errors : t -> int
 
 val compact : t -> unit
 (** Atomically replace the log with a v2 snapshot of the graph's current
-    state (vertex records then add records, resequenced from 1).
+    state (vertex records, add records, then a label record for each label
+    that carries no edge, resequenced from 1).
     Subsequent mutations append after the snapshot. Crash-safe: the
     snapshot is written and fsynced to a tmp file before the live log is
     touched, and the append descriptor is reopened even when a step raises
@@ -177,6 +180,6 @@ val frame : seq:int -> string -> string
     (seq, p)]. *)
 
 val apply_payload : Digraph.t -> string -> (unit, string) result
-(** Apply one [add]/[del]/[vertex] payload to [g]; [Error reason] when the
+(** Apply one [add]/[del]/[vertex]/[label] payload to [g]; [Error reason] when the
     payload is malformed or cannot be applied (e.g. deletes an unknown
     vertex). *)

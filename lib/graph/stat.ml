@@ -131,57 +131,74 @@ type profile = {
   per_label : label_profile array;
 }
 
-let histogram_of_counts tbl =
-  let freq = Hashtbl.create 16 in
-  Vertex.Tbl.iter
-    (fun _ d ->
-      Hashtbl.replace freq d (1 + Option.value ~default:0 (Hashtbl.find_opt freq d)))
-    tbl;
-  Hashtbl.fold (fun d c acc -> (d, c) :: acc) freq [] |> List.sort compare
-
-let max_count tbl =
-  Vertex.Tbl.fold (fun _ d acc -> max d acc) tbl 0
-
-(* One pass over the edge set builds every per-label table; the global
-   degree maxima come from the graph's own adjacency counts. *)
+(* Table-driven, over native ints: each label's bucket is walked into one
+   [deg] array indexed by vertex id, shared by every label and side, and
+   only the entries a walk touched are read back and reset. [freq] counts
+   the touched vertices per degree (a per-label degree is at most |V|), so
+   the histogram is a scan down from the largest degree. *)
 let profile g =
-  let k = Digraph.n_labels g in
-  let out_of = Array.init k (fun _ -> Vertex.Tbl.create 8) in
-  let in_of = Array.init k (fun _ -> Vertex.Tbl.create 8) in
-  let bump tbl v =
-    Vertex.Tbl.replace tbl v
-      (1 + Option.value ~default:0 (Vertex.Tbl.find_opt tbl v))
+  let n = Digraph.n_vertices g and k = Digraph.n_labels g in
+  let deg = Array.make n 0 and touched = Array.make n 0 in
+  let freq = Array.make (n + 1) 0 in
+  (* Distinct endpoints, the largest degree and the histogram of one side
+     of one label. *)
+  let side es endpoint =
+    let m = ref 0 in
+    List.iter
+      (fun e ->
+        let v = Vertex.to_int (endpoint e) in
+        if deg.(v) = 0 then begin
+          touched.(!m) <- v;
+          incr m
+        end;
+        deg.(v) <- deg.(v) + 1)
+      es;
+    let top = ref 0 in
+    for i = 0 to !m - 1 do
+      let v = touched.(i) in
+      let d = deg.(v) in
+      deg.(v) <- 0;
+      freq.(d) <- freq.(d) + 1;
+      if d > !top then top := d
+    done;
+    let histogram = ref [] in
+    for d = !top downto 1 do
+      if freq.(d) > 0 then begin
+        histogram := (d, freq.(d)) :: !histogram;
+        freq.(d) <- 0
+      end
+    done;
+    (!m, !top, !histogram)
   in
-  let edge_count = Array.make k 0 in
-  Digraph.iter_edges
-    (fun e ->
-      let l = Label.to_int (Edge.label e) in
-      edge_count.(l) <- edge_count.(l) + 1;
-      bump out_of.(l) (Edge.tail e);
-      bump in_of.(l) (Edge.head e))
-    g;
   let per_label =
     Array.init k (fun l ->
+        let label = Label.of_int l in
+        let es = Digraph.edges_with_label g label in
+        let distinct_tails, max_out, out_histogram = side es Edge.tail in
+        let distinct_heads, max_in, in_histogram = side es Edge.head in
         {
-          label = Label.of_int l;
-          edges = edge_count.(l);
-          distinct_tails = Vertex.Tbl.length out_of.(l);
-          distinct_heads = Vertex.Tbl.length in_of.(l);
-          max_out = max_count out_of.(l);
-          max_in = max_count in_of.(l);
-          out_histogram = histogram_of_counts out_of.(l);
-          in_histogram = histogram_of_counts in_of.(l);
+          label;
+          edges = Digraph.n_edges_with_label g label;
+          distinct_tails;
+          distinct_heads;
+          max_out;
+          max_in;
+          out_histogram;
+          in_histogram;
         })
   in
-  let vertices = Digraph.vertices g in
+  let max_out_degree = ref 0 and max_in_degree = ref 0 in
+  for v = 0 to n - 1 do
+    let v = Vertex.of_int v in
+    max_out_degree := max !max_out_degree (Digraph.out_degree g v);
+    max_in_degree := max !max_in_degree (Digraph.in_degree g v)
+  done;
   {
-    vertices = Digraph.n_vertices g;
+    vertices = n;
     edges = Digraph.n_edges g;
     labels = k;
-    max_out_degree =
-      List.fold_left (fun acc v -> max acc (Digraph.out_degree g v)) 0 vertices;
-    max_in_degree =
-      List.fold_left (fun acc v -> max acc (Digraph.in_degree g v)) 0 vertices;
+    max_out_degree = !max_out_degree;
+    max_in_degree = !max_in_degree;
     per_label;
   }
 

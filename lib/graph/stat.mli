@@ -47,9 +47,9 @@ val degree_histogram : Digraph.t -> (int * int) list
     The statistics the static cost analyzer ([Mrpa_lint.Cost]) consumes:
     for each relation type, how many edges it has, how many distinct tails
     and heads they touch, and the worst-case per-vertex fan-out and fan-in
-    of that single relation — plus the all-labels degree maxima. Built in
-    one pass over the edge set; the server caches one per frozen
-    snapshot. *)
+    of that single relation — plus the all-labels degree maxima. Built
+    from the label buckets and the O(1) degree counts; the server builds
+    one per published snapshot. *)
 
 type label_profile = {
   label : Label.t;
@@ -76,7 +76,9 @@ type profile = {
 }
 
 val profile : Digraph.t -> profile
-(** One [O(|V| + |E|)] pass. *)
+(** [O(|V| + |E|)]: each label's bucket is walked twice (tails, heads)
+    into reused [int] arrays indexed by vertex id, allocating only the
+    result and three [|V|]-sized scratch arrays. *)
 
 val label_profile : profile -> Label.t -> label_profile option
 (** Lookup by label; [None] for labels outside the profiled graph. *)

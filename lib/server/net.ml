@@ -56,9 +56,8 @@ let connect_fd endpoint =
     fd
 
 let write_all fd s =
-  let bytes = Bytes.of_string s in
-  let len = Bytes.length bytes in
+  let len = String.length s in
   let written = ref 0 in
   while !written < len do
-    written := !written + Unix.write fd bytes !written (len - !written)
+    written := !written + Unix.write_substring fd s !written (len - !written)
   done

@@ -53,6 +53,9 @@ type breaker = {
 type fault_kind = F_kill | F_hang | F_slow of float
 type fault = { fkind : fault_kind; at : int }
 
+(* A vertex or label name a query spells. *)
+type name = Vertex_name of string | Label_name of string
+
 type t = {
   config : config;
   breakers : breaker array;
@@ -335,13 +338,13 @@ let dispatch t idx req ~abs_deadline =
           D_unavailable)
   | `Proceed -> apply_fault (fun () -> attempt_endpoints t idx req ~abs_deadline)
 
-(* Dispatch to several shards concurrently; order of the result list is
-   the order of [targets]. *)
+(* Dispatch [mk_req idx] to each shard [idx] of [targets] concurrently;
+   order of the result list is the order of [targets]. *)
 let scatter t targets mk_req ~abs_deadline =
   match targets with
   | [] -> []
   | [ idx ] ->
-    [ (idx, (try dispatch t idx (mk_req ()) ~abs_deadline with _ -> D_unavailable)) ]
+    [ (idx, (try dispatch t idx (mk_req idx) ~abs_deadline with _ -> D_unavailable)) ]
   | _ ->
     let cells =
       List.map
@@ -351,7 +354,7 @@ let scatter t targets mk_req ~abs_deadline =
             Thread.create
               (fun () ->
                 cell :=
-                  try dispatch t idx (mk_req ()) ~abs_deadline
+                  try dispatch t idx (mk_req idx) ~abs_deadline
                   with _ -> D_unavailable)
               ()
           in
@@ -421,6 +424,8 @@ type ctx = {
   mutable missing : StrSet.t;
   atom_cache : (string, (string * string) list) Hashtbl.t;
       (* dispatch key -> (tail, head) of the edges it fetched *)
+  confirmed : (name, unit) Hashtbl.t;
+      (* names a shard's parser accepted during this request *)
 }
 
 let note_reason ctx r =
@@ -515,9 +520,10 @@ let edges_of_result json =
    atom's every position is a wildcard or a single name: an edge carrying
    a name the shard does not know is not on that shard. A name set or a
    complement ([{r0,r2}], [!alpha]) also matches edges of names the shard
-   does know, so rejecting it hides those edges. Partitions replicate
-   both name universes, so this only arises on shards whose graph does
-   not (a part written before label directives, a journal-backed shard). *)
+   does know, so rejecting it hides those edges. Partitions and compacted
+   journals replicate both name universes, so this only arises on shards
+   whose graph does not (a part written before label directives, a
+   journal compacted before label records). *)
 let rejection_is_empty = function
   | Parser.Pattern { src; lbl; dst } ->
     List.for_all
@@ -526,10 +532,56 @@ let rejection_is_empty = function
   | Parser.Edges [ _ ] -> true
   | Parser.Edges _ -> false
 
+(* --- Names the shards have accepted ---------------------------------------- *)
+
+(* Every vertex and label name [atom] spells. *)
+let atom_names = function
+  | Parser.Pattern { src; lbl; dst } ->
+    let at kind = function
+      | Parser.Any -> []
+      | Parser.Only ns | Parser.Except ns -> List.map kind (texts ns)
+    in
+    at (fun n -> Vertex_name n) src
+    @ at (fun n -> Label_name n) lbl
+    @ at (fun n -> Vertex_name n) dst
+  | Parser.Edges triples ->
+    List.concat_map
+      (fun ((a : Parser.name), (l : Parser.name), (b : Parser.name)) ->
+        [ Vertex_name a.text; Label_name l.text; Vertex_name b.text ])
+      triples
+
+(* Every name the query spells, each once, in the order [Parser.resolve]
+   meets them: every [let] body, used or not, then the expression, each
+   left to right. *)
+let query_names (q : Parser.query) =
+  let seen = Hashtbl.create 16 in
+  List.concat_map
+    (fun tree ->
+      List.concat_map
+        (fun (t : Parser.tree) ->
+          match t.Spanned.node with
+          | Spanned.Sel atom -> atom_names atom
+          | _ -> [])
+        (Spanned.subterms tree))
+    (q.Parser.lets @ [ q.Parser.body ])
+  |> List.filter (fun n ->
+         (not (Hashtbl.mem seen n))
+         && (Hashtbl.replace seen n ();
+             true))
+
+let confirm ctx names =
+  List.iter (fun n -> Hashtbl.replace ctx.confirmed n ()) names
+
+(* The request's deadline, or one shard timeout from now. *)
+let dispatch_deadline ctx =
+  match ctx.abs_deadline with
+  | Some d -> d
+  | None -> Unix.gettimeofday () +. (ctx.rt.config.shard_timeout_ms /. 1000.0)
+
 (* Scatter one atom's dispatch (its rendering [text]) and add the edges it
    fetches to the scratch graph; the (tail, head) names of those edges. *)
 let scatter_atom ctx atom text targets =
-  let mk_req () =
+  let mk_req _ =
     {
       Wire.id = fresh_id ctx.rt;
       verb = Wire.Query;
@@ -537,11 +589,7 @@ let scatter_atom ctx atom text targets =
       options = atom_options ctx;
     }
   in
-  let abs_deadline =
-    match ctx.abs_deadline with
-    | Some d -> d
-    | None -> Unix.gettimeofday () +. (ctx.rt.config.shard_timeout_ms /. 1000.0)
-  in
+  let abs_deadline = dispatch_deadline ctx in
   let edges = ref [] in
   let qerrs = ref [] in
   let answered = ref 0 in
@@ -554,8 +602,8 @@ let scatter_atom ctx atom text targets =
         | Some r -> note_reason ctx r
         | None -> ());
         edges := List.rev_append (edges_of_result json) !edges
-      | D_wire (code, msg) when code = Wire.error_code_name Wire.Query_error ->
-        qerrs := (idx, msg) :: !qerrs
+      | D_wire (code, _) when code = Wire.error_code_name Wire.Query_error ->
+        qerrs := idx :: !qerrs
       | D_wire (code, msg) ->
         raise
           (Fatal
@@ -566,16 +614,15 @@ let scatter_atom ctx atom text targets =
                  (Shardmap.shard ctx.rt.config.map idx).Shardmap.name msg ))
       | D_unavailable -> note_missing ctx idx)
     (scatter ctx.rt targets mk_req ~abs_deadline);
-  (* A name unknown on {e every} targeted shard is the typo the
-     single-server parser would have caught. Where only some shards reject
-     the atom, their share of its edges is missing unless the rejection
-     is empty: the answer stays a sound subset, flagged. *)
-  (match (!qerrs, !answered) with
-  | (_, msg) :: _, 0 when List.length !qerrs = List.length targets ->
-    raise (Fatal (Wire.Query_error, msg))
-  | qerrs, _ ->
-    if not (rejection_is_empty atom) then
-      List.iter (fun (idx, _) -> note_missing ctx idx) qerrs);
+  (* A shard that rejects the atom does not know one of its names. The
+     names stay unconfirmed, so [first_unknown] asks every shard about
+     them and a typo fails the request with the single server's error.
+     If the names are known elsewhere, the rejecting shards' share of the
+     atom's edges is missing unless the rejection is empty: the answer
+     stays a sound subset, flagged. *)
+  if !answered > 0 then confirm ctx (atom_names atom);
+  if not (rejection_is_empty atom) then
+    List.iter (fun idx -> note_missing ctx idx) !qerrs;
   m_incr ~by:(List.length !edges) ctx.rt "router.edges_gathered";
   List.map
     (fun (a, b, c) ->
@@ -681,33 +728,130 @@ let rec gather ctx frontier left (e : Parser.tree) =
         in
         level start start left))
 
-(* Every vertex and label name the query spells, interned into the
-   scratch graph so that resolving accepts names no fetched edge brought
-   in. *)
-let intern_names g (q : Parser.query) =
-  let add f = List.iter (fun (n : Parser.name) -> ignore (f g n.Parser.text)) in
-  let position f = function
-    | Parser.Any -> ()
-    | Only ns | Except ns -> add f ns
+(* A name the gather never sent was never checked by a shard's parser:
+   its atom narrowed to an empty frontier, lay past the length budget, or
+   sits in an unused macro. [first_unknown] returns the first such name,
+   in resolve order, that no shard knows: the one a single server reports.
+   Each round sends every shard one [lint] of the union of its open names,
+   one atom per name. A shard that accepts the union knows every name in
+   it. One that rejects it names, by the error's offset, the first name it
+   does not know, and it knows the names before that one; the next round
+   resumes it after the rejected name. So the check costs one round, plus
+   one per name some shard rejects, and stops at the first name every
+   shard rejected. A shard that cannot answer is counted missing, and no
+   name is then unknown to all. The rounds share one deadline; once it
+   has passed nothing more is sent. A query whose names the gather
+   confirmed sends nothing. *)
+let first_unknown ctx query =
+  let atom_of n =
+    let only text = Parser.Only [ { Parser.text; pos = 0 } ] in
+    match n with
+    | Vertex_name v -> Parser.Pattern { src = only v; lbl = Any; dst = Any }
+    | Label_name l -> Parser.Pattern { src = Any; lbl = only l; dst = Any }
   in
+  let names =
+    query_names query
+    |> List.filter (fun n -> not (Hashtbl.mem ctx.confirmed n))
+    |> List.filter_map (fun n ->
+           Option.map (fun text -> (n, text)) (Unparse.atom (atom_of n)))
+    |> Array.of_list
+  in
+  let k = Array.length names in
+  let shards = all_shards ctx.rt.config.map in
+  let n_shards = List.length shards in
+  let next = Array.make n_shards 0 in  (* a shard's first undecided name *)
+  let rejections = Array.make k 0 in
+  let abs_deadline = dispatch_deadline ctx in
+  (* Shard [s]'s union: its text and each atom's (start offset, name). *)
+  let union s =
+    let buf = Buffer.create 64 in
+    let starts =
+      List.filter_map
+        (fun i ->
+          let n, text = names.(i) in
+          if i < next.(s) || Hashtbl.mem ctx.confirmed n then None
+          else begin
+            if Buffer.length buf > 0 then Buffer.add_string buf " | ";
+            let start = Buffer.length buf in
+            Buffer.add_string buf text;
+            Some (start, i)
+          end)
+        (List.init k Fun.id)
+    in
+    (Buffer.contents buf, starts)
+  in
+  let answer s (text, starts) outcome =
+    let gone () =
+      note_missing ctx s;
+      next.(s) <- k
+    in
+    match outcome with
+    | D_ok _ ->
+      confirm ctx (List.map (fun (_, i) -> fst names.(i)) starts);
+      next.(s) <- k
+    | D_wire (code, msg) when code = Wire.error_code_name Wire.Query_error -> (
+      (* The rejected atom is the last one starting at or before the
+         error's offset; the atoms before it resolved. *)
+      match Parser.error_offset msg with
+      | Some o when o < String.length text -> (
+        match List.rev (List.filter (fun (start, _) -> start <= o) starts) with
+        | (_, i) :: resolved ->
+          confirm ctx (List.map (fun (_, j) -> fst names.(j)) resolved);
+          rejections.(i) <- rejections.(i) + 1;
+          next.(s) <- i + 1
+        | [] -> gone ())
+      | _ -> gone ())
+    | D_wire _ | D_unavailable -> gone ()
+  in
+  let rec round () =
+    let rec all_rejected i =
+      if i = k then None
+      else if rejections.(i) = n_shards then Some (fst names.(i))
+      else all_rejected (i + 1)
+    in
+    match all_rejected 0 with
+    | Some n -> Some n
+    | None -> (
+      let work =
+        List.filter_map
+          (fun s ->
+            match union s with _, [] -> None | u -> Some (s, u))
+          shards
+      in
+      match work with
+      | [] -> None
+      | _ when Unix.gettimeofday () > abs_deadline ->
+        (match ctx.abs_deadline with
+        | Some _ -> note_reason ctx Err.Deadline
+        | None -> List.iter (fun (s, _) -> note_missing ctx s) work);
+        None
+      | _ ->
+        let mk_req s =
+          {
+            Wire.id = fresh_id ctx.rt;
+            verb = Wire.Lint;
+            query = Some (fst (List.assoc s work));
+            options = Wire.default_options;
+          }
+        in
+        List.iter
+          (fun (s, outcome) -> answer s (List.assoc s work) outcome)
+          (scatter ctx.rt (List.map fst work) mk_req ~abs_deadline);
+        round ())
+  in
+  round ()
+
+(* Every name the query spells but [unknown], interned into the scratch
+   graph so that resolving accepts names no fetched edge brought in and
+   rejects [unknown], as a single server would. *)
+let intern_names g ~unknown query =
   List.iter
-    (fun tree ->
-      List.iter
-        (fun (t : Parser.tree) ->
-          match t.Spanned.node with
-          | Spanned.Sel (Parser.Pattern p) ->
-            position Digraph.vertex p.src;
-            position Digraph.label p.lbl;
-            position Digraph.vertex p.dst
-          | Spanned.Sel (Parser.Edges triples) ->
-            List.iter
-              (fun (a, l, b) ->
-                add Digraph.vertex [ a; b ];
-                add Digraph.label [ l ])
-              triples
-          | _ -> ())
-        (Spanned.subterms tree))
-    (q.Parser.body :: q.Parser.lets)
+    (fun n ->
+      if Some n <> unknown then
+        match n with
+        | Vertex_name v -> ignore (Digraph.vertex g v)
+        | Label_name l -> ignore (Digraph.label g l))
+    (query_names query)
 
 (* --- Verb handling ------------------------------------------------------- *)
 
@@ -725,7 +869,7 @@ let evaluate ctx verb query =
   let o = ctx.options in
   let max_length = Option.get o.Wire.max_length in
   ignore (gather ctx None max_length query.Parser.body);
-  intern_names ctx.scratch query;
+  intern_names ctx.scratch ~unknown:(first_unknown ctx query) query;
   Digraph.freeze ctx.scratch;
   let plan =
     match Parser.resolve ctx.scratch query with
@@ -772,6 +916,7 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
         reasons = [];
         missing = StrSet.empty;
         atom_cache = Hashtbl.create 8;
+        confirmed = Hashtbl.create 8;
       }
     in
     match evaluate ctx req.Wire.verb query with
@@ -815,7 +960,7 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
 (* Gather a per-shard payload member ("stats" / "health") from every
    shard; unreachable shards render as null. *)
 let gather_member t ~verb ~member ~abs_deadline =
-  let mk_req () =
+  let mk_req _ =
     { Wire.id = fresh_id t; verb; query = None; options = Wire.default_options }
   in
   let outcomes = scatter t (all_shards t.config.map) mk_req ~abs_deadline in

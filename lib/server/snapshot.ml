@@ -58,9 +58,8 @@ let of_frozen ?(plan_cache_capacity = default_plan_cache_capacity)
   }
 
 let of_graph ?plan_cache_capacity ?result_cache_capacity ?seq g =
-  let copy = Digraph.copy g in
-  Digraph.freeze copy;
-  of_frozen ?plan_cache_capacity ?result_cache_capacity ?seq copy
+  of_frozen ?plan_cache_capacity ?result_cache_capacity ?seq
+    (Digraph.frozen_copy g)
 
 let load ?plan_cache_capacity ?result_cache_capacity path =
   let g = Io.load path in

@@ -49,8 +49,14 @@ val of_graph :
   ?seq:int ->
   Digraph.t ->
   t
-(** Freeze a private deep {!Digraph.copy} of the graph. The original stays
-    live and mutable; later mutations to it are invisible to the snapshot.
+(** Publish a {!Digraph.frozen_copy} of the graph and its
+    {!Mrpa_graph.Stat.profile}. The original stays live and mutable; later
+    mutations to it are invisible to the snapshot. The copy has its own
+    name tables, edge set and index bucket records, and shares only the
+    live graph's immutable edge lists, each reversed once into insertion
+    order: one [O(|V| + |E|)] structural pass with no edge re-inserted,
+    plus the profile's one pass over the label buckets. This is the whole
+    cost of a republish.
     [seq] (default [0]) is the journal sequence number the graph includes.
     Cache capacities default to 1024 plans / 256 results; [0] disables a
     cache. *)

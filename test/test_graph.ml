@@ -309,6 +309,98 @@ let test_digraph_copy_independent () =
   (* ids preserved by copy *)
   Alcotest.(check string) "names preserved" "i" (Digraph.vertex_name h (H.v g "i"))
 
+(* A random graph under churn: the recipe's edges with interleaved
+   removals, an isolated vertex and up to two labels that carry no edge. *)
+let churned_graph (recipe, aux) =
+  let source = H.graph_of_recipe recipe in
+  let rng = Prng.create aux in
+  let g = Digraph.create () in
+  List.iter
+    (fun e ->
+      ignore
+        (Digraph.add g
+           (Digraph.vertex_name source (Edge.tail e))
+           (Digraph.label_name source (Edge.label e))
+           (Digraph.vertex_name source (Edge.head e)));
+      if Prng.bernoulli rng 0.25 then
+        ignore (Digraph.remove_edge g (Prng.pick_list rng (Digraph.edges g))))
+    (Digraph.edges source);
+  ignore (Digraph.vertex g "isolated");
+  for i = 1 to Prng.int rng 3 do
+    ignore (Digraph.label g (Printf.sprintf "edgeless%d" i))
+  done;
+  g
+
+(* Everything a reader can see of a graph: edges and every index list in
+   order, every count, every name and its lookup, and membership of every
+   triple over V x Omega x V. *)
+let observe g =
+  let vs = Digraph.vertices g and ls = Digraph.labels g in
+  ( ( Digraph.edges g,
+      Digraph.n_vertices g,
+      Digraph.n_edges g,
+      Digraph.n_labels g ),
+    List.map
+      (fun v ->
+        let name = Digraph.vertex_name g v in
+        ( (name, Digraph.find_vertex g name),
+          (Digraph.out_edges g v, Digraph.out_degree g v),
+          (Digraph.in_edges g v, Digraph.in_degree g v) ))
+      vs,
+    List.map
+      (fun l ->
+        let name = Digraph.label_name g l in
+        ( (name, Digraph.find_label g name),
+          Digraph.edges_with_label g l,
+          Digraph.n_edges_with_label g l ))
+      ls,
+    List.concat_map
+      (fun tail ->
+        List.concat_map
+          (fun label ->
+            List.map
+              (fun head -> Digraph.mem_edge g (Edge.make ~tail ~label ~head))
+              vs)
+          ls)
+      vs )
+
+(* Add an edge between a new vertex and a new label, one between old
+   names, and remove an edge. *)
+let mutate g =
+  ignore (Digraph.add g "fresh" "fresh_label" (Digraph.vertex_name g 0));
+  ignore (Digraph.add g (Digraph.vertex_name g 0) (Digraph.label_name g 0)
+            (Digraph.vertex_name g 0));
+  match Digraph.edges g with
+  | e :: _ -> ignore (Digraph.remove_edge g e)
+  | [] -> ()
+
+let qcheck_frozen_copy_equals_copy_then_freeze =
+  H.qtest ~count:200 "frozen_copy = copy + freeze, and isolated"
+    H.with_graph_gen H.print_with_graph (fun input ->
+      let g = churned_graph input in
+      let reference = Digraph.copy g in
+      Digraph.freeze reference;
+      let frozen = Digraph.frozen_copy g in
+      let live = Digraph.copy g in
+      let seen = observe g in
+      let same = observe frozen = observe reference && observe live = seen in
+      (* No bucket is shared: mutating the source leaves both copies as
+         they were, and mutating the live copy leaves the source alone. *)
+      mutate g;
+      let seen_after = observe g in
+      let isolated_from_source = observe frozen = seen && observe live = seen in
+      mutate live;
+      mutate live;
+      let isolated_from_copy = observe g = seen_after in
+      (* A copy of a frozen graph: frozen shares, live reverses. *)
+      let from_frozen =
+        observe (Digraph.frozen_copy frozen) = seen
+        && observe (Digraph.copy frozen) = seen
+        && not (Digraph.is_frozen (Digraph.copy frozen))
+      in
+      same && Digraph.is_frozen frozen && isolated_from_source
+      && isolated_from_copy && from_frozen)
+
 let test_digraph_edge_insertion_order () =
   let g = Digraph.create () in
   let e1 = Digraph.add g "a" "r" "b" in
@@ -556,6 +648,68 @@ let test_stat_per_label_degrees () =
   Alcotest.(check int) "max" 2 s.Stat.max_degree;
   Alcotest.(check (float 1e-9)) "mean" 1.0 s.Stat.mean
 
+(* The profile written the slow, obvious way, from the edge list alone. *)
+let naive_profile g =
+  let edges = Digraph.edges g in
+  let vs = Digraph.vertices g in
+  let count p = List.length (List.filter p edges) in
+  let side l endpoint =
+    let degrees =
+      List.filter_map
+        (fun v ->
+          match
+            count (fun e ->
+                Label.equal (Edge.label e) l && Vertex.equal (endpoint e) v)
+          with
+          | 0 -> None
+          | d -> Some d)
+        vs
+    in
+    let distinct = List.sort_uniq compare degrees in
+    ( List.length degrees,
+      List.fold_left max 0 degrees,
+      List.map
+        (fun d -> (d, List.length (List.filter (( = ) d) degrees)))
+        distinct )
+  in
+  let degree endpoint =
+    List.fold_left
+      (fun acc v ->
+        max acc (count (fun e -> Vertex.equal (endpoint e) v)))
+      0 vs
+  in
+  {
+    Stat.vertices = List.length vs;
+    edges = List.length edges;
+    labels = Digraph.n_labels g;
+    max_out_degree = degree Edge.tail;
+    max_in_degree = degree Edge.head;
+    per_label =
+      Array.of_list
+        (List.map
+           (fun l ->
+             let distinct_tails, max_out, out_histogram = side l Edge.tail in
+             let distinct_heads, max_in, in_histogram = side l Edge.head in
+             {
+               Stat.label = l;
+               edges = count (fun e -> Label.equal (Edge.label e) l);
+               distinct_tails;
+               distinct_heads;
+               max_out;
+               max_in;
+               out_histogram;
+               in_histogram;
+             })
+           (Digraph.labels g));
+  }
+
+let qcheck_profile_equals_naive =
+  H.qtest ~count:200 "profile = naive profile from the edge list"
+    H.with_graph_gen H.print_with_graph (fun input ->
+      let g = churned_graph input in
+      let expected = naive_profile g in
+      Stat.profile g = expected && Stat.profile (Digraph.frozen_copy g) = expected)
+
 (* --- Io / Dot ---------------------------------------------------------- *)
 
 let graphs_isomorphic_by_name g h =
@@ -759,6 +913,38 @@ let test_journal_compact () =
       Alcotest.(check bool) "isolated removed-edge vertices survive" true
         (Option.is_some (Digraph.find_vertex h "v0")))
 
+(* Compaction keeps labels that carry no edge (a [label] record each, after
+   the edges); a graph whose labels all carry edges compacts as before. *)
+let test_journal_compact_keeps_edgeless_labels () =
+  with_tmp_journal (fun path ->
+      let g = Digraph.create () in
+      let j = Journal.attach g path in
+      ignore (Digraph.add g "a" "r" "b");
+      let e = Digraph.add g "a" "s" "b" in
+      ignore (Digraph.label g "unused");
+      ignore (Digraph.remove_edge g e);
+      Journal.compact j;
+      Journal.close j;
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let h = Journal.replay path in
+      let names gr = List.map (Digraph.label_name gr) (Digraph.labels gr) in
+      Alcotest.(check (list string)) "label universe" [ "r"; "s"; "unused" ]
+        (names h);
+      Alcotest.(check int) "one edge" 1 (Digraph.n_edges h);
+      Alcotest.(check bool) "a label record" true
+        (contains "\tlabel\tunused\n" text);
+      Alcotest.(check bool) "replayed by apply_payload" true
+        (Journal.apply_payload h "label\tlater" = Ok ()
+        && Option.is_some (Digraph.find_label h "later")));
+  with_tmp_journal (fun path ->
+      let g = Digraph.create () in
+      let j = Journal.attach g path in
+      ignore (Digraph.add g "a" "r" "b");
+      Journal.compact j;
+      Journal.close j;
+      Alcotest.(check bool) "no label record when every label is used" false
+        (contains "\tlabel\t" (In_channel.with_open_bin path In_channel.input_all)))
+
 let test_journal_closed_stops_recording () =
   with_tmp_journal (fun path ->
       let g = Digraph.create () in
@@ -960,6 +1146,7 @@ let () =
           Alcotest.test_case "remove" `Quick test_digraph_remove;
           Alcotest.test_case "successors" `Quick test_digraph_successors_filtered;
           Alcotest.test_case "copy" `Quick test_digraph_copy_independent;
+          qcheck_frozen_copy_equals_copy_then_freeze;
           Alcotest.test_case "order" `Quick test_digraph_edge_insertion_order;
           Alcotest.test_case "materialise reverse" `Quick
             test_digraph_materialise_reverse;
@@ -996,6 +1183,7 @@ let () =
             test_stat_parallel_and_cooccurrence;
           Alcotest.test_case "histograms" `Quick test_stat_histograms;
           Alcotest.test_case "per-label degrees" `Quick test_stat_per_label_degrees;
+          qcheck_profile_equals_naive;
         ] );
       ( "weights",
         [
@@ -1011,6 +1199,8 @@ let () =
           Alcotest.test_case "compact" `Quick test_journal_compact;
           Alcotest.test_case "compact crash-safety" `Quick
             test_journal_compact_leaves_no_tmp;
+          Alcotest.test_case "compact keeps edgeless labels" `Quick
+            test_journal_compact_keeps_edgeless_labels;
           Alcotest.test_case "close" `Quick test_journal_closed_stops_recording;
           Alcotest.test_case "close detaches observers" `Quick
             test_journal_close_detaches_observers;

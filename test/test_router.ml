@@ -971,9 +971,9 @@ let test_router_label_universe () =
           check_against_engine router graph ~verb o "[_,{r0,r2},_]* . E")
         [ Wire.Query; Wire.Count ])
 
-(* A shard graph rebuilt from its vertices and edges alone, as a
-   journal-backed shard or a part saved before label directives is: it
-   knows only the labels it owns an edge of. *)
+(* A shard graph rebuilt from its vertices and edges alone, as a part
+   saved before label directives is (or a journal compacted before label
+   records): it knows only the labels it owns an edge of. *)
 let edges_only_partition map g =
   let module D = Mrpa_graph.Digraph in
   Array.map
@@ -1030,7 +1030,159 @@ let test_router_label_unknown_on_a_shard () =
         [ "[_,{r0,r2},_]"; "[_,!r0,_]" ];
       let j = expect_ok (Router.handle_line router (query_req "[_,!r0,_]")) in
       Alcotest.(check (option string))
-        "query verb too" (Some "partial:shard_unavailable") (result_verdict j))
+        "query verb too" (Some "partial:shard_unavailable") (result_verdict j);
+      (* v0's frontier {v2} holds no v3, so the second atom is never sent
+         and its names go to the lint rounds. s1 rejects r0, which other
+         shards know, and is asked again about the names after it. *)
+      let text = "[v0,r1,_] . ([v3,r0,_] | [v3,r2,_])" in
+      Alcotest.(check (pair (pair (option int) (option string)) (list string)))
+        "a name some shard knows is no typo"
+        ((Some (engine_count text), Some "complete"), [])
+        (count text);
+      let text = "[v0,r1,_] . ([v3,r0,_] | [v3,zz,_])" in
+      let line = Router.handle_line router (query_req ~verb:Wire.Count text) in
+      expect_error Wire.Query_error line;
+      Alcotest.(check (option string))
+        "the typo after a name s1 lacks"
+        (match Mrpa_engine.Parser.parse graph text with
+        | Error e -> Some (Format.asprintf "%a" Mrpa_engine.Parser.pp_error e)
+        | Ok _ -> None)
+        (Option.bind
+           (Option.bind
+              (Json.member "error" (parse_resp line))
+              (Json.member "message"))
+           Json.to_string_opt))
+
+(* Each shard as a journal-backed shard rebuilds its graph: the part
+   compacted into a fresh journal, then replayed. *)
+let journal_partition map g =
+  let module J = Mrpa_graph.Journal in
+  Array.map
+    (fun part ->
+      let path = Filename.temp_file "mrpa_shard" ".log" in
+      Sys.remove path;
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          let j = J.attach ~replay_existing:false part path in
+          J.compact j;
+          J.close j;
+          J.replay path))
+    (Shardmap.partition map g)
+
+(* Compaction writes a label record for every label that carries no edge,
+   so a journal-backed shard knows the whole label universe and a name
+   set or complement answers complete. *)
+let test_router_journal_labels () =
+  with_fleet ~graph:(label_fault_graph ()) ~partition:journal_partition
+    (fun router ~graph ~kill:_ ~restart:_ ->
+      List.iter
+        (fun text ->
+          let j =
+            expect_ok
+              (Router.handle_line router (query_req ~verb:Wire.Count text))
+          in
+          let expected =
+            fst
+              (Mrpa_engine.Engine.count_plan graph
+                 (engine_plan graph ~simple:false ~max_length:8 text))
+          in
+          Alcotest.(check (pair (option int) (option string)))
+            text
+            (Some expected, Some "complete")
+            (count_of j))
+        [ "[_,{r0,r2},_]"; "[_,!r0,_]" ])
+
+(* A name in an atom the gather never sends (its frontier narrows to
+   nothing, or it sits in an unused macro) is still checked, so a typo is
+   the single server's query error: the first unknown name, in the order
+   the parser resolves them. The unsent names cost one [lint] per shard,
+   however many there are, and a name the gather confirmed costs none. *)
+let test_router_unsent_names () =
+  let ring = Mrpa_graph.Generate.ring ~n:12 ~n_labels:3 in
+  with_fleet ~graph:ring (fun router ~graph ~kill:_ ~restart:_ ->
+      let count text =
+        Router.handle_line router (query_req ~verb:Wire.Count text)
+      in
+      List.iter
+        (fun text ->
+          let line = count text in
+          expect_error Wire.Query_error line;
+          let error =
+            Option.bind
+              (Option.bind
+                 (Json.member "error" (parse_resp line))
+                 (Json.member "message"))
+              Json.to_string_opt
+          in
+          let expected =
+            match Mrpa_engine.Parser.parse graph text with
+            | Error e ->
+              Format.asprintf "%a" Mrpa_engine.Parser.pp_error e
+            | Ok _ -> Alcotest.failf "%s parses on the whole graph" text
+          in
+          Alcotest.(check (option string)) text (Some expected) error)
+        [
+          "[v0,_,_] . [nosuch,_,_]";
+          "[v0,_,_] . [_,nolabel,_]";
+          "let m = [nosuch,_,_] in [v0,_,_]";
+          "[v0,_,_] . [{v5,nosuch},_,_]";
+          "[v0,_,_] . ([v5,_,_] | [nosuch,_,_] | [_,nolabel,_])";
+          "let m = [_,nolabel,_] in [v0,_,_] . [nosuch,_,_]";
+        ];
+      let sent () =
+        List.fold_left
+          (fun n s -> n + Router.Fault.dispatches router ~shard:s)
+          0 [ "s0"; "s1"; "s2" ]
+      in
+      let dispatches text =
+        let before = sent () in
+        Alcotest.(check (pair (option int) (option string)))
+          text
+          (Some
+             (fst
+                (Mrpa_engine.Engine.count_plan graph
+                   (engine_plan graph ~simple:false ~max_length:8 text))),
+           Some "complete")
+          (count_of (expect_ok (count text)));
+        sent () - before
+      in
+      let gather = dispatches "[v0,_,_]" in
+      Alcotest.(check int) "v0 confirmed by its own atom" gather
+        (dispatches "[v0,_,_] . [v0,_,_]");
+      Alcotest.(check int) "three unsent names: one lint on each of 3 shards"
+        (gather + 3)
+        (dispatches "[v0,_,_] . [{v5,v6},_,_] . [_,r1,_]"))
+
+(* A request whose deadline has passed sends no name check: the unsent
+   names stay unchecked, the answer is [partial:deadline], no shard is
+   counted missing and no breaker is charged. *)
+let test_router_unsent_names_past_deadline () =
+  let ring = Mrpa_graph.Generate.ring ~n:12 ~n_labels:3 in
+  let shards = [ "s0"; "s1"; "s2" ] in
+  with_fleet ~graph:ring (fun router ~graph:_ ~kill:_ ~restart:_ ->
+      let sent () =
+        List.map (fun s -> Router.Fault.dispatches router ~shard:s) shards
+      in
+      let before = sent () in
+      let options = { Wire.default_options with Wire.deadline_ms = Some 0.0 } in
+      for _ = 1 to 3 do
+        let j =
+          expect_ok
+            (Router.handle_line router
+               (query_req ~verb:Wire.Count ~options
+                  "[v0,_,_] . [nosuch1,_,_] . [nosuch2,_,_] . [_,nolabel,_]"))
+        in
+        Alcotest.(check (option string))
+          "verdict" (Some "partial:deadline") (snd (count_of j));
+        Alcotest.(check (list string)) "no missing shard" [] (missing_shards j)
+      done;
+      Alcotest.(check (list int)) "nothing dispatched" before (sent ());
+      List.iter
+        (fun s ->
+          Alcotest.(check (option string))
+            s (Some "closed") (Router.breaker_state router s))
+        shards)
 
 (* A count whose live-path budget trips is the engine's count under the
    same budget: the budget governs the engine run, not the shard fetches. *)
@@ -1116,6 +1268,12 @@ let () =
             test_router_label_universe;
           Alcotest.test_case "a shard that lacks a label" `Quick
             test_router_label_unknown_on_a_shard;
+          Alcotest.test_case "journal-backed shards know every label" `Quick
+            test_router_journal_labels;
+          Alcotest.test_case "typos in atoms never sent" `Quick
+            test_router_unsent_names;
+          Alcotest.test_case "no name check past the deadline" `Quick
+            test_router_unsent_names_past_deadline;
           Alcotest.test_case "count under a live-path budget" `Quick
             test_router_count_memory;
           Alcotest.test_case "anchored star gathers its frontier" `Quick

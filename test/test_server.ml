@@ -321,6 +321,53 @@ let test_snapshot_queryable () =
       (Path_set.cardinal r.Engine.paths)
   | Error m -> Alcotest.failf "query failed: %s" m
 
+(* Republishing costs one structural copy of the graph plus its profile:
+   no edge re-inserted, no name re-interned, no second pass to freeze.
+   Minor-heap words allocated per edge by [Snapshot.of_graph]
+   ([Gc.minor_words] is exact; the few large arrays that go straight to
+   the major heap are per table, not per edge), on a 5k-person social
+   graph and a 20k-person one built from four 5k-person draws with
+   renamed vertices. The bound is this code's figure plus 10%;
+   copy-then-freeze with hashtable profiling allocated about 90. *)
+let republish_words_per_edge = 23.3
+
+let allocated_words f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let test_republish_allocation () =
+  let draw seed =
+    Generate.social ~rng:(Prng.create seed) ~n_people:5_000 ~n_orgs:250
+      ~n_projects:500
+  in
+  let small = draw 1 in
+  let large = Digraph.copy small in
+  for k = 2 to 4 do
+    let h = draw k in
+    let name v = Printf.sprintf "c%d.%s" k (Digraph.vertex_name h v) in
+    Digraph.iter_edges
+      (fun e ->
+        ignore
+          (Digraph.add large (name (Edge.tail e))
+             (Digraph.label_name h (Edge.label e))
+             (name (Edge.head e))))
+      h
+  done;
+  List.iter
+    (fun g ->
+      let per_edge =
+        allocated_words (fun () -> Snapshot.of_graph g)
+        /. float_of_int (Digraph.n_edges g)
+      in
+      let what =
+        Printf.sprintf "%d edges: %.1f words per edge, bound %.1f"
+          (Digraph.n_edges g) per_edge (1.1 *. republish_words_per_edge)
+      in
+      Alcotest.(check bool) what true
+        (per_edge <= 1.1 *. republish_words_per_edge))
+    [ small; large ]
+
 (* --- Concurrent-read soundness (satellite 3) ----------------------------- *)
 
 (* The thread-safety contract under test: any number of domains may query
@@ -1615,6 +1662,8 @@ let () =
         [
           Alcotest.test_case "freezes a copy" `Quick test_snapshot_freezes_copy;
           Alcotest.test_case "queryable" `Quick test_snapshot_queryable;
+          Alcotest.test_case "republish allocation per edge" `Quick
+            test_republish_allocation;
         ] );
       ( "lru",
         [
