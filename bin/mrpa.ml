@@ -16,11 +16,15 @@ open Cmdliner
 
 (* --- Shared helpers ------------------------------------------------------ *)
 
-let load_graph path =
-  try Ok (Io.load path) with
+(* [load path] with the file's errors as messages; [load] is [Io.load] or
+   a loader built on it. *)
+let loading load path =
+  try Ok (load path) with
   | Sys_error msg -> Error msg
   | Io.Malformed (line, text) ->
     Error (Printf.sprintf "%s: malformed line %d: %s" path line text)
+
+let load_graph = loading Io.load
 
 (* Exit-code policy (documented in Mrpa_engine.Err): 0 ok, 1 user/input
    error, 2 internal error, 3 partial result under a budget or limit. *)
@@ -124,25 +128,19 @@ let parse_fault spec =
     | Some reason, Some at when at >= 1 -> Ok (reason, at)
     | _ -> fail ())
 
-(* No flags -> None; callers that want Ctrl-C anyway (query, shell) fall
-   back to [Budget.unlimited]. *)
+(* --inject-fault as a budget wrapper; the identity when unset. *)
+let fault_of_flag = function
+  | None -> Fun.id
+  | Some spec ->
+    let reason, at = or_die (parse_fault spec) in
+    Mrpa_engine.Budget.with_fault_injection ~at reason
+
+(* Without flags the budget is unlimited but still cancellable, so Ctrl-C
+   always stops a run cooperatively. *)
 let budget_of_flags ~deadline_ms ~fuel ~max_paths ~inject_fault =
-  match (deadline_ms, fuel, max_paths, inject_fault) with
-  | None, None, None, None -> None
-  | _ ->
-    let b =
-      try
-        Mrpa_engine.Budget.create ?deadline_ms ?fuel ?max_live:max_paths ()
-      with Invalid_argument msg -> or_die (Error msg)
-    in
-    let b =
-      match inject_fault with
-      | None -> b
-      | Some spec ->
-        let reason, at = or_die (parse_fault spec) in
-        Mrpa_engine.Budget.with_fault_injection ~at reason b
-    in
-    Some b
+  fault_of_flag inject_fault
+    (try Mrpa_engine.Budget.create ?deadline_ms ?fuel ?max_live:max_paths ()
+     with Invalid_argument msg -> or_die (Error msg))
 
 (* Ctrl-C cancels the governed run cooperatively: the handler only sets a
    flag, the evaluator aborts at its next checkpoint, and the partial
@@ -159,6 +157,60 @@ let pp_partial_note fmt verdict =
   | Mrpa_engine.Err.Partial reason ->
     Format.fprintf fmt "-- partial result (%s): some paths may be missing@."
       (Mrpa_engine.Err.reason_name reason)
+
+(* --- Wire requests ----------------------------------------------------------- *)
+
+(* The one flags -> options rule of every client: only send a max_length
+   the user chose, so the server's own bound applies to unset requests. *)
+let wire_options ?strategy ?limit ?(simple = false) ~max_length ?deadline_ms
+    ?fuel ?max_paths ?min_seq ?max_staleness_ms () =
+  {
+    Mrpa_server.Wire.default_options with
+    strategy;
+    limit;
+    max_length =
+      (if max_length = Mrpa_engine.Engine.default_max_length then None
+       else Some max_length);
+    simple;
+    deadline_ms;
+    fuel;
+    max_paths;
+    min_seq;
+    max_staleness_ms;
+  }
+
+(* A response's place in the exit-code policy: an error response wins over
+   a partial answer (a "partial:REASON" verdict, or a view re-projection
+   that tripped its budget, which names no reason) over a complete one. *)
+let response_status json =
+  let module J = Mrpa_server.Json in
+  match J.member "ok" json with
+  | Some (J.Bool true) -> (
+    let verdict =
+      match J.member "result" json with
+      | Some result -> J.member "verdict" result
+      | None -> J.member "verdict" json
+    in
+    match Option.bind verdict J.to_string_opt with
+    | Some v when String.starts_with ~prefix:"partial" v ->
+      `Partial (List.nth_opt (String.split_on_char ':' v) 1)
+    | _ ->
+      if
+        Option.bind (J.member "view" json) (J.member "partial")
+        = Some (J.Bool true)
+      then `Partial None
+      else `Complete)
+  | _ -> `Error
+
+let exit_code_of_status = function
+  | `Error -> Mrpa_engine.Err.exit_user_error
+  | `Partial _ -> Mrpa_engine.Err.exit_partial
+  | `Complete -> Mrpa_engine.Err.exit_ok
+
+let line_status line =
+  match Mrpa_server.Json.parse line with
+  | Ok json -> response_status json
+  | Error _ -> `Error
 
 (* --- generate ------------------------------------------------------------- *)
 
@@ -304,18 +356,23 @@ let print_lint_findings ~out ~source diags =
       Format.fprintf out "%s@." (Mrpa_lint.Diagnostic.render ~source d))
     diags
 
+(* The metrics, path count and partial note of a profiled run. *)
+let print_profile ((r : Mrpa_engine.Engine.result), m) =
+  let open Mrpa_engine in
+  Format.printf "%a@." Metrics.pp m;
+  Format.printf "-- %d path(s) via %s@."
+    (Path_set.cardinal r.Engine.paths)
+    (Plan.strategy_name r.Engine.plan.Plan.strategy);
+  pp_partial_note Format.std_formatter r.Engine.verdict
+
 let query_cmd =
   let run path query max_length limit strategy simple count json lint profile
       profile_json deadline_ms fuel max_paths inject_fault =
     let g = or_die (load_graph path) in
     (* Even without budget flags the run is governed by an unlimited budget,
        so Ctrl-C always cancels cooperatively: partial result, exit 3. *)
-    let budget =
-      match budget_of_flags ~deadline_ms ~fuel ~max_paths ~inject_fault with
-      | Some b -> Some b
-      | None -> Some (Mrpa_engine.Budget.unlimited ())
-    in
-    Option.iter cancel_on_sigint budget;
+    let budget = budget_of_flags ~deadline_ms ~fuel ~max_paths ~inject_fault in
+    cancel_on_sigint budget;
     if lint then begin
       match Mrpa_engine.Engine.lint ~max_length ?fuel ?deadline_ms g query with
       | Error msg -> or_die (Error msg)
@@ -358,20 +415,16 @@ let query_cmd =
       let r, m =
         or_die
           (Mrpa_engine.Engine.query_profiled ?strategy ~simple ~max_length ?limit
-             ?budget g query)
+             ~budget g query)
       in
       Option.iter
         (fun file -> write_output file (Mrpa_engine.Metrics.to_json m ^ "\n"))
         profile_json;
       if profile then begin
-        let open Mrpa_engine in
-        Format.printf "%a@." (Plan.pp_named g) r.Engine.plan;
-        Format.printf "%a@." Metrics.pp m;
-        Format.printf "-- %d path(s) via %s@."
-          (Path_set.cardinal r.Engine.paths)
-          (Plan.strategy_name r.Engine.plan.Plan.strategy);
-        pp_partial_note Format.std_formatter r.Engine.verdict;
-        finish r.Engine.verdict
+        Format.printf "%a@." (Mrpa_engine.Plan.pp_named g)
+          r.Mrpa_engine.Engine.plan;
+        print_profile (r, m);
+        finish r.Mrpa_engine.Engine.verdict
       end
       else print_result r
     end
@@ -379,13 +432,13 @@ let query_cmd =
       let n, verdict =
         or_die
           (Mrpa_engine.Engine.count_governed ?strategy ~simple ~max_length ?limit
-             ?budget g query)
+             ~budget g query)
       in
       print_count n verdict
     else
       print_result
         (or_die
-           (Mrpa_engine.Engine.query ?strategy ~simple ~max_length ?limit ?budget
+           (Mrpa_engine.Engine.query ?strategy ~simple ~max_length ?limit ~budget
               g query))
   in
   let term =
@@ -445,252 +498,217 @@ let lint_cmd =
           is.")
     term
 
+(* The shell is an in-process client of the server: each line becomes a
+   wire request, [Server.answer] answers it from a snapshot of the graph
+   with no socket, and [print_response] renders the response for people.
+   Only :explain and :profile, which have no wire verb, run locally. *)
+
+(* The human rendering of one response line. [source] is the query text
+   the request carried, for lint carets. *)
+let print_response g ~source line =
+  let module J = Mrpa_server.Json in
+  let json = or_die (J.parse line) in
+  let field k j = Option.value ~default:J.Null (J.member k j) in
+  let str k j = Option.value ~default:"" (J.to_string_opt (field k j)) in
+  let int k j = Option.value ~default:0 (J.to_int_opt (field k j)) in
+  let list k j = match field k j with J.List l -> l | _ -> [] in
+  let view = field "view" json in
+  (match J.member "error" json with
+  | Some e -> Format.printf "error: %s@." (str "message" e)
+  | None when J.member "result" json <> None ->
+    let vertex name = Option.get (Digraph.find_vertex g name) in
+    let edge e =
+      Edge.v (vertex (str "tail" e))
+        (Option.get (Digraph.find_label g (str "label" e)))
+        (vertex (str "head" e))
+    in
+    let result = field "result" json in
+    List.iter
+      (fun p ->
+        Format.printf "%a@." (Digraph.pp_path g)
+          (Path.of_edges (List.map edge (list "edges" p))))
+      (list "paths" result);
+    Format.printf "-- %d path(s)@." (int "count" result)
+  | None when J.member "count" json <> None ->
+    Format.printf "%d@." (int "count" json)
+  | None when J.member "lint" json <> None ->
+    let module D = Mrpa_lint.Diagnostic in
+    let finding d =
+      {
+        D.code = str "code" d;
+        severity =
+          List.find
+            (fun s -> D.severity_label s = str "severity" d)
+            D.[ Hint; Warning; Error ];
+        span = { Span.start = int "start" d; stop = int "stop" d };
+        message = str "message" d;
+      }
+    in
+    let diags = List.map finding (list "findings" (field "lint" json)) in
+    print_lint_findings ~out:Format.std_formatter ~source diags;
+    Format.printf "%s@." (D.summary diags)
+  | None when J.member "views" json <> None ->
+    let infos = list "views" json in
+    if infos = [] then Format.printf "no views@.";
+    List.iter
+      (fun i ->
+        Format.printf "%s\t%s %s\t%d vertex(es), %d edge(s)@." (str "name" i)
+          (str "kind" i) (str "spec" i) (int "vertices" i) (int "edges" i))
+      infos
+  | None when J.member "registered" view <> None ->
+    Format.printf "registered %s@." (str "registered" view)
+  | None when J.member "dropped" view <> None ->
+    Format.printf "dropped %s@." (str "dropped" view)
+  | None when J.member "pairs" view <> None ->
+    List.iter
+      (function
+        | J.List (J.String i :: J.String j :: _) ->
+          Format.printf "%s -> %s@." i j
+        | _ -> ())
+      (list "pairs" view);
+    Format.printf "-- %d edge(s)@." (int "edges" view)
+  | None -> (
+    match str "measure" view with
+    | ("components" | "communities") as measure ->
+      Format.printf "%d %s, largest %d@." (int "count" view)
+        (if measure = "components" then "component(s)" else measure)
+        (int "largest" view)
+    | _ ->
+      List.iter
+        (fun r ->
+          Format.printf "%-20s %.6g@." (str "vertex" r)
+            (Option.value ~default:0.0 (J.to_float_opt (field "score" r))))
+        (list "top" view)));
+  match response_status json with
+  | `Partial (Some reason) ->
+    Format.printf "-- partial result (%s): some paths may be missing@." reason
+  | `Partial None ->
+    Format.printf "-- partial result: some pairs may be missing@."
+  | `Error | `Complete -> ()
+
 let shell_cmd =
   let run path max_length deadline_ms fuel max_paths inject_fault =
-    let g = or_die (load_graph path) in
+    let module S = Mrpa_server in
+    let snapshot = or_die (loading S.Snapshot.load path) in
+    let g = S.Snapshot.graph snapshot in
     Format.printf
       "mrpa shell — %a@.Type a query per line; :explain QUERY, :count QUERY, \
        :lint QUERY, :profile QUERY, :view (word|expr|drop|edges|analytics) \
        and :views for materialized views, :quit to exit.@."
       Digraph.pp_stats g;
-    let signature = lazy (Mrpa_lint.Signature.make g) in
-    (* Local materialized views over the loaded (static) graph: same
-       registry as the server's, with snap_seq pinned to 0 — nothing
-       mutates, so a projection never goes stale. *)
-    let views = Mrpa_server.Views.create () in
-    Mrpa_server.Views.attach views g;
-    let reproject ~query ~max_length =
-      match Mrpa_engine.Parser.parse g query with
-      | Error e -> Error (Mrpa_engine.Parser.render_error ~source:query e)
-      | Ok expr ->
-        Ok (Mrpa_analysis.Projection.path_derived_expr g expr ~max_length, false, 0)
+    (* Bad budget flags stop the shell before its first prompt. *)
+    let local_budget () =
+      budget_of_flags ~deadline_ms ~fuel ~max_paths ~inject_fault
     in
-    let view_graph name =
-      match
-        Mrpa_server.Views.simple_graph views ~name ~snap_seq:0 ~reproject
-      with
-      | Error Mrpa_server.Views.Unknown_view ->
-        Format.printf "error: no view named %S@." name;
-        None
-      | Error (Mrpa_server.Views.Projection_failed msg) ->
-        Format.printf "error: %s@." msg;
-        None
-      | Ok (sg, _partial) -> Some sg
+    ignore (local_budget ());
+    (* The flags are the server's limits, so every request runs at the
+       shell's --max-length and under its budget flags. The endpoint is
+       never bound. *)
+    let server =
+      S.Server.create ~snapshot
+        {
+          S.Server.front = S.Listener.default_config (S.Wire.Unix_socket "");
+          workers = 1;
+          queue_capacity = 1;
+          limits =
+            {
+              S.Wire.default_limits with
+              S.Wire.max_deadline_ms = deadline_ms;
+              max_fuel = fuel;
+              max_live_paths = max_paths;
+              max_length_cap = max_length;
+            };
+          max_predicted_cost = None;
+          role = S.Server.Standalone;
+        }
     in
-    (* Every query runs under its own cancellable budget, so Ctrl-C aborts
-       the running query — yielding its partial result — and returns to the
-       prompt instead of killing the REPL. At the prompt the handler is a
+    let ask ?query verb =
+      let options = wire_options ~max_length () in
+      print_response g
+        ~source:(Option.value ~default:"" query)
+        (S.Server.answer ~wrap_budget:(fault_of_flag inject_fault) server
+           { S.Wire.id = S.Json.Null; verb; query; options })
+    in
+    let view ?word ?view_query ?measure ?top action name =
+      ask
+        (S.Wire.Views
+           { action; view_name = Some name; word; view_query; measure; top })
+    in
+    (* Ctrl-C cancels the running request's budget, which yields its
+       partial result and returns to the prompt instead of killing the
+       REPL. At the prompt nothing is registered and the handler is a
        no-op (blocked reads retry after the signal); leave with :quit or
        Ctrl-D. *)
-    let current = ref None in
+    let profiling = ref None in
     if Sys.os_type <> "Win32" then
       ignore
         (Sys.signal Sys.sigint
            (Sys.Signal_handle
               (fun _ ->
-                match !current with
-                | Some b -> Mrpa_engine.Budget.cancel b
-                | None -> ())));
-    let with_budget f =
-      let b =
-        match budget_of_flags ~deadline_ms ~fuel ~max_paths ~inject_fault with
-        | Some b -> b
-        | None -> Mrpa_engine.Budget.unlimited ()
-      in
-      current := Some b;
-      Fun.protect ~finally:(fun () -> current := None) (fun () -> f b)
+                S.Server.cancel_inflight server;
+                Option.iter Mrpa_engine.Budget.cancel !profiling)));
+    let next_token s =
+      let s = String.trim s in
+      match String.index_opt s ' ' with
+      | None -> (s, "")
+      | Some i ->
+        (String.sub s 0 i, String.trim (String.sub s i (String.length s - i)))
+    in
+    let command line =
+      match next_token line with
+      | ":explain", source -> (
+        match Mrpa_engine.Engine.explain ~max_length g source with
+        | Ok text -> Format.printf "%s@." text
+        | Error msg -> Format.printf "error: %s@." msg)
+      | ":profile", source -> (
+        let budget = local_budget () in
+        profiling := Some budget;
+        match
+          Fun.protect
+            ~finally:(fun () -> profiling := None)
+            (fun () ->
+              Mrpa_engine.Engine.query_profiled ~max_length ~budget g source)
+        with
+        | Ok profiled -> print_profile profiled
+        | Error msg -> Format.printf "error: %s@." msg)
+      | ":count", query -> ask ~query S.Wire.Count
+      | ":lint", query -> ask ~query S.Wire.Lint
+      | ":views", "" -> view S.Wire.V_list ""
+      | ":view", args -> (
+        let sub, args = next_token args in
+        let name, spec = next_token args in
+        match sub with
+        | ("word" | "expr") when name = "" || spec = "" ->
+          Format.printf "usage: :view %s NAME %s@." sub
+            (if sub = "word" then "A.B.C" else "QUERY")
+        | "word" ->
+          view S.Wire.V_register name
+            ~word:
+              (String.split_on_char '.' spec |> List.filter (fun l -> l <> ""))
+        | "expr" -> view S.Wire.V_register name ~view_query:spec
+        | "drop" -> view S.Wire.V_drop name
+        | "edges" -> view S.Wire.V_edges name
+        | "analytics" ->
+          let measure, top = next_token spec in
+          view S.Wire.V_analytics name
+            ?measure:(if measure = "" then None else Some measure)
+            ?top:(int_of_string_opt (fst (next_token top)))
+        | _ -> Format.printf "usage: :view (word|expr|drop|edges|analytics) ...@.")
+      | _ -> ask ~query:line S.Wire.Query
     in
     let rec loop () =
       Format.printf "mrpa> @?";
-      match input_line stdin with
+      match String.trim (input_line stdin) with
       | exception End_of_file -> ()
+      | ":quit" | ":q" -> ()
       | line ->
-        let line = String.trim line in
-        let continue_ =
-          if line = "" then true
-          else if line = ":quit" || line = ":q" then false
-          else begin
-            let starts_with prefix =
-              String.length line >= String.length prefix
-              && String.sub line 0 (String.length prefix) = prefix
-            in
-            let rest prefix =
-              String.trim
-                (String.sub line (String.length prefix)
-                   (String.length line - String.length prefix))
-            in
-            (* The REPL must survive whatever a query does: rendered
-               engine errors are handled per command below, and this
-               belt-and-braces handler catches anything that still
-               escapes (a bug, Stack_overflow, ...). *)
-            let next_token s =
-              let s = String.trim s in
-              match String.index_opt s ' ' with
-              | None -> (s, "")
-              | Some i ->
-                ( String.sub s 0 i,
-                  String.trim
-                    (String.sub s i (String.length s - i)) )
-            in
-            (try
-               if line = ":views" then begin
-                 let infos = Mrpa_server.Views.list views ~snap_seq:0 in
-                 if infos = [] then Format.printf "no views@."
-                 else
-                   List.iter
-                     (fun i ->
-                       Format.printf "%s\t%s %s\t%d vertex(es), %d edge(s)@."
-                         i.Mrpa_server.Views.i_name i.Mrpa_server.Views.i_kind
-                         i.Mrpa_server.Views.i_spec
-                         i.Mrpa_server.Views.i_vertices
-                         i.Mrpa_server.Views.i_edges)
-                     infos
-               end
-               else if starts_with ":view " then begin
-                 let sub, args = next_token (rest ":view") in
-                 match sub with
-                 | "word" | "expr" -> (
-                   let name, spec = next_token args in
-                   if name = "" || spec = "" then
-                     Format.printf
-                       "usage: :view %s NAME %s@." sub
-                       (if sub = "word" then "A.B.C" else "QUERY")
-                   else
-                     let form =
-                       if sub = "word" then
-                         Mrpa_server.Views.Word
-                           (String.split_on_char '.' spec
-                           |> List.filter (fun l -> l <> ""))
-                       else
-                         Mrpa_server.Views.Expr
-                           { query = spec; max_length }
-                     in
-                     match
-                       Mrpa_server.Views.register views ~name ~graph:g form
-                     with
-                     | Ok () -> Format.printf "registered %s@." name
-                     | Error msg -> Format.printf "error: %s@." msg)
-                 | "drop" ->
-                   let name, _ = next_token args in
-                   if Mrpa_server.Views.drop views name then
-                     Format.printf "dropped %s@." name
-                   else Format.printf "error: no view named %S@." name
-                 | "edges" -> (
-                   let name, _ = next_token args in
-                   match view_graph name with
-                   | None -> ()
-                   | Some sg ->
-                     List.iter
-                       (fun (i, j) ->
-                         Format.printf "%s -> %s@."
-                           (Digraph.vertex_name g (Vertex.of_int i))
-                           (Digraph.vertex_name g (Vertex.of_int j)))
-                       (Mrpa_analysis.Simple_graph.edges sg);
-                     Format.printf "-- %d edge(s)@."
-                       (Mrpa_analysis.Simple_graph.n_edges sg))
-                 | "analytics" -> (
-                   let name, margs = next_token args in
-                   let measure, targs = next_token margs in
-                   let measure = if measure = "" then "degree" else measure in
-                   let top =
-                     Option.value ~default:10
-                       (int_of_string_opt (fst (next_token targs)))
-                   in
-                   match view_graph name with
-                   | None -> ()
-                   | Some sg -> (
-                     let ranking scores =
-                       Format.printf "%a@."
-                         (Mrpa_analysis.Centrality.pp_ranking ~k:top
-                            ~vertex_name:(fun v ->
-                              Digraph.vertex_name g (Vertex.of_int v)))
-                         scores
-                     in
-                     match measure with
-                     | "degree" ->
-                       ranking (Mrpa_analysis.Centrality.out_degree sg)
-                     | "pagerank" ->
-                       ranking (Mrpa_analysis.Centrality.pagerank sg)
-                     | "components" ->
-                       let c = Mrpa_analysis.Components.weakly_connected sg in
-                       Format.printf "%d component(s)@."
-                         c.Mrpa_analysis.Components.n_components
-                     | "communities" ->
-                       let c = Mrpa_analysis.Communities.label_propagation sg in
-                       Format.printf "%d communities@."
-                         c.Mrpa_analysis.Communities.n_communities
-                     | other ->
-                       Format.printf
-                         "error: unknown measure %S (want degree, pagerank, \
-                          components or communities)@."
-                         other))
-                 | _ ->
-                   Format.printf
-                     "usage: :view (word|expr|drop|edges|analytics) ...@."
-               end
-               else if starts_with ":explain" then
-                 match Mrpa_engine.Engine.explain ~max_length g (rest ":explain") with
-                 | Ok text -> Format.printf "%s@." text
-                 | Error msg -> Format.printf "error: %s@." msg
-               else if starts_with ":count" then
-                 with_budget (fun b ->
-                     match
-                       Mrpa_engine.Engine.count_governed ~max_length ~budget:b
-                         g (rest ":count")
-                     with
-                     | Ok (n, verdict) ->
-                       Format.printf "%d@." n;
-                       pp_partial_note Format.std_formatter verdict
-                     | Error msg -> Format.printf "error: %s@." msg)
-               else if starts_with ":profile" then
-                 with_budget (fun b ->
-                     match
-                       Mrpa_engine.Engine.query_profiled ~max_length ~budget:b
-                         g (rest ":profile")
-                     with
-                     | Ok (r, m) ->
-                       Format.printf "%a@." Mrpa_engine.Metrics.pp m;
-                       Format.printf "-- %d path(s) via %s@."
-                         (Path_set.cardinal r.Mrpa_engine.Engine.paths)
-                         (Mrpa_engine.Plan.strategy_name
-                            r.Mrpa_engine.Engine.plan.Mrpa_engine.Plan.strategy);
-                       pp_partial_note Format.std_formatter
-                         r.Mrpa_engine.Engine.verdict
-                     | Error msg -> Format.printf "error: %s@." msg)
-               else if starts_with ":lint" then
-                 let source = rest ":lint" in
-                 match
-                   Mrpa_engine.Engine.lint ~signature:(Lazy.force signature)
-                     ~max_length g source
-                 with
-                 | Ok diags ->
-                   if diags = [] then Format.printf "no findings@."
-                   else begin
-                     print_lint_findings ~out:Format.std_formatter ~source
-                       diags;
-                     Format.printf "%s@." (Mrpa_lint.Diagnostic.summary diags)
-                   end
-                 | Error msg -> Format.printf "error: %s@." msg
-               else
-                 with_budget (fun b ->
-                     match
-                       Mrpa_engine.Engine.query ~max_length ~budget:b g line
-                     with
-                     | Error msg -> Format.printf "error: %s@." msg
-                     | Ok r ->
-                       Path_set.iter
-                         (fun p -> Format.printf "%a@." (Digraph.pp_path g) p)
-                         r.Mrpa_engine.Engine.paths;
-                       Format.printf "-- %d path(s)@."
-                         (Path_set.cardinal r.Mrpa_engine.Engine.paths);
-                       pp_partial_note Format.std_formatter
-                         r.Mrpa_engine.Engine.verdict)
-             with e ->
-               Format.printf "error: internal: %s@." (Printexc.to_string e));
-            true
-          end
-        in
-        if continue_ then loop ()
+        (* The REPL must survive whatever a request does: errors come back
+           as responses, and this catches anything that still escapes (a
+           bug, Stack_overflow, ...). *)
+        (if line <> "" then
+           try command line
+           with e -> Format.printf "error: internal: %s@." (Printexc.to_string e));
+        loop ()
     in
     loop ()
   in
@@ -1447,15 +1465,11 @@ let serve_cmd =
           | None -> or_die (Error "--role standalone requires --graph FILE")
         in
         let snapshot =
-          try
-            Mrpa_server.Snapshot.load ~plan_cache_capacity:plan_cache
-              ~result_cache_capacity:result_cache graph
-          with
-          | Sys_error msg -> or_die (Error msg)
-          | Io.Malformed (line, text) ->
-            or_die
-              (Error
-                 (Printf.sprintf "%s: malformed line %d: %s" graph line text))
+          or_die
+            (loading
+               (Mrpa_server.Snapshot.load ~plan_cache_capacity:plan_cache
+                  ~result_cache_capacity:result_cache)
+               graph)
         in
         (Mrpa_server.Server.Standalone, Some snapshot, "graph=" ^ graph)
       | `Primary ->
@@ -1580,44 +1594,8 @@ let call_cmd =
     let module S = Mrpa_server in
     let endpoint = List.hd endpoints in
     let options =
-      {
-        S.Wire.strategy;
-        limit;
-        max_length =
-          (* only send a bound the user actually chose, so the server's
-             cap applies to unset requests *)
-          (if max_length = Mrpa_engine.Engine.default_max_length then None
-           else Some max_length);
-        simple;
-        deadline_ms;
-        fuel;
-        max_paths;
-        min_seq;
-        max_staleness_ms;
-        from_seq = None;
-        epoch = None;
-      }
-    in
-    (* A response line's contribution to the exit-code policy: any error
-       response wins over any partial result over all-complete. *)
-    let response_status line =
-      match S.Json.parse line with
-      | Error _ -> `Error
-      | Ok json -> (
-        match S.Json.member "ok" json with
-        | Some (S.Json.Bool true) ->
-          let verdict =
-            match S.Json.member "result" json with
-            | Some result -> S.Json.member "verdict" result
-            | None -> S.Json.member "verdict" json
-          in
-          let partial =
-            match Option.bind verdict S.Json.to_string_opt with
-            | Some v -> String.length v >= 7 && String.sub v 0 7 = "partial"
-            | None -> false
-          in
-          if partial then `Partial else `Complete
-        | _ -> `Error)
+      wire_options ?strategy ?limit ~simple ~max_length ?deadline_ms ?fuel
+        ?max_paths ?min_seq ?max_staleness_ms ()
     in
     if pipeline then begin
       if ping || stats || shutdown || lint || health then
@@ -1655,9 +1633,9 @@ let call_cmd =
                   any_error := true
                 | Ok line ->
                   print_endline line;
-                  (match response_status line with
+                  (match line_status line with
                   | `Error -> any_error := true
-                  | `Partial -> any_partial := true
+                  | `Partial _ -> any_partial := true
                   | `Complete -> ());
                   drain (remaining - 1)
             in
@@ -1714,10 +1692,7 @@ let call_cmd =
     (* Print the response verbatim (it is already one JSON line), then turn
        its verdict into the standard exit-code policy. *)
     print_endline line;
-    match response_status line with
-    | `Error -> exit Mrpa_engine.Err.exit_user_error
-    | `Partial -> exit Mrpa_engine.Err.exit_partial
-    | `Complete -> exit Mrpa_engine.Err.exit_ok
+    exit (exit_code_of_status (line_status line))
   in
   let term =
     Term.(
@@ -1982,27 +1957,22 @@ let views_cmd =
         word
     in
     let vreq =
+      let named ?word ?view_query ?measure ?top action =
+        {
+          S.Wire.action;
+          view_name = require_name ();
+          word;
+          view_query;
+          measure;
+          top;
+        }
+      in
       match action with
       | `Register ->
         if (word = None) = (vquery = None) then
           or_die (Error "register needs exactly one of --word or --query");
-        {
-          S.Wire.action = S.Wire.V_register;
-          view_name = require_name ();
-          word = wire_word;
-          view_query = vquery;
-          measure = None;
-          top = None;
-        }
-      | `Drop ->
-        {
-          S.Wire.action = S.Wire.V_drop;
-          view_name = require_name ();
-          word = None;
-          view_query = None;
-          measure = None;
-          top = None;
-        }
+        named ?word:wire_word ?view_query:vquery S.Wire.V_register
+      | `Drop -> named S.Wire.V_drop
       | `List ->
         {
           S.Wire.action = S.Wire.V_list;
@@ -2012,62 +1982,19 @@ let views_cmd =
           measure = None;
           top = None;
         }
-      | `Read ->
-        {
-          S.Wire.action = (if counts then S.Wire.V_counts else S.Wire.V_edges);
-          view_name = require_name ();
-          word = None;
-          view_query = None;
-          measure = None;
-          top = None;
-        }
-      | `Analytics ->
-        {
-          S.Wire.action = S.Wire.V_analytics;
-          view_name = require_name ();
-          word = None;
-          view_query = None;
-          measure;
-          top;
-        }
+      | `Read -> named (if counts then S.Wire.V_counts else S.Wire.V_edges)
+      | `Analytics -> named ?measure ?top S.Wire.V_analytics
     in
     let options =
-      {
-        S.Wire.default_options with
-        S.Wire.limit;
-        max_length =
-          (if max_length = Mrpa_engine.Engine.default_max_length then None
-           else Some max_length);
-        deadline_ms;
-        fuel;
-        max_paths;
-        min_seq;
-        max_staleness_ms;
-      }
+      wire_options ?limit ~max_length ?deadline_ms ?fuel ?max_paths ?min_seq
+        ?max_staleness_ms ()
     in
     let request =
       { S.Wire.id = S.Json.Null; verb = S.Wire.Views vreq; query = None; options }
     in
     let line = or_die (S.Client.request_failover ~policy endpoints request) in
     print_endline line;
-    (* Exit-code policy: errors win over a partial view (a re-projection
-       that tripped its budget) over all-complete. *)
-    match S.Json.parse line with
-    | Error _ -> exit Mrpa_engine.Err.exit_user_error
-    | Ok json -> (
-      match S.Json.member "ok" json with
-      | Some (S.Json.Bool true) ->
-        let partial =
-          match
-            Option.bind (S.Json.member "view" json) (S.Json.member "partial")
-          with
-          | Some (S.Json.Bool b) -> b
-          | _ -> false
-        in
-        exit
-          (if partial then Mrpa_engine.Err.exit_partial
-           else Mrpa_engine.Err.exit_ok)
-      | _ -> exit Mrpa_engine.Err.exit_user_error)
+    exit (exit_code_of_status (line_status line))
   in
   let term =
     Term.(

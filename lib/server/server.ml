@@ -165,6 +165,8 @@ let cancel_inflight t =
   with_lock t.inflight_lock (fun () ->
       Hashtbl.iter (fun _ b -> Budget.cancel b) t.inflight)
 
+let inflight t = with_lock t.inflight_lock (fun () -> Hashtbl.length t.inflight)
+
 (* --- Connection state ---------------------------------------------------- *)
 
 (* Per-connection state shared between the session thread and the worker
@@ -381,12 +383,28 @@ let stats_response t req =
   in
   Wire.response_ok ~id:req.Wire.id [ ("stats", json) ]
 
+(* What a request turns into before anything is sent: a response line
+   that is ready now, or a governed job — its budget and the evaluation
+   that runs under it. A session sends the first and hands the second to
+   the pool; {!answer} runs both on the calling thread. *)
+type reply =
+  | Inline of string
+  | Governed of Budget.t * (Budget.t -> string)
+
+(* A governed job's response: an exception becomes an [internal] error. *)
+let run_job t (req : Wire.request) run budget =
+  try run budget
+  with e ->
+    m_incr t "server.internal_errors";
+    Wire.response_error ~id:req.Wire.id ~code:Wire.Internal
+      (Printexc.to_string e)
+
 (* Submit a governed job without waiting for it: the worker writes its own
    response through the session's write lock, which is what lets several
    tagged requests from one connection run concurrently. Refusals
-   (draining, queue full) are answered inline. [run] produces the response
-   line; its budget is registered in the in-flight table so shutdown can
-   cancel it cooperatively. *)
+   (draining, queue full) are answered inline. The budget is registered in
+   the in-flight table from submission on, so shutdown can cancel queued
+   and running jobs alike. *)
 let submit_governed t ss (req : Wire.request) budget run =
   let reg_id = register_budget t budget in
   let job () =
@@ -394,15 +412,7 @@ let submit_governed t ss (req : Wire.request) budget run =
       ~finally:(fun () ->
         unregister_budget t reg_id;
         job_finished ss)
-      (fun () ->
-        let response =
-          try run ()
-          with e ->
-            m_incr t "server.internal_errors";
-            Wire.response_error ~id:req.Wire.id ~code:Wire.Internal
-              (Printexc.to_string e)
-        in
-        send ss response)
+      (fun () -> send ss (run_job t req run budget))
   in
   if stopping t then begin
     unregister_budget t reg_id;
@@ -423,12 +433,6 @@ let submit_governed t ss (req : Wire.request) budget run =
            "job queue is full; retry later")
     end
   end
-
-let dispatch_async t snap ss (req : Wire.request) effective rkey
-    (c : Snapshot.compiled) =
-  let budget = Wire.budget_of_options effective in
-  submit_governed t ss req budget (fun () ->
-      eval_compiled t snap req effective rkey c budget)
 
 (* --- Sessions ------------------------------------------------------------ *)
 
@@ -497,11 +501,10 @@ let serving_snapshot t (o : Wire.options) =
     wait ()
   end
 
-let handle_eval t ss (req : Wire.request) =
+let eval_reply t (req : Wire.request) =
   let effective = Wire.clamp_request t.config.limits req in
   match serving_snapshot t effective with
-  | Error msg ->
-    send ss (Wire.response_error ~id:req.Wire.id ~code:Wire.Stale msg)
+  | Error msg -> Inline (Wire.response_error ~id:req.Wire.id ~code:Wire.Stale msg)
   | Ok snap -> (
     let query_text = Option.get req.Wire.query in
     let max_length = Option.get effective.Wire.max_length in
@@ -519,7 +522,7 @@ let handle_eval t ss (req : Wire.request) =
         (match req.Wire.verb with
         | Wire.Query -> "server.queries"
         | _ -> "server.counts");
-      send ss (Wire.response_ok ~id:req.Wire.id payload)
+      Inline (Wire.response_ok ~id:req.Wire.id payload)
     | None -> (
       match
         Snapshot.compile snap ~max_length ~simple:effective.Wire.simple
@@ -527,11 +530,14 @@ let handle_eval t ss (req : Wire.request) =
       with
       | Error msg ->
         m_incr t "server.query_errors";
-        send ss (Wire.response_error ~id:req.Wire.id ~code:Wire.Query_error msg)
+        Inline (Wire.response_error ~id:req.Wire.id ~code:Wire.Query_error msg)
       | Ok compiled -> (
         match admission_reject t req compiled with
-        | Some response -> send ss response
-        | None -> dispatch_async t snap ss req effective rkey compiled)))
+        | Some response -> Inline response
+        | None ->
+          Governed
+            ( Wire.budget_of_options effective,
+              eval_compiled t snap req effective rkey compiled ))))
 
 (* --- Materialized views --------------------------------------------------- *)
 
@@ -799,27 +805,27 @@ let views_read t snap (req : Wire.request) (v : Wire.view_req)
   | Wire.V_register | Wire.V_drop | Wire.V_list ->
     assert false (* answered inline by handle_views *)
 
-let handle_views t ss (req : Wire.request) (v : Wire.view_req) =
+let views_reply t (req : Wire.request) (v : Wire.view_req) =
   match v.Wire.action with
-  | Wire.V_register -> send ss (views_register t req v)
+  | Wire.V_register -> Inline (views_register t req v)
   | Wire.V_drop ->
     let name = Option.get v.Wire.view_name in
     if Views.drop t.views name then begin
       m_incr t "server.view_drops";
-      send ss
+      Inline
         (Wire.response_ok ~id:req.Wire.id
            [ ("view", Render.obj [ ("dropped", esc name) ]) ])
     end
     else begin
       m_incr t "server.view_unknown";
-      send ss
+      Inline
         (Wire.response_error ~id:req.Wire.id ~code:Wire.Unknown_view
            (Printf.sprintf "no view named %S" name))
     end
   | Wire.V_list ->
     m_incr t "server.view_lists";
     let infos = Views.list t.views ~snap_seq:(Snapshot.seq (snapshot t)) in
-    send ss
+    Inline
       (Wire.response_ok ~id:req.Wire.id
          [
            ( "views",
@@ -833,11 +839,10 @@ let handle_views t ss (req : Wire.request) (v : Wire.view_req) =
     let effective = Wire.clamp t.config.limits req.Wire.options in
     match serving_snapshot t effective with
     | Error msg ->
-      send ss (Wire.response_error ~id:req.Wire.id ~code:Wire.Stale msg)
+      Inline (Wire.response_error ~id:req.Wire.id ~code:Wire.Stale msg)
     | Ok snap ->
-      let budget = Wire.budget_of_options effective in
-      submit_governed t ss req budget (fun () ->
-          views_read t snap req v effective budget))
+      Governed
+        (Wire.budget_of_options effective, views_read t snap req v effective))
 
 (* --- Replication verbs --------------------------------------------------- *)
 
@@ -988,6 +993,36 @@ let handle_sub t ss (req : Wire.request) =
              ]);
         stream_to_subscriber t ss sub backlog)
 
+(* Every verb but [sub] and [shutdown], which act on the connection. *)
+let reply t (req : Wire.request) =
+  match req.Wire.verb with
+  | Wire.Ping ->
+    m_incr t "server.pings";
+    Inline (Wire.response_ok ~id:req.Wire.id [ ("pong", "true") ])
+  | Wire.Stats -> Inline (stats_response t req)
+  | Wire.Lint -> Inline (lint_response t req)
+  | Wire.Health ->
+    m_incr t "server.healths";
+    Inline (health_response t req)
+  | Wire.Views v -> views_reply t req v
+  | Wire.Query | Wire.Count -> eval_reply t req
+  | Wire.Sub | Wire.Shutdown ->
+    m_incr t "server.bad_requests";
+    Inline
+      (Wire.response_error ~id:req.Wire.id ~code:Wire.Bad_request
+         (Wire.verb_name req.Wire.verb ^ " needs a connection"))
+
+let answer ?(wrap_budget = Fun.id) t req =
+  m_incr t "server.requests";
+  match reply t req with
+  | Inline response -> response
+  | Governed (budget, run) ->
+    let budget = wrap_budget budget in
+    let reg_id = register_budget t budget in
+    Fun.protect
+      ~finally:(fun () -> unregister_budget t reg_id)
+      (fun () -> run_job t req run budget)
+
 let handle_request t ss line =
   m_incr t "server.requests";
   match Wire.decode_request line with
@@ -997,20 +1032,6 @@ let handle_request t ss line =
     `Continue
   | Ok req -> (
     match req.Wire.verb with
-    | Wire.Ping ->
-      m_incr t "server.pings";
-      send ss (Wire.response_ok ~id:req.Wire.id [ ("pong", "true") ]);
-      `Continue
-    | Wire.Stats ->
-      send ss (stats_response t req);
-      `Continue
-    | Wire.Lint ->
-      send ss (lint_response t req);
-      `Continue
-    | Wire.Health ->
-      m_incr t "server.healths";
-      send ss (health_response t req);
-      `Continue
     | Wire.Sub ->
       (* Takes over the connection: the handoff response, then a one-way
          record stream until either side hangs up. *)
@@ -1029,11 +1050,10 @@ let handle_request t ss line =
              "shutdown over TCP requires --allow-remote-shutdown");
         `Continue
       end
-    | Wire.Views v ->
-      handle_views t ss req v;
-      `Continue
-    | Wire.Query | Wire.Count ->
-      handle_eval t ss req;
+    | _ ->
+      (match reply t req with
+      | Inline response -> send ss response
+      | Governed (budget, run) -> submit_governed t ss req budget run);
       `Continue)
 
 (* --- Role threads -------------------------------------------------------- *)

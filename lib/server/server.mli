@@ -20,6 +20,11 @@
       evaluations complete in whatever order the pool finishes them. A
       session closing (EOF, timeout, oversize, blank-flood) waits for its
       in-flight workers before the fd is released.
+    - {b Answers without a socket} — one dispatcher turns a request into
+      either an inline response or a governed job (a budget and the
+      evaluation that runs under it). A session sends the first and
+      submits the second to the pool; {!answer} runs both on the calling
+      thread, which is how [mrpa shell] serves its prompt.
     - {b Worker pool} — a bounded {!Pool}; when its queue is full the
       session immediately answers [overloaded] ({!Wire.error_code})
       instead of buffering, so memory under overload is bounded by
@@ -124,6 +129,30 @@ val serve : t -> unit
     Returns after the graceful drain. Raises [Unix.Unix_error] if the
     endpoint cannot be bound (e.g. address in use) — binding errors are
     startup errors, not runtime ones. *)
+
+val answer :
+  ?wrap_budget:(Mrpa_engine.Budget.t -> Mrpa_engine.Budget.t) ->
+  t ->
+  Wire.request ->
+  string
+(** The response line (no trailing newline) a session would send for the
+    request, computed on the calling thread without a socket: the same
+    option resolver ({!Wire.clamp_request}), staleness gate, plan and
+    result caches, admission control and metrics. A governed request
+    ([query], [count], view reads) runs here rather than on the pool, with
+    its budget in the in-flight registry for the whole run, so
+    {!cancel_inflight} aborts it at its next checkpoint. [wrap_budget]
+    (default identity) sees that budget first — how [mrpa shell] applies
+    {!Mrpa_engine.Budget.with_fault_injection}. [sub] and [shutdown] act on
+    a connection and answer [bad_request] here. *)
+
+val cancel_inflight : t -> unit
+(** Cancel every registered budget: each run stops at its next checkpoint
+    with a sound partial result. Shutdown calls it, and [mrpa shell] calls
+    it on Ctrl-C. *)
+
+val inflight : t -> int
+(** Budgets currently registered (diagnostic, for tests). *)
 
 val bound_endpoint : t -> Wire.endpoint option
 (** The endpoint {!serve} actually bound, available once it is listening.
