@@ -32,7 +32,9 @@ let query_exn ?strategy ?simple ?stats ?max_length ?limit ?budget g text =
 
 (* The profiled pipeline runs every stage — including the static analyzer,
    which [query] skips — under one metrics collector, so the profile shows
-   where a query's time goes end to end. *)
+   where a query's time goes end to end. The lint stage profiles the graph
+   and analyses the cost once; the planner reuses both, as
+   [Snapshot.compile] does. *)
 let query_profiled ?strategy ?simple ?stats ?(max_length = default_max_length)
     ?limit ?budget g text =
   let m = Metrics.create () in
@@ -40,14 +42,20 @@ let query_profiled ?strategy ?simple ?stats ?(max_length = default_max_length)
   | Error e -> Error (Parser.render_error ~source:text e)
   | Ok spanned ->
     let expr = Spanned.strip spanned in
-    let diags =
+    let stats, cost, diags =
       Metrics.time m "lint" (fun () ->
-          Mrpa_lint.Lint.analyze ?stats ~max_length g spanned)
+          let stats =
+            match stats with
+            | Some s -> s
+            | None -> Mrpa_graph.Stat.profile g
+          in
+          let cost = Mrpa_lint.Cost.analyze ~stats g ~max_length spanned in
+          (stats, cost, Mrpa_lint.Lint.analyze ~cost ~max_length g spanned))
     in
     Metrics.set m "lint.findings" (List.length diags);
     let plan =
       Metrics.time m "optimize" (fun () ->
-          Optimizer.plan ?strategy ?simple ?stats ~max_length g expr)
+          Optimizer.plan ?strategy ?simple ~stats ~cost ~max_length g expr)
     in
     let paths, verdict =
       Metrics.time m "execute" (fun () ->

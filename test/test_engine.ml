@@ -825,6 +825,44 @@ let test_profile_counters_match_result () =
         | None -> false))
     [ Plan.Reference; Plan.Stack_machine; Plan.Product_bfs ]
 
+(* The profiled pipeline analyses once in its lint stage and hands the
+   same statistics and cost to the planner, so its plan is exactly what
+   [Optimizer.plan ~stats ~cost] builds, rewrites and notes included. *)
+let test_profile_plan_reuses_analysis () =
+  let fig1 =
+    Generate.fig1 ~rng:(Prng.create 42) ~n_noise_vertices:20 ~n_noise_edges:60
+  in
+  List.iter
+    (fun (name, g, text) ->
+      List.iter
+        (fun max_length ->
+          let r, _ = profiled_exn ~max_length g text in
+          let spanned =
+            match Parser.parse_spanned g text with
+            | Ok sp -> sp
+            | Error _ -> Alcotest.fail text
+          in
+          let stats = Stat.profile g in
+          let cost = Mrpa_lint.Cost.analyze ~stats g ~max_length spanned in
+          let expected =
+            Optimizer.plan ~stats ~cost ~max_length g (Spanned.strip spanned)
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %S at %d" name text max_length)
+            true
+            (r.Engine.plan = expected))
+        [ 2; 5 ])
+    [
+      ("paper", H.paper_graph (), "[i,alpha,_] . [_,beta,_]* . [_,alpha,_]");
+      ("paper", H.paper_graph (), "(empty . [_,alpha,_]) | [_,beta,_]");
+      ("parallel", H.parallel_graph (), "E . E*");
+      ("count", H.count_graph (), "[_,_,_]* . [_,_,_]");
+      ( "fig1",
+        fig1,
+        "[i,alpha,_] . [_,beta,_]* . (([_,alpha,j] . {(j,alpha,i)}) | \
+         [_,alpha,k])" );
+    ]
+
 let test_stack_limit_bounds_materialisation () =
   (* Regression: ~limit used to fully materialise the denotation and then
      truncate. On K6 with E* and max_length 4 that is 4681 paths; with the
@@ -974,6 +1012,8 @@ let () =
             test_profile_pipeline_stages;
           Alcotest.test_case "counters match result" `Quick
             test_profile_counters_match_result;
+          Alcotest.test_case "profile plan reuses its analysis" `Quick
+            test_profile_plan_reuses_analysis;
           Alcotest.test_case "limit bounds stack machine" `Quick
             test_stack_limit_bounds_materialisation;
           Alcotest.test_case "run_seq limit" `Quick test_run_seq_limit;
