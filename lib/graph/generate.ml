@@ -124,21 +124,29 @@ let social ~rng ~n_people ~n_orgs ~n_projects =
   and member_of = Digraph.label g "member_of"
   and created = Digraph.label g "created"
   and likes = Digraph.label g "likes" in
-  (* knows: preferential among people (about 2 edges per person). *)
-  let targets = ref [ people.(0) ] in
+  (* knows: preferential among people (about 2 edges per person). The
+     pick pool is every person and every friend picked so far, in arrival
+     order: at most three entries per person. A pick indexes it
+     newest-first, the order the graphs of every seed were drawn in. *)
+  let targets = Array.make (3 * n_people) people.(0) in
+  let n_targets = ref 1 in
+  let add_target v =
+    targets.(!n_targets) <- v;
+    incr n_targets
+  in
   for i = 1 to n_people - 1 do
-    let pool = Array.of_list !targets in
+    let pool = !n_targets in
     for _ = 1 to min 2 i do
-      let friend = Prng.pick rng pool in
+      let friend = targets.(pool - 1 - Prng.int rng pool) in
       if not (Vertex.equal friend people.(i)) then begin
         if Digraph.add_edge g (Edge.v people.(i) knows friend) then
-          targets := friend :: !targets;
+          add_target friend;
         (* knows is frequently reciprocated *)
         if Prng.bernoulli rng 0.5 then
           ignore (Digraph.add_edge g (Edge.v friend knows people.(i)))
       end
     done;
-    targets := people.(i) :: !targets
+    add_target people.(i)
   done;
   Array.iter
     (fun p ->

@@ -538,6 +538,73 @@ let test_generate_social_schema () =
   Alcotest.(check int) "works_for edges" 30
     (List.length (Digraph.edges_with_label g works_for))
 
+(* [Generate.social] as it was written with a list of targets (one
+   [Array.of_list] per person, so quadratic in people): the reference the
+   array-based generator must match draw for draw. *)
+let social_reference ~rng ~n_people ~n_orgs ~n_projects =
+  let g = Digraph.create ~vertex_capacity:(n_people + n_orgs + n_projects) () in
+  let people = Array.init n_people (fun i -> Digraph.vertex g (Printf.sprintf "p%d" i)) in
+  let orgs = Array.init n_orgs (fun i -> Digraph.vertex g (Printf.sprintf "org%d" i)) in
+  let projects =
+    Array.init n_projects (fun i -> Digraph.vertex g (Printf.sprintf "proj%d" i))
+  in
+  let knows = Digraph.label g "knows"
+  and works_for = Digraph.label g "works_for"
+  and member_of = Digraph.label g "member_of"
+  and created = Digraph.label g "created"
+  and likes = Digraph.label g "likes" in
+  let targets = ref [ people.(0) ] in
+  for i = 1 to n_people - 1 do
+    let pool = Array.of_list !targets in
+    for _ = 1 to min 2 i do
+      let friend = Prng.pick rng pool in
+      if not (Vertex.equal friend people.(i)) then begin
+        if Digraph.add_edge g (Edge.v people.(i) knows friend) then
+          targets := friend :: !targets;
+        if Prng.bernoulli rng 0.5 then
+          ignore (Digraph.add_edge g (Edge.v friend knows people.(i)))
+      end
+    done;
+    targets := people.(i) :: !targets
+  done;
+  Array.iter
+    (fun p ->
+      if n_orgs > 0 then
+        ignore (Digraph.add_edge g (Edge.v p works_for (Prng.pick rng orgs)));
+      if n_projects > 0 && Prng.bernoulli rng 0.7 then
+        ignore (Digraph.add_edge g (Edge.v p member_of (Prng.pick rng projects)));
+      if n_projects > 0 && Prng.bernoulli rng 0.2 then
+        ignore (Digraph.add_edge g (Edge.v p created (Prng.pick rng projects)));
+      if n_projects > 0 && Prng.bernoulli rng 0.4 then
+        ignore (Digraph.add_edge g (Edge.v p likes (Prng.pick rng projects))))
+    people;
+  g
+
+let test_generate_social_matches_reference () =
+  let named g =
+    List.map
+      (fun e ->
+        Format.asprintf "%a" (Digraph.pp_edge g) e)
+      (Digraph.edges g)
+  in
+  List.iter
+    (fun (seed, n_people, n_orgs, n_projects) ->
+      let draw gen = gen ~rng:(Prng.create seed) ~n_people ~n_orgs ~n_projects in
+      let g = draw Generate.social and r = draw social_reference in
+      let case = Printf.sprintf "seed %d, %d people" seed n_people in
+      Alcotest.(check (list string)) (case ^ ": edges in order") (named r)
+        (named g);
+      Alcotest.(check int) (case ^ ": vertices") (Digraph.n_vertices r)
+        (Digraph.n_vertices g))
+    [
+      (1, 1, 2, 3);
+      (2, 2, 0, 0);
+      (3, 50, 2, 5);
+      (4, 30, 3, 5);
+      (42, 500, 25, 50);
+      (7, 2000, 100, 200);
+    ]
+
 let test_generate_knowledge_base () =
   let g = Generate.knowledge_base ~rng:(Prng.create 6) ~n_entities:30 in
   List.iter
@@ -1169,6 +1236,8 @@ let () =
           Alcotest.test_case "preferential" `Quick
             test_generate_preferential_degrees;
           Alcotest.test_case "social schema" `Quick test_generate_social_schema;
+          Alcotest.test_case "social matches list reference" `Quick
+            test_generate_social_matches_reference;
           Alcotest.test_case "knowledge base" `Quick test_generate_knowledge_base;
           Alcotest.test_case "bipartite" `Quick test_generate_bipartite;
           Alcotest.test_case "tree" `Quick test_generate_tree;
