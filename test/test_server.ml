@@ -545,6 +545,158 @@ let test_server_roundtrip () =
       Alcotest.(check bool) "connection counted" true
         (Server.connections_served server >= 1))
 
+(* [Server.answer] is the session's dispatcher without a socket: for the
+   same requests it must send the same lines as [Server.serve]. Two
+   servers read one snapshot, one answering in-process and one over a
+   socket; the snapshot keeps no results, so both paths evaluate. Only the
+   timing fields are masked. *)
+let test_answer_matches_wire () =
+  let snapshot = Snapshot.of_graph ~result_cache_capacity:0 (H.paper_graph ()) in
+  let config =
+    {
+      Server.front = Listener.default_config (Wire.Unix_socket "unbound");
+      workers = 1;
+      queue_capacity = 4;
+      limits = Wire.default_limits;
+      max_predicted_cost = None;
+      role = Server.Standalone;
+    }
+  in
+  let local = Server.create ~snapshot config in
+  let mask line =
+    List.fold_left
+      (fun line key ->
+        let pat = Printf.sprintf "%S:" key in
+        let n = String.length line and m = String.length pat in
+        let b = Buffer.create n in
+        let i = ref 0 in
+        while !i < n do
+          if !i + m <= n && String.sub line !i m = pat then begin
+            Buffer.add_string b (pat ^ "N");
+            i := !i + m;
+            while
+              !i < n && String.contains "0123456789.-e" line.[!i]
+            do
+              incr i
+            done
+          end
+          else begin
+            Buffer.add_char b line.[!i];
+            incr i
+          end
+        done;
+        Buffer.contents b)
+      line [ "elapsed_ms"; "staleness_ms" ]
+  in
+  let view ?name ?word ?view_query ?measure action =
+    Wire.Views
+      { Wire.action; view_name = name; word; view_query; measure; top = None }
+  in
+  let opts f = f Wire.default_options in
+  let requests =
+    [
+      (None, Wire.Ping, None);
+      (Some "[i,alpha,_] . [_,beta,_]*", Wire.Query, None);
+      (Some "[_,alpha,_] | [_,beta,_]", Wire.Query, None);
+      (Some "[_,_,_]*", Wire.Count, None);
+      (Some "[_,_,_]*", Wire.Count, Some (opts (fun o -> { o with Wire.limit = Some 3 })));
+      (Some "[_,_,_]*", Wire.Count, Some (opts (fun o -> { o with Wire.simple = true })));
+      (Some "[_,alpha,_] . [_,alpha,_]", Wire.Lint, None);
+      (Some "[_,_,_]*", Wire.Lint, Some (opts (fun o -> { o with Wire.fuel = Some 3 })));
+      (Some "[i,alpha", Wire.Query, None);
+      (Some "[nosuch,_,_]", Wire.Count, None);
+      (None, view ~name:"w" ~word:[ "alpha" ] Wire.V_register, None);
+      (None, view ~name:"x" ~view_query:"[_,alpha,_] . [_,beta,_]" Wire.V_register, None);
+      (None, view ~name:"w" Wire.V_edges, None);
+      (None, view ~name:"x" Wire.V_counts, None);
+      (None, view ~name:"w" Wire.V_analytics, None);
+      (None, view ~name:"x" ~measure:"components" Wire.V_analytics, None);
+      (None, view ~name:"x" ~measure:"nosuch" Wire.V_analytics, None);
+      (None, view Wire.V_list, None);
+      (None, view ~name:"w" Wire.V_drop, None);
+      (None, view ~name:"w" Wire.V_edges, None);
+      (None, view ~name:"w" Wire.V_drop, None);
+    ]
+  in
+  with_server ~snapshot (fun _server connect _path ->
+      let conn = connect () in
+      Fun.protect
+        ~finally:(fun () -> Client.close conn)
+        (fun () ->
+          List.iteri
+            (fun i (query, verb, options) ->
+              let req =
+                {
+                  Wire.id = Json.Number (float_of_int i);
+                  verb;
+                  query;
+                  options = Option.value ~default:Wire.default_options options;
+                }
+              in
+              let wire =
+                match Client.request_raw conn (Wire.encode_request req) with
+                | Ok line -> line
+                | Error m -> Alcotest.failf "request %d: %s" i m
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "request %d (%s)" i (Wire.verb_name verb))
+                (mask wire)
+                (mask (Server.answer local req)))
+            requests));
+  Alcotest.(check int) "no budget left registered" 0 (Server.inflight local)
+
+(* --inject-fault reaches an in-process answer through [wrap_budget]: the
+   run trips at the chosen checkpoint, and its budget leaves the in-flight
+   registry with it. *)
+let test_answer_wraps_budget () =
+  let server =
+    Server.create
+      ~snapshot:(Snapshot.of_graph (H.paper_graph ()))
+      {
+        Server.front = Listener.default_config (Wire.Unix_socket "unbound");
+        workers = 1;
+        queue_capacity = 1;
+        limits = Wire.default_limits;
+        max_predicted_cost = None;
+        role = Server.Standalone;
+      }
+  in
+  let seen = ref None in
+  let wrap_budget b =
+    seen := Some b;
+    Budget.with_fault_injection ~at:2 Guard.Fuel b
+  in
+  let ask verb =
+    match
+      Json.parse
+        (Server.answer ~wrap_budget server (simple_req ~query:"[_,_,_]*" verb))
+    with
+    | Ok j -> j
+    | Error m -> Alcotest.fail m
+  in
+  let verdict j = Option.bind (Json.member "verdict" j) Json.to_string_opt in
+  Alcotest.(check (option string)) "query partial" (Some "partial:fuel")
+    (Option.bind (Json.member "result" (ask Wire.Query)) (fun r -> verdict r));
+  Alcotest.(check (option string)) "count partial" (Some "partial:fuel")
+    (verdict (ask Wire.Count));
+  Alcotest.(check bool) "the wrapper saw the request's budget" true
+    (!seen <> None);
+  Alcotest.(check int) "no budget left registered" 0 (Server.inflight server);
+  (* the session-only verbs are refused, not run *)
+  List.iter
+    (fun verb ->
+      let j =
+        match Json.parse (Server.answer server (simple_req verb)) with
+        | Ok j -> j
+        | Error m -> Alcotest.fail m
+      in
+      Alcotest.(check (option string))
+        (Wire.verb_name verb ^ " needs a connection")
+        (Some "bad_request")
+        (Option.bind (Json.member "error" j) (fun e ->
+             Option.bind (Json.member "code" e) Json.to_string_opt)))
+    [ Wire.Sub; Wire.Shutdown ]
+
 let test_server_clamps_options () =
   (* a tiny fuel ceiling forces a partial verdict even when the client asks
      for an unbounded run *)
@@ -1693,6 +1845,10 @@ let () =
       ( "server",
         [
           Alcotest.test_case "roundtrip" `Quick test_server_roundtrip;
+          Alcotest.test_case "answer matches the wire" `Quick
+            test_answer_matches_wire;
+          Alcotest.test_case "answer wraps the budget" `Quick
+            test_answer_wraps_budget;
           Alcotest.test_case "clamps options" `Quick test_server_clamps_options;
           Alcotest.test_case "lint verb" `Quick test_server_lint_verb;
           Alcotest.test_case "concurrent first lint" `Quick
