@@ -504,7 +504,8 @@ let serving_snapshot t (o : Wire.options) =
 let eval_reply t (req : Wire.request) =
   let effective = Wire.clamp_request t.config.limits req in
   match serving_snapshot t effective with
-  | Error msg -> Inline (Wire.response_error ~id:req.Wire.id ~code:Wire.Stale msg)
+  | Error msg ->
+    Inline (Wire.response_error ~id:req.Wire.id ~code:Wire.Stale msg)
   | Ok snap -> (
     let query_text = Option.get req.Wire.query in
     let max_length = Option.get effective.Wire.max_length in
@@ -803,7 +804,7 @@ let views_read t snap (req : Wire.request) (v : Wire.view_req)
                 @ graph_fields @ fields) );
           ])
   | Wire.V_register | Wire.V_drop | Wire.V_list ->
-    assert false (* answered inline by handle_views *)
+    assert false (* answered inline by views_reply *)
 
 let views_reply t (req : Wire.request) (v : Wire.view_req) =
   match v.Wire.action with
