@@ -590,7 +590,7 @@ let shell_cmd =
   let run path max_length deadline_ms fuel max_paths inject_fault =
     let module S = Mrpa_server in
     let snapshot = or_die (loading S.Snapshot.load path) in
-    let g = S.Snapshot.graph snapshot in
+    let g = S.Snapshot.graph snapshot and stats = S.Snapshot.profile snapshot in
     Format.printf
       "mrpa shell — %a@.Type a query per line; :explain QUERY, :count QUERY, \
        :lint QUERY, :profile QUERY, :view (word|expr|drop|edges|analytics) \
@@ -657,7 +657,7 @@ let shell_cmd =
     let command line =
       match next_token line with
       | ":explain", source -> (
-        match Mrpa_engine.Engine.explain ~max_length g source with
+        match Mrpa_engine.Engine.explain ~stats ~max_length g source with
         | Ok text -> Format.printf "%s@." text
         | Error msg -> Format.printf "error: %s@." msg)
       | ":profile", source -> (
@@ -667,7 +667,8 @@ let shell_cmd =
           Fun.protect
             ~finally:(fun () -> profiling := None)
             (fun () ->
-              Mrpa_engine.Engine.query_profiled ~max_length ~budget g source)
+              Mrpa_engine.Engine.query_profiled ~stats ~max_length ~budget g
+                source)
         with
         | Ok profiled -> print_profile profiled
         | Error msg -> Format.printf "error: %s@." msg)

@@ -165,8 +165,6 @@ let cancel_inflight t =
   with_lock t.inflight_lock (fun () ->
       Hashtbl.iter (fun _ b -> Budget.cancel b) t.inflight)
 
-let inflight t = with_lock t.inflight_lock (fun () -> Hashtbl.length t.inflight)
-
 (* --- Connection state ---------------------------------------------------- *)
 
 (* Per-connection state shared between the session thread and the worker

@@ -151,9 +151,6 @@ val cancel_inflight : t -> unit
     with a sound partial result. Shutdown calls it, and [mrpa shell] calls
     it on Ctrl-C. *)
 
-val inflight : t -> int
-(** Budgets currently registered (diagnostic, for tests). *)
-
 val bound_endpoint : t -> Wire.endpoint option
 (** The endpoint {!serve} actually bound, available once it is listening.
     Differs from [config.endpoint] exactly when a TCP port of [0] asked
