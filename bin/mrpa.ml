@@ -193,7 +193,10 @@ let response_status json =
     in
     match Option.bind verdict J.to_string_opt with
     | Some v when String.starts_with ~prefix:"partial" v ->
-      `Partial (List.nth_opt (String.split_on_char ':' v) 1)
+      `Partial
+        (Option.bind
+           (List.nth_opt (String.split_on_char ':' v) 1)
+           Mrpa_engine.Err.reason_of_name)
     | _ ->
       if
         Option.bind (J.member "view" json) (J.member "partial")
@@ -581,7 +584,7 @@ let print_response g ~source line =
         (list "top" view)));
   match response_status json with
   | `Partial (Some reason) ->
-    Format.printf "-- partial result (%s): some paths may be missing@." reason
+    pp_partial_note Format.std_formatter (Mrpa_engine.Err.Partial reason)
   | `Partial None ->
     Format.printf "-- partial result: some pairs may be missing@."
   | `Error | `Complete -> ()
