@@ -714,7 +714,8 @@ let shell_cmd =
            with e -> Format.printf "error: internal: %s@." (Printexc.to_string e));
         loop ()
     in
-    loop ()
+    loop ();
+    S.Server.close server
   in
   let term =
     Term.(
@@ -1408,7 +1409,10 @@ let serve_cmd =
   let workers_arg =
     Arg.(
       value & opt int 4
-      & info [ "workers" ] ~docv:"K" ~doc:"Worker threads executing queries.")
+      & info [ "workers" ] ~docv:"K"
+          ~doc:
+            "Worker threads executing queries, spread over up to nproc \
+             domains.")
   in
   let queue_arg =
     Arg.(

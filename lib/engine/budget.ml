@@ -4,7 +4,9 @@ type t = {
   deadline : int64 option;  (* absolute, on the monotonic clock *)
   fuel : int option;
   max_live : int option;
-  mutable cancelled : bool;
+  (* Set from another thread or domain (shutdown, Ctrl-C) while the run
+     polls it: an atomic makes the store visible to the polling domain. *)
+  cancelled : bool Atomic.t;
   mutable tripped : Guard.reason option;
   mutable checkpoints : int;
   mutable fuel_used : int;
@@ -30,7 +32,7 @@ let create ?deadline_ms ?fuel ?max_live () =
     deadline;
     fuel;
     max_live;
-    cancelled = false;
+    cancelled = Atomic.make false;
     tripped = None;
     checkpoints = 0;
     fuel_used = 0;
@@ -44,8 +46,8 @@ let with_fault_injection ~at reason b =
   b.fault <- Some (at, reason);
   b
 
-let cancel b = b.cancelled <- true
-let cancelled b = b.cancelled
+let cancel b = Atomic.set b.cancelled true
+let cancelled b = Atomic.get b.cancelled
 
 let trip b r =
   b.tripped <- Some r;
@@ -59,7 +61,7 @@ let poll b ~cost ~live =
   (match b.fault with
   | Some (at, r) when b.checkpoints >= at -> trip b r
   | _ -> ());
-  if b.cancelled then trip b Guard.Cancelled;
+  if Atomic.get b.cancelled then trip b Guard.Cancelled;
   (match b.deadline with
   | Some d when Int64.compare (Metrics.now_ns ()) d >= 0 ->
     trip b Guard.Deadline

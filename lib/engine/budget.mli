@@ -52,9 +52,9 @@ val with_fault_injection : at:int -> Guard.reason -> t -> t
     if [at < 1]. *)
 
 val cancel : t -> unit
-(** Fire the cancellation token. Idempotent; safe from a signal handler or
-    another thread (it only sets a flag — the run aborts at its next
-    checkpoint). *)
+(** Fire the cancellation token. Idempotent; safe from a signal handler,
+    another thread or another domain (it only sets an atomic flag — the
+    run aborts at its next checkpoint). *)
 
 val cancelled : t -> bool
 

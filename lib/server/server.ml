@@ -139,6 +139,7 @@ let create ?snapshot config =
 let snapshot t = Atomic.get t.snapshot
 
 let stop t = Listener.stop t.listener
+let close t = Pool.shutdown t.pool
 let stopping t = Listener.stopping t.listener
 let bound_endpoint t = Listener.bound_endpoint t.listener
 let connections_served t = Listener.connections t.listener
@@ -356,6 +357,7 @@ let stats_response t req =
         Metrics.set t.metrics "graph.edges" (Digraph.n_edges g);
         Metrics.set t.metrics "graph.labels" (Digraph.n_labels g);
         Metrics.set t.metrics "server.workers" t.config.workers;
+        Metrics.set t.metrics "server.worker_domains" (Pool.domains t.pool);
         Metrics.set t.metrics "server.queue_capacity" t.config.queue_capacity;
         Metrics.set t.metrics "server.queued" (Pool.queued t.pool);
         Metrics.set t.metrics "server.running" (Pool.running t.pool);
@@ -1282,8 +1284,13 @@ let serve t =
   let drain () =
     Option.iter Thread.join !role_thread;
     cancel_inflight t;
-    Pool.shutdown t.pool
+    close t
   in
-  Listener.serve t.listener ~on_listening:start_role ~on_stop:drain
-    ~on_farewell:(fun f -> m_incr t ("server." ^ Listener.farewell_counter f))
-    (open_session t)
+  (* A failed bind never reaches [drain]: close the pool on that path too. *)
+  Fun.protect
+    ~finally:(fun () -> close t)
+    (fun () ->
+      Listener.serve t.listener ~on_listening:start_role ~on_stop:drain
+        ~on_farewell:(fun f ->
+          m_incr t ("server." ^ Listener.farewell_counter f))
+        (open_session t))

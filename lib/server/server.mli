@@ -25,10 +25,15 @@
       evaluation that runs under it). A session sends the first and
       submits the second to the pool; {!answer} runs both on the calling
       thread, which is how [mrpa shell] serves its prompt.
-    - {b Worker pool} — a bounded {!Pool}; when its queue is full the
+    - {b Worker pool} — a bounded {!Pool} of [workers] threads spread
+      over up to [Domain.recommended_domain_count ()] domains. Session
+      I/O, decode and plan-cache lookups stay on the session threads of
+      the main domain; evaluation, rendering and the response write run on
+      whichever domain picks the job up. When the queue is full the
       session immediately answers [overloaded] ({!Wire.error_code})
       instead of buffering, so memory under overload is bounded by
-      [workers + queue], not by demand.
+      [workers + queue], not by demand. [stats] reports
+      [server.workers] and [server.worker_domains].
     - {b Snapshot and caches} — all workers read one frozen {!Snapshot.t};
       soundness of concurrent reads is by construction (mutation is
       unrepresentable), not by locking. The snapshot is the one unit of
@@ -123,6 +128,12 @@ val stop : t -> unit
 (** Request shutdown. Only sets an atomic flag — safe from a signal
     handler or any thread; {!serve} notices within its select timeout and
     performs the actual drain from its own thread. Idempotent. *)
+
+val close : t -> unit
+(** Shut the worker pool down ({!Pool.shutdown}): queued jobs still run,
+    then every worker thread and domain is joined. {!serve}'s drain calls
+    it; a server that is never served (one only asked through {!answer})
+    calls it itself when done. Idempotent. *)
 
 val serve : t -> unit
 (** Bind, listen, and serve until {!stop} (or a [shutdown] request).

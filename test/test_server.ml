@@ -287,6 +287,68 @@ let test_pool_rejects_bad_geometry () =
     (Invalid_argument "Pool.create: queue_capacity must be >= 1") (fun () ->
       ignore (Pool.create ~workers:1 ~queue_capacity:0))
 
+(* Run [n] jobs that each wait until all [n] have started, so each one
+   occupies its own worker; returns the domain every job ran on. Fails
+   when the [n] jobs never run together (a worker short). *)
+let run_together pool n job =
+  let lock = Mutex.create () in
+  let arrived = ref 0 and seen = ref [] in
+  for _ = 1 to n do
+    Alcotest.(check bool) "accepted" true
+      (Pool.submit pool (fun () ->
+           Mutex.protect lock (fun () ->
+               incr arrived;
+               seen := (Domain.self () :> int) :: !seen);
+           let deadline = Unix.gettimeofday () +. 5.0 in
+           while
+             Mutex.protect lock (fun () -> !arrived < n)
+             && Unix.gettimeofday () < deadline
+           do
+             Unix.sleepf 0.001
+           done;
+           job ()))
+  done;
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while Pool.running pool + Pool.queued pool > 0 && Unix.gettimeofday () < deadline
+  do
+    Unix.sleepf 0.005
+  done;
+  Alcotest.(check int) "every job ran at once" n
+    (Mutex.protect lock (fun () -> !arrived));
+  Mutex.protect lock (fun () -> List.sort_uniq compare !seen)
+
+let test_pool_domains () =
+  let cores = Domain.recommended_domain_count () in
+  List.iter
+    (fun workers ->
+      let pool = Pool.create ~workers ~queue_capacity:8 in
+      Fun.protect
+        ~finally:(fun () -> Pool.shutdown pool)
+        (fun () ->
+          let d = min workers cores in
+          Alcotest.(check int)
+            (Printf.sprintf "workers:%d on min(workers, cores) domains" workers)
+            d (Pool.domains pool);
+          (* [workers] jobs at once take every worker, and so every domain:
+             they ran on exactly [d] of them, the caller's included. *)
+          let domains = run_together pool workers ignore in
+          Alcotest.(check int) "jobs ran on that many domains" d
+            (List.length domains);
+          Alcotest.(check bool) "one of them is the caller's" true
+            (List.mem (Domain.self () :> int) domains)))
+    [ 1; 2; cores + 1 ]
+
+(* OCaml caps the live domains of a process at 128: only a [shutdown] that
+   joins every spawned domain lets 200 pools come and go. *)
+let test_pool_create_shutdown_200 () =
+  let ran = Atomic.make 0 in
+  for _ = 1 to 200 do
+    let pool = Pool.create ~workers:2 ~queue_capacity:2 in
+    ignore (Pool.submit pool (fun () -> Atomic.incr ran));
+    Pool.shutdown pool
+  done;
+  Alcotest.(check int) "every pool ran its job" 200 (Atomic.get ran)
+
 (* --- Snapshot ----------------------------------------------------------- *)
 
 let test_snapshot_freezes_copy () =
@@ -545,6 +607,23 @@ let test_server_roundtrip () =
       Alcotest.(check bool) "connection counted" true
         (Server.connections_served server >= 1))
 
+(* A server that is only asked through [Server.answer]: its endpoint is
+   never bound, and it is closed when [f] returns, so its pool's threads
+   and domains do not outlive the test. *)
+let with_unbound_server ?(workers = 1) ?(queue_capacity = 4) snapshot f =
+  let server =
+    Server.create ~snapshot
+      {
+        Server.front = Listener.default_config (Wire.Unix_socket "unbound");
+        workers;
+        queue_capacity;
+        limits = Wire.default_limits;
+        max_predicted_cost = None;
+        role = Server.Standalone;
+      }
+  in
+  Fun.protect ~finally:(fun () -> Server.close server) (fun () -> f server)
+
 (* [Server.answer] is the session's dispatcher without a socket: for the
    same requests it must send the same lines as [Server.serve]. Two
    servers read one snapshot, one answering in-process and one over a
@@ -552,152 +631,132 @@ let test_server_roundtrip () =
    timing fields are masked. *)
 let test_answer_matches_wire () =
   let snapshot = Snapshot.of_graph ~result_cache_capacity:0 (H.paper_graph ()) in
-  let config =
-    {
-      Server.front = Listener.default_config (Wire.Unix_socket "unbound");
-      workers = 1;
-      queue_capacity = 4;
-      limits = Wire.default_limits;
-      max_predicted_cost = None;
-      role = Server.Standalone;
-    }
-  in
-  let local = Server.create ~snapshot config in
-  let mask line =
-    List.fold_left
-      (fun line key ->
-        let pat = Printf.sprintf "%S:" key in
-        let n = String.length line and m = String.length pat in
-        let b = Buffer.create n in
-        let i = ref 0 in
-        while !i < n do
-          if !i + m <= n && String.sub line !i m = pat then begin
-            Buffer.add_string b (pat ^ "N");
-            i := !i + m;
-            while
-              !i < n && String.contains "0123456789.-e" line.[!i]
-            do
+  with_unbound_server snapshot (fun local ->
+    let mask line =
+      List.fold_left
+        (fun line key ->
+          let pat = Printf.sprintf "%S:" key in
+          let n = String.length line and m = String.length pat in
+          let b = Buffer.create n in
+          let i = ref 0 in
+          while !i < n do
+            if !i + m <= n && String.sub line !i m = pat then begin
+              Buffer.add_string b (pat ^ "N");
+              i := !i + m;
+              while
+                !i < n && String.contains "0123456789.-e" line.[!i]
+              do
+                incr i
+              done
+            end
+            else begin
+              Buffer.add_char b line.[!i];
               incr i
-            done
-          end
-          else begin
-            Buffer.add_char b line.[!i];
-            incr i
-          end
-        done;
-        Buffer.contents b)
-      line [ "elapsed_ms"; "staleness_ms" ]
-  in
-  let view ?name ?word ?view_query ?measure action =
-    Wire.Views
-      { Wire.action; view_name = name; word; view_query; measure; top = None }
-  in
-  let opts f = f Wire.default_options in
-  let requests =
-    [
-      (None, Wire.Ping, None);
-      (Some "[i,alpha,_] . [_,beta,_]*", Wire.Query, None);
-      (Some "[_,alpha,_] | [_,beta,_]", Wire.Query, None);
-      (Some "[_,_,_]*", Wire.Count, None);
-      (Some "[_,_,_]*", Wire.Count, Some (opts (fun o -> { o with Wire.limit = Some 3 })));
-      (Some "[_,_,_]*", Wire.Count, Some (opts (fun o -> { o with Wire.simple = true })));
-      (Some "[_,alpha,_] . [_,alpha,_]", Wire.Lint, None);
-      (Some "[_,_,_]*", Wire.Lint, Some (opts (fun o -> { o with Wire.fuel = Some 3 })));
-      (Some "[i,alpha", Wire.Query, None);
-      (Some "[nosuch,_,_]", Wire.Count, None);
-      (None, view ~name:"w" ~word:[ "alpha" ] Wire.V_register, None);
-      (None, view ~name:"x" ~view_query:"[_,alpha,_] . [_,beta,_]" Wire.V_register, None);
-      (None, view ~name:"w" Wire.V_edges, None);
-      (None, view ~name:"x" Wire.V_counts, None);
-      (None, view ~name:"w" Wire.V_analytics, None);
-      (None, view ~name:"x" ~measure:"components" Wire.V_analytics, None);
-      (None, view ~name:"x" ~measure:"nosuch" Wire.V_analytics, None);
-      (None, view Wire.V_list, None);
-      (None, view ~name:"w" Wire.V_drop, None);
-      (None, view ~name:"w" Wire.V_edges, None);
-      (None, view ~name:"w" Wire.V_drop, None);
-    ]
-  in
-  with_server ~snapshot (fun _server connect _path ->
-      let conn = connect () in
-      Fun.protect
-        ~finally:(fun () -> Client.close conn)
-        (fun () ->
-          List.iteri
-            (fun i (query, verb, options) ->
-              let req =
-                {
-                  Wire.id = Json.Number (float_of_int i);
-                  verb;
-                  query;
-                  options = Option.value ~default:Wire.default_options options;
-                }
-              in
-              let wire =
-                match Client.request_raw conn (Wire.encode_request req) with
-                | Ok line -> line
-                | Error m -> Alcotest.failf "request %d: %s" i m
-              in
-              Alcotest.(check string)
-                (Printf.sprintf "request %d (%s)" i (Wire.verb_name verb))
-                (mask wire)
-                (mask (Server.answer local req)))
-            requests))
+            end
+          done;
+          Buffer.contents b)
+        line [ "elapsed_ms"; "staleness_ms" ]
+    in
+    let view ?name ?word ?view_query ?measure action =
+      Wire.Views
+        { Wire.action; view_name = name; word; view_query; measure; top = None }
+    in
+    let opts f = f Wire.default_options in
+    let requests =
+      [
+        (None, Wire.Ping, None);
+        (Some "[i,alpha,_] . [_,beta,_]*", Wire.Query, None);
+        (Some "[_,alpha,_] | [_,beta,_]", Wire.Query, None);
+        (Some "[_,_,_]*", Wire.Count, None);
+        (Some "[_,_,_]*", Wire.Count, Some (opts (fun o -> { o with Wire.limit = Some 3 })));
+        (Some "[_,_,_]*", Wire.Count, Some (opts (fun o -> { o with Wire.simple = true })));
+        (Some "[_,alpha,_] . [_,alpha,_]", Wire.Lint, None);
+        (Some "[_,_,_]*", Wire.Lint, Some (opts (fun o -> { o with Wire.fuel = Some 3 })));
+        (Some "[i,alpha", Wire.Query, None);
+        (Some "[nosuch,_,_]", Wire.Count, None);
+        (None, view ~name:"w" ~word:[ "alpha" ] Wire.V_register, None);
+        (None, view ~name:"x" ~view_query:"[_,alpha,_] . [_,beta,_]" Wire.V_register, None);
+        (None, view ~name:"w" Wire.V_edges, None);
+        (None, view ~name:"x" Wire.V_counts, None);
+        (None, view ~name:"w" Wire.V_analytics, None);
+        (None, view ~name:"x" ~measure:"components" Wire.V_analytics, None);
+        (None, view ~name:"x" ~measure:"nosuch" Wire.V_analytics, None);
+        (None, view Wire.V_list, None);
+        (None, view ~name:"w" Wire.V_drop, None);
+        (None, view ~name:"w" Wire.V_edges, None);
+        (None, view ~name:"w" Wire.V_drop, None);
+      ]
+    in
+    with_server ~snapshot (fun _server connect _path ->
+        let conn = connect () in
+        Fun.protect
+          ~finally:(fun () -> Client.close conn)
+          (fun () ->
+            List.iteri
+              (fun i (query, verb, options) ->
+                let req =
+                  {
+                    Wire.id = Json.Number (float_of_int i);
+                    verb;
+                    query;
+                    options = Option.value ~default:Wire.default_options options;
+                  }
+                in
+                let wire =
+                  match Client.request_raw conn (Wire.encode_request req) with
+                  | Ok line -> line
+                  | Error m -> Alcotest.failf "request %d: %s" i m
+                in
+                Alcotest.(check string)
+                  (Printf.sprintf "request %d (%s)" i (Wire.verb_name verb))
+                  (mask wire)
+                  (mask (Server.answer local req)))
+              requests)))
 
 (* --inject-fault reaches an in-process answer through [wrap_budget]: the
    run trips at the chosen checkpoint, and its budget leaves the in-flight
    registry with it. *)
 let test_answer_wraps_budget () =
-  let server =
-    Server.create
-      ~snapshot:(Snapshot.of_graph (H.paper_graph ()))
-      {
-        Server.front = Listener.default_config (Wire.Unix_socket "unbound");
-        workers = 1;
-        queue_capacity = 1;
-        limits = Wire.default_limits;
-        max_predicted_cost = None;
-        role = Server.Standalone;
-      }
-  in
-  let seen = ref [] in
-  let wrap_budget b =
-    seen := b :: !seen;
-    Budget.with_fault_injection ~at:2 Guard.Fuel b
-  in
-  let ask verb =
-    match
-      Json.parse
-        (Server.answer ~wrap_budget server (simple_req ~query:"[_,_,_]*" verb))
-    with
-    | Ok j -> j
-    | Error m -> Alcotest.fail m
-  in
-  let verdict j = Option.bind (Json.member "verdict" j) Json.to_string_opt in
-  Alcotest.(check (option string)) "query partial" (Some "partial:fuel")
-    (Option.bind (Json.member "result" (ask Wire.Query)) (fun r -> verdict r));
-  Alcotest.(check (option string)) "count partial" (Some "partial:fuel")
-    (verdict (ask Wire.Count));
-  Alcotest.(check int) "the wrapper saw each request's budget" 2
-    (List.length !seen);
-  (* A budget still registered would be cancelled here. *)
-  Server.cancel_inflight server;
-  Alcotest.(check (list bool)) "no budget left registered" [ false; false ]
-    (List.map Budget.cancelled !seen);
-  (* the session-only verbs are refused, not run *)
-  List.iter
-    (fun verb ->
-      let j =
-        match Json.parse (Server.answer server (simple_req verb)) with
-        | Ok j -> j
-        | Error m -> Alcotest.fail m
-      in
-      Alcotest.(check (option string))
-        (Wire.verb_name verb ^ " needs a connection")
-        (Some "bad_request")
-        (Option.bind (Json.member "error" j) (fun e ->
-             Option.bind (Json.member "code" e) Json.to_string_opt)))
-    [ Wire.Sub; Wire.Shutdown ]
+  let snapshot = Snapshot.of_graph (H.paper_graph ()) in
+  with_unbound_server ~queue_capacity:1 snapshot (fun server ->
+    let seen = ref [] in
+    let wrap_budget b =
+      seen := b :: !seen;
+      Budget.with_fault_injection ~at:2 Guard.Fuel b
+    in
+    let ask verb =
+      match
+        Json.parse
+          (Server.answer ~wrap_budget server (simple_req ~query:"[_,_,_]*" verb))
+      with
+      | Ok j -> j
+      | Error m -> Alcotest.fail m
+    in
+    let verdict j = Option.bind (Json.member "verdict" j) Json.to_string_opt in
+    Alcotest.(check (option string)) "query partial" (Some "partial:fuel")
+      (Option.bind (Json.member "result" (ask Wire.Query)) (fun r -> verdict r));
+    Alcotest.(check (option string)) "count partial" (Some "partial:fuel")
+      (verdict (ask Wire.Count));
+    Alcotest.(check int) "the wrapper saw each request's budget" 2
+      (List.length !seen);
+    (* A budget still registered would be cancelled here. *)
+    Server.cancel_inflight server;
+    Alcotest.(check (list bool)) "no budget left registered" [ false; false ]
+      (List.map Budget.cancelled !seen);
+    (* the session-only verbs are refused, not run *)
+    List.iter
+      (fun verb ->
+        let j =
+          match Json.parse (Server.answer server (simple_req verb)) with
+          | Ok j -> j
+          | Error m -> Alcotest.fail m
+        in
+        Alcotest.(check (option string))
+          (Wire.verb_name verb ^ " needs a connection")
+          (Some "bad_request")
+          (Option.bind (Json.member "error" j) (fun e ->
+               Option.bind (Json.member "code" e) Json.to_string_opt)))
+      [ Wire.Sub; Wire.Shutdown ])
 
 let test_server_clamps_options () =
   (* a tiny fuel ceiling forces a partial verdict even when the client asks
@@ -1054,6 +1113,51 @@ let test_pool_supervisor_restarts_repeatedly () =
   done;
   Pool.shutdown pool;
   Alcotest.(check int) "pool at full strength afterwards" 8 (Atomic.get count)
+
+(* With more workers than domains, a poisoned worker on every domain: the
+   caller's, where workers are threads beside the sessions, and each
+   spawned one. Every job of a round holds its own worker until the whole
+   round has started, so each worker is poisoned once per round. *)
+let poison_every_worker pool workers =
+  let poisoned = Atomic.make 0 in
+  ignore
+    (run_together pool workers (fun () ->
+         Atomic.incr poisoned;
+         raise (Pool.Fatal "poisoned")));
+  Atomic.get poisoned
+
+let await_restarts pool n =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Pool.restarts pool < n && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done
+
+let test_pool_supervisor_restarts_across_domains () =
+  let workers = Domain.recommended_domain_count () + 1 in
+  let pool = Pool.create ~workers ~queue_capacity:16 in
+  let poisoned = poison_every_worker pool workers in
+  await_restarts pool poisoned;
+  Alcotest.(check int) "each worker restarted once" workers
+    (Pool.restarts pool);
+  let domains = run_together pool workers ignore in
+  Alcotest.(check int) "restarted workers kept their domains"
+    (Pool.domains pool) (List.length domains);
+  Pool.shutdown pool;
+  Alcotest.(check int) "fatal also counted as job error" workers
+    (Pool.job_errors pool)
+
+let test_pool_supervisor_restarts_repeatedly_across_domains () =
+  let workers = Domain.recommended_domain_count () + 1 in
+  let pool = Pool.create ~workers ~queue_capacity:16 in
+  for round = 1 to 3 do
+    ignore (poison_every_worker pool workers);
+    await_restarts pool (round * workers)
+  done;
+  Alcotest.(check int) "three restarts per worker" (3 * workers)
+    (Pool.restarts pool);
+  ignore (run_together pool workers ignore);
+  Pool.shutdown pool;
+  Alcotest.(check int) "no job lost" 0 (Pool.queued pool)
 
 (* --- Session hardening ---------------------------------------------------- *)
 
@@ -1780,6 +1884,182 @@ let test_retry_bounded_when_server_never_appears () =
         Alcotest.(check bool) "rendered reason" true (String.length m > 0);
         Alcotest.(check int) "slept between all attempts" 2 !sleeps)
 
+(* --- The pool across domains ---------------------------------------------- *)
+
+let test_worker_domains_in_stats () =
+  let domains workers =
+    with_unbound_server ~workers (Snapshot.of_graph (H.paper_graph ()))
+      (fun server ->
+        match Json.parse (Server.answer server (simple_req Wire.Stats)) with
+        | Ok j -> stats_counter "server.worker_domains" j
+        | Error m -> Alcotest.fail m)
+  in
+  Alcotest.(check (option int)) "workers:1" (Some 1) (domains 1);
+  Alcotest.(check (option int)) "workers:3"
+    (Some (min 3 (Domain.recommended_domain_count ())))
+    (domains 3)
+
+(* Shutdown and Ctrl-C cancel from the main domain while the query runs on
+   a pool domain: the cancelling store must reach the running domain. The
+   star never finishes on its own; the deadline only keeps a broken
+   cancellation from hanging the suite. *)
+let test_cancel_from_another_domain () =
+  let g = Generate.complete ~n:10 ~n_labels:1 in
+  let pool = Pool.create ~workers:2 ~queue_capacity:2 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      let budget = Budget.create ~deadline_ms:10_000.0 () in
+      let started = Atomic.make false and outcome = Atomic.make None in
+      let run () =
+        Atomic.set started true;
+        let verdict =
+          match
+            Engine.query ~strategy:Plan.Product_bfs ~max_length:16 ~budget g
+              "E*"
+          with
+          | Ok r -> Err.verdict_name r.Engine.verdict
+          | Error m -> m
+        in
+        Atomic.set outcome (Some (verdict, Unix.gettimeofday ()))
+      in
+      Alcotest.(check bool) "accepted" true (Pool.submit pool run);
+      while not (Atomic.get started) do
+        Unix.sleepf 0.005
+      done;
+      Unix.sleepf 0.1;
+      let cancelled_at =
+        Domain.join
+          (Domain.spawn (fun () ->
+               Budget.cancel budget;
+               Unix.gettimeofday ()))
+      in
+      while Atomic.get outcome = None do
+        Unix.sleepf 0.005
+      done;
+      let verdict, ended_at = Option.get (Atomic.get outcome) in
+      Alcotest.(check string) "verdict" "partial:cancelled" verdict;
+      let after = ended_at -. cancelled_at in
+      Alcotest.(check bool)
+        (Printf.sprintf "ended %.3f s after the cancel" after)
+        true (after < 1.0))
+
+(* The server's answers under real parallelism: 4 clients with 2 requests
+   in flight each, so both pool domains evaluate, render and write at
+   once. No result is cached, so every request is evaluated, and the
+   metrics (behind [metrics_lock]) count each exactly once. *)
+let test_wire_differential_parallel () =
+  let g = H.paper_graph () in
+  let expected =
+    Array.of_list
+      (List.map2 (fun q paths -> (q, paths)) queries (run_all g))
+  in
+  let signatures pset =
+    Path_set.fold
+      (fun p acc ->
+        List.map
+          (fun e ->
+            ( Digraph.vertex_name g (Edge.tail e),
+              Digraph.label_name g (Edge.label e),
+              Digraph.vertex_name g (Edge.head e) ))
+          (Path.edges p)
+        :: acc)
+      pset []
+    |> List.sort compare
+  in
+  let wire_signatures j =
+    let text name e =
+      Option.value ~default:"?"
+        (Option.bind (Json.member name e) Json.to_string_opt)
+    in
+    match Option.bind (Json.member "result" j) (Json.member "paths") with
+    | Some (Json.List paths) ->
+      List.map
+        (fun p ->
+          match Json.member "edges" p with
+          | Some (Json.List edges) ->
+            List.map (fun e -> (text "tail" e, text "label" e, text "head" e)) edges
+          | _ -> [])
+        paths
+      |> List.sort compare
+    | _ -> []
+  in
+  let clients = 4 and pairs = 25 in
+  let options = { Wire.default_options with Wire.max_length = Some 6 } in
+  let snapshot = Snapshot.of_graph ~result_cache_capacity:0 g in
+  with_server ~snapshot ~workers:2 ~queue_capacity:16
+    (fun _server connect _path ->
+      let lock = Mutex.create () in
+      let failures = ref [] and answered = ref 0 in
+      let fail fmt =
+        Printf.ksprintf
+          (fun m -> Mutex.protect lock (fun () -> failures := m :: !failures))
+          fmt
+      in
+      let client c =
+        let conn = connect () in
+        Fun.protect
+          ~finally:(fun () -> Client.close conn)
+          (fun () ->
+            for pair = 0 to pairs - 1 do
+              (* A query and a count in flight together, ids in the
+                 request's slot. *)
+              let slot k = ((c * pairs) + pair) * 2 + k in
+              let entry k = expected.(slot k mod Array.length expected) in
+              List.iter
+                (fun (k, verb) ->
+                  match
+                    Client.send conn
+                      {
+                        Wire.id = Json.Number (float_of_int (slot k));
+                        verb;
+                        query = Some (fst (entry k));
+                        options;
+                      }
+                  with
+                  | Ok () -> ()
+                  | Error m -> fail "send: %s" m)
+                [ (0, Wire.Query); (1, Wire.Count) ];
+              for _ = 1 to 2 do
+                match Client.receive conn with
+                | Error m -> fail "receive: %s" m
+                | Ok j -> (
+                  Mutex.protect lock (fun () -> incr answered);
+                  match Json.to_int_opt (Client.response_id j) with
+                  | Some id when id = slot 0 ->
+                    let q, paths = entry 0 in
+                    if wire_signatures j <> signatures paths then
+                      fail "query %S: paths differ from the engine's" q
+                  | Some id when id = slot 1 ->
+                    let q, paths = entry 1 in
+                    let count =
+                      Option.bind (Json.member "count" j) Json.to_int_opt
+                    in
+                    if count <> Some (Path_set.cardinal paths) then
+                      fail "count %S: %s, engine %d" q (Json.to_string j)
+                        (Path_set.cardinal paths)
+                  | _ -> fail "unexpected response %s" (Json.to_string j))
+              done
+            done)
+      in
+      List.iter Thread.join
+        (List.init clients (fun c -> Thread.create client c));
+      Alcotest.(check (list string)) "every answer is the engine's" []
+        (List.rev !failures);
+      Alcotest.(check int) "every request answered" (clients * pairs * 2)
+        !answered;
+      let conn = connect () in
+      Fun.protect
+        ~finally:(fun () -> Client.close conn)
+        (fun () ->
+          let j =
+            expect_ok "stats" (Client.request conn (simple_req Wire.Stats))
+          in
+          Alcotest.(check (option int)) "server.queries" (Some (clients * pairs))
+            (stats_counter "server.queries" j);
+          Alcotest.(check (option int)) "server.counts" (Some (clients * pairs))
+            (stats_counter "server.counts" j)))
+
 let () =
   Alcotest.run "server"
     [
@@ -1811,6 +2091,14 @@ let () =
             test_pool_supervisor_restarts_worker;
           Alcotest.test_case "supervisor restarts repeatedly" `Quick
             test_pool_supervisor_restarts_repeatedly;
+          Alcotest.test_case "domains never exceed cores" `Quick
+            test_pool_domains;
+          Alcotest.test_case "200 pools come and go" `Quick
+            test_pool_create_shutdown_200;
+          Alcotest.test_case "restarts on every domain" `Quick
+            test_pool_supervisor_restarts_across_domains;
+          Alcotest.test_case "restarts on every domain, repeatedly" `Quick
+            test_pool_supervisor_restarts_repeatedly_across_domains;
         ] );
       ( "snapshot",
         [
@@ -1883,6 +2171,15 @@ let () =
           Alcotest.test_case "count contract" `Quick test_count_contract;
           Alcotest.test_case "count overflow is a query error" `Quick
             test_count_overflow;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "worker domains in stats" `Quick
+            test_worker_domains_in_stats;
+          Alcotest.test_case "cancel from another domain" `Quick
+            test_cancel_from_another_domain;
+          Alcotest.test_case "wire differential under parallelism" `Quick
+            test_wire_differential_parallel;
         ] );
       ( "retry",
         [
