@@ -124,7 +124,8 @@ let create ~workers ~queue_capacity =
         run_workers t (on_domain k))
   in
   (try
-     t.threads <- List.init (on_domain 0) (fun _ -> Thread.create worker_main t);
+     t.threads <-
+       List.init (on_domain 0) (fun _ -> Thread.create worker_main t);
      for k = 1 to d - 1 do
        t.domains <- spawn k :: t.domains
      done

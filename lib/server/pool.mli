@@ -7,14 +7,15 @@
     response). Backpressure is therefore explicit at the edge of the
     system instead of implicit in a growing heap.
 
-    {b Domains.} The workers run on [d = min K (Domain.recommended_domain_count ())]
-    domains: the calling domain and [d - 1] spawned ones, never more
-    domains than cores. Each domain pays for every stop-the-world minor
-    collection, and a domain without a core to run on stalls the others
-    while they wait for it. Worker [i] is a systhread on domain [i mod d],
-    so with [K > d] several workers share a domain's runtime lock. A pool
-    of one worker spawns no domain. A job may run on any domain: it must
-    not touch unsynchronised shared state.
+    {b Domains.} The workers run on
+    [d = min K (Domain.recommended_domain_count ())] domains: the calling
+    domain and [d - 1] spawned ones, never more domains than cores. Each
+    domain pays for every stop-the-world minor collection, and a domain
+    without a core to run on stalls the others while they wait for it.
+    Worker [i] is a systhread on domain [i mod d], so with [K > d] several
+    workers share a domain's runtime lock. A pool of one worker spawns no
+    domain. A job may run on any domain: it must not touch unsynchronised
+    shared state.
 
     {b Memory.} Each spawned domain halves its own minor heap as its
     first act (the runtime reserves 2 MiB per domain), and a pool that

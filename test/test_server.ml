@@ -309,7 +309,9 @@ let run_together pool n job =
            job ()))
   done;
   let deadline = Unix.gettimeofday () +. 10.0 in
-  while Pool.running pool + Pool.queued pool > 0 && Unix.gettimeofday () < deadline
+  while
+    Pool.running pool + Pool.queued pool > 0
+    && Unix.gettimeofday () < deadline
   do
     Unix.sleepf 0.005
   done;
@@ -338,16 +340,26 @@ let test_pool_domains () =
             (List.mem (Domain.self () :> int) domains)))
     [ 1; 2; cores + 1 ]
 
-(* OCaml caps the live domains of a process at 128: only a [shutdown] that
-   joins every spawned domain lets 200 pools come and go. *)
+(* OCaml caps the live domains of a process at 128, so 200 pools can come
+   and go only if each one's domains end. [shutdown] must also wait for
+   them: a spawned domain's exit hook, slowed down, has run by the time
+   [shutdown] returns. *)
 let test_pool_create_shutdown_200 () =
-  let ran = Atomic.make 0 in
-  for _ = 1 to 200 do
+  let spawned = min 2 (Domain.recommended_domain_count ()) - 1 in
+  let exited = Atomic.make 0 in
+  for i = 1 to 200 do
     let pool = Pool.create ~workers:2 ~queue_capacity:2 in
-    ignore (Pool.submit pool (fun () -> Atomic.incr ran));
-    Pool.shutdown pool
-  done;
-  Alcotest.(check int) "every pool ran its job" 200 (Atomic.get ran)
+    ignore
+      (run_together pool 2 (fun () ->
+           if not (Domain.is_main_domain ()) then
+             Domain.at_exit (fun () ->
+                 Unix.sleepf 0.002;
+                 Atomic.incr exited)));
+    Pool.shutdown pool;
+    Alcotest.(check int)
+      (Printf.sprintf "pool %d's domains joined" i)
+      (i * spawned) (Atomic.get exited)
+  done
 
 (* --- Snapshot ----------------------------------------------------------- *)
 
@@ -608,21 +620,17 @@ let test_server_roundtrip () =
         (Server.connections_served server >= 1))
 
 (* A server that is only asked through [Server.answer]: its endpoint is
-   never bound, and it is closed when [f] returns, so its pool's threads
-   and domains do not outlive the test. *)
-let with_unbound_server ?(workers = 1) ?(queue_capacity = 4) snapshot f =
-  let server =
-    Server.create ~snapshot
-      {
-        Server.front = Listener.default_config (Wire.Unix_socket "unbound");
-        workers;
-        queue_capacity;
-        limits = Wire.default_limits;
-        max_predicted_cost = None;
-        role = Server.Standalone;
-      }
-  in
-  Fun.protect ~finally:(fun () -> Server.close server) (fun () -> f server)
+   never bound, and the test closes it so its pool does not outlive it. *)
+let unbound_server ?(workers = 1) ?(queue_capacity = 4) snapshot =
+  Server.create ~snapshot
+    {
+      Server.front = Listener.default_config (Wire.Unix_socket "unbound");
+      workers;
+      queue_capacity;
+      limits = Wire.default_limits;
+      max_predicted_cost = None;
+      role = Server.Standalone;
+    }
 
 (* [Server.answer] is the session's dispatcher without a socket: for the
    same requests it must send the same lines as [Server.serve]. Two
@@ -631,132 +639,135 @@ let with_unbound_server ?(workers = 1) ?(queue_capacity = 4) snapshot f =
    timing fields are masked. *)
 let test_answer_matches_wire () =
   let snapshot = Snapshot.of_graph ~result_cache_capacity:0 (H.paper_graph ()) in
-  with_unbound_server snapshot (fun local ->
-    let mask line =
-      List.fold_left
-        (fun line key ->
-          let pat = Printf.sprintf "%S:" key in
-          let n = String.length line and m = String.length pat in
-          let b = Buffer.create n in
-          let i = ref 0 in
-          while !i < n do
-            if !i + m <= n && String.sub line !i m = pat then begin
-              Buffer.add_string b (pat ^ "N");
-              i := !i + m;
-              while
-                !i < n && String.contains "0123456789.-e" line.[!i]
-              do
-                incr i
-              done
-            end
-            else begin
-              Buffer.add_char b line.[!i];
+  let local = unbound_server snapshot in
+  let mask line =
+    List.fold_left
+      (fun line key ->
+        let pat = Printf.sprintf "%S:" key in
+        let n = String.length line and m = String.length pat in
+        let b = Buffer.create n in
+        let i = ref 0 in
+        while !i < n do
+          if !i + m <= n && String.sub line !i m = pat then begin
+            Buffer.add_string b (pat ^ "N");
+            i := !i + m;
+            while
+              !i < n && String.contains "0123456789.-e" line.[!i]
+            do
               incr i
-            end
-          done;
-          Buffer.contents b)
-        line [ "elapsed_ms"; "staleness_ms" ]
-    in
-    let view ?name ?word ?view_query ?measure action =
-      Wire.Views
-        { Wire.action; view_name = name; word; view_query; measure; top = None }
-    in
-    let opts f = f Wire.default_options in
-    let requests =
-      [
-        (None, Wire.Ping, None);
-        (Some "[i,alpha,_] . [_,beta,_]*", Wire.Query, None);
-        (Some "[_,alpha,_] | [_,beta,_]", Wire.Query, None);
-        (Some "[_,_,_]*", Wire.Count, None);
-        (Some "[_,_,_]*", Wire.Count, Some (opts (fun o -> { o with Wire.limit = Some 3 })));
-        (Some "[_,_,_]*", Wire.Count, Some (opts (fun o -> { o with Wire.simple = true })));
-        (Some "[_,alpha,_] . [_,alpha,_]", Wire.Lint, None);
-        (Some "[_,_,_]*", Wire.Lint, Some (opts (fun o -> { o with Wire.fuel = Some 3 })));
-        (Some "[i,alpha", Wire.Query, None);
-        (Some "[nosuch,_,_]", Wire.Count, None);
-        (None, view ~name:"w" ~word:[ "alpha" ] Wire.V_register, None);
-        (None, view ~name:"x" ~view_query:"[_,alpha,_] . [_,beta,_]" Wire.V_register, None);
-        (None, view ~name:"w" Wire.V_edges, None);
-        (None, view ~name:"x" Wire.V_counts, None);
-        (None, view ~name:"w" Wire.V_analytics, None);
-        (None, view ~name:"x" ~measure:"components" Wire.V_analytics, None);
-        (None, view ~name:"x" ~measure:"nosuch" Wire.V_analytics, None);
-        (None, view Wire.V_list, None);
-        (None, view ~name:"w" Wire.V_drop, None);
-        (None, view ~name:"w" Wire.V_edges, None);
-        (None, view ~name:"w" Wire.V_drop, None);
-      ]
-    in
-    with_server ~snapshot (fun _server connect _path ->
-        let conn = connect () in
-        Fun.protect
-          ~finally:(fun () -> Client.close conn)
-          (fun () ->
-            List.iteri
-              (fun i (query, verb, options) ->
-                let req =
-                  {
-                    Wire.id = Json.Number (float_of_int i);
-                    verb;
-                    query;
-                    options = Option.value ~default:Wire.default_options options;
-                  }
-                in
-                let wire =
-                  match Client.request_raw conn (Wire.encode_request req) with
-                  | Ok line -> line
-                  | Error m -> Alcotest.failf "request %d: %s" i m
-                in
-                Alcotest.(check string)
-                  (Printf.sprintf "request %d (%s)" i (Wire.verb_name verb))
-                  (mask wire)
-                  (mask (Server.answer local req)))
-              requests)))
+            done
+          end
+          else begin
+            Buffer.add_char b line.[!i];
+            incr i
+          end
+        done;
+        Buffer.contents b)
+      line [ "elapsed_ms"; "staleness_ms" ]
+  in
+  let view ?name ?word ?view_query ?measure action =
+    Wire.Views
+      { Wire.action; view_name = name; word; view_query; measure; top = None }
+  in
+  let opts f = f Wire.default_options in
+  let requests =
+    [
+      (None, Wire.Ping, None);
+      (Some "[i,alpha,_] . [_,beta,_]*", Wire.Query, None);
+      (Some "[_,alpha,_] | [_,beta,_]", Wire.Query, None);
+      (Some "[_,_,_]*", Wire.Count, None);
+      (Some "[_,_,_]*", Wire.Count, Some (opts (fun o -> { o with Wire.limit = Some 3 })));
+      (Some "[_,_,_]*", Wire.Count, Some (opts (fun o -> { o with Wire.simple = true })));
+      (Some "[_,alpha,_] . [_,alpha,_]", Wire.Lint, None);
+      (Some "[_,_,_]*", Wire.Lint, Some (opts (fun o -> { o with Wire.fuel = Some 3 })));
+      (Some "[i,alpha", Wire.Query, None);
+      (Some "[nosuch,_,_]", Wire.Count, None);
+      (None, view ~name:"w" ~word:[ "alpha" ] Wire.V_register, None);
+      (None, view ~name:"x" ~view_query:"[_,alpha,_] . [_,beta,_]" Wire.V_register, None);
+      (None, view ~name:"w" Wire.V_edges, None);
+      (None, view ~name:"x" Wire.V_counts, None);
+      (None, view ~name:"w" Wire.V_analytics, None);
+      (None, view ~name:"x" ~measure:"components" Wire.V_analytics, None);
+      (None, view ~name:"x" ~measure:"nosuch" Wire.V_analytics, None);
+      (None, view Wire.V_list, None);
+      (None, view ~name:"w" Wire.V_drop, None);
+      (None, view ~name:"w" Wire.V_edges, None);
+      (None, view ~name:"w" Wire.V_drop, None);
+    ]
+  in
+  with_server ~snapshot (fun _server connect _path ->
+      let conn = connect () in
+      Fun.protect
+        ~finally:(fun () -> Client.close conn)
+        (fun () ->
+          List.iteri
+            (fun i (query, verb, options) ->
+              let req =
+                {
+                  Wire.id = Json.Number (float_of_int i);
+                  verb;
+                  query;
+                  options = Option.value ~default:Wire.default_options options;
+                }
+              in
+              let wire =
+                match Client.request_raw conn (Wire.encode_request req) with
+                | Ok line -> line
+                | Error m -> Alcotest.failf "request %d: %s" i m
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "request %d (%s)" i (Wire.verb_name verb))
+                (mask wire)
+                (mask (Server.answer local req)))
+            requests));
+  Server.close local
 
 (* --inject-fault reaches an in-process answer through [wrap_budget]: the
    run trips at the chosen checkpoint, and its budget leaves the in-flight
    registry with it. *)
 let test_answer_wraps_budget () =
-  let snapshot = Snapshot.of_graph (H.paper_graph ()) in
-  with_unbound_server ~queue_capacity:1 snapshot (fun server ->
-    let seen = ref [] in
-    let wrap_budget b =
-      seen := b :: !seen;
-      Budget.with_fault_injection ~at:2 Guard.Fuel b
-    in
-    let ask verb =
-      match
-        Json.parse
-          (Server.answer ~wrap_budget server (simple_req ~query:"[_,_,_]*" verb))
-      with
-      | Ok j -> j
-      | Error m -> Alcotest.fail m
-    in
-    let verdict j = Option.bind (Json.member "verdict" j) Json.to_string_opt in
-    Alcotest.(check (option string)) "query partial" (Some "partial:fuel")
-      (Option.bind (Json.member "result" (ask Wire.Query)) (fun r -> verdict r));
-    Alcotest.(check (option string)) "count partial" (Some "partial:fuel")
-      (verdict (ask Wire.Count));
-    Alcotest.(check int) "the wrapper saw each request's budget" 2
-      (List.length !seen);
-    (* A budget still registered would be cancelled here. *)
-    Server.cancel_inflight server;
-    Alcotest.(check (list bool)) "no budget left registered" [ false; false ]
-      (List.map Budget.cancelled !seen);
-    (* the session-only verbs are refused, not run *)
-    List.iter
-      (fun verb ->
-        let j =
-          match Json.parse (Server.answer server (simple_req verb)) with
-          | Ok j -> j
-          | Error m -> Alcotest.fail m
-        in
-        Alcotest.(check (option string))
-          (Wire.verb_name verb ^ " needs a connection")
-          (Some "bad_request")
-          (Option.bind (Json.member "error" j) (fun e ->
-               Option.bind (Json.member "code" e) Json.to_string_opt)))
-      [ Wire.Sub; Wire.Shutdown ])
+  let server =
+    unbound_server ~queue_capacity:1 (Snapshot.of_graph (H.paper_graph ()))
+  in
+  let seen = ref [] in
+  let wrap_budget b =
+    seen := b :: !seen;
+    Budget.with_fault_injection ~at:2 Guard.Fuel b
+  in
+  let ask verb =
+    match
+      Json.parse
+        (Server.answer ~wrap_budget server (simple_req ~query:"[_,_,_]*" verb))
+    with
+    | Ok j -> j
+    | Error m -> Alcotest.fail m
+  in
+  let verdict j = Option.bind (Json.member "verdict" j) Json.to_string_opt in
+  Alcotest.(check (option string)) "query partial" (Some "partial:fuel")
+    (Option.bind (Json.member "result" (ask Wire.Query)) (fun r -> verdict r));
+  Alcotest.(check (option string)) "count partial" (Some "partial:fuel")
+    (verdict (ask Wire.Count));
+  Alcotest.(check int) "the wrapper saw each request's budget" 2
+    (List.length !seen);
+  (* A budget still registered would be cancelled here. *)
+  Server.cancel_inflight server;
+  Alcotest.(check (list bool)) "no budget left registered" [ false; false ]
+    (List.map Budget.cancelled !seen);
+  (* the session-only verbs are refused, not run *)
+  List.iter
+    (fun verb ->
+      let j =
+        match Json.parse (Server.answer server (simple_req verb)) with
+        | Ok j -> j
+        | Error m -> Alcotest.fail m
+      in
+      Alcotest.(check (option string))
+        (Wire.verb_name verb ^ " needs a connection")
+        (Some "bad_request")
+        (Option.bind (Json.member "error" j) (fun e ->
+             Option.bind (Json.member "code" e) Json.to_string_opt)))
+    [ Wire.Sub; Wire.Shutdown ];
+  Server.close server
 
 let test_server_clamps_options () =
   (* a tiny fuel ceiling forces a partial verdict even when the client asks
@@ -1888,8 +1899,11 @@ let test_retry_bounded_when_server_never_appears () =
 
 let test_worker_domains_in_stats () =
   let domains workers =
-    with_unbound_server ~workers (Snapshot.of_graph (H.paper_graph ()))
-      (fun server ->
+    let snapshot = Snapshot.of_graph (H.paper_graph ()) in
+    let server = unbound_server ~workers snapshot in
+    Fun.protect
+      ~finally:(fun () -> Server.close server)
+      (fun () ->
         match Json.parse (Server.answer server (simple_req Wire.Stats)) with
         | Ok j -> stats_counter "server.worker_domains" j
         | Error m -> Alcotest.fail m)
@@ -1978,7 +1992,9 @@ let test_wire_differential_parallel () =
         (fun p ->
           match Json.member "edges" p with
           | Some (Json.List edges) ->
-            List.map (fun e -> (text "tail" e, text "label" e, text "head" e)) edges
+            List.map
+              (fun e -> (text "tail" e, text "label" e, text "head" e))
+              edges
           | _ -> [])
         paths
       |> List.sort compare
@@ -2055,9 +2071,11 @@ let test_wire_differential_parallel () =
           let j =
             expect_ok "stats" (Client.request conn (simple_req Wire.Stats))
           in
-          Alcotest.(check (option int)) "server.queries" (Some (clients * pairs))
+          Alcotest.(check (option int))
+            "server.queries" (Some (clients * pairs))
             (stats_counter "server.queries" j);
-          Alcotest.(check (option int)) "server.counts" (Some (clients * pairs))
+          Alcotest.(check (option int))
+            "server.counts" (Some (clients * pairs))
             (stats_counter "server.counts" j)))
 
 let () =
