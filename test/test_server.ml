@@ -1103,7 +1103,7 @@ let test_pool_supervisor_restarts_worker () =
   Alcotest.(check bool) "pool still accepts work" true
     (Pool.submit pool (fun () -> Atomic.set ran true));
   Pool.shutdown pool;
-  Alcotest.(check bool) "replacement worker ran the job" true (Atomic.get ran);
+  Alcotest.(check bool) "restarted worker ran the job" true (Atomic.get ran);
   Alcotest.(check int) "fatal also counted as job error" 1
     (Pool.job_errors pool)
 
