@@ -81,10 +81,3 @@ val to_json : t -> string
 
 val escape_string : string -> string
 (** RFC 8259 JSON string literal (with quotes) for an OCaml string. *)
-
-val add_escaped : Buffer.t -> string -> unit
-(** [escape_string], appended to a buffer. *)
-
-val escape_char : char -> string option
-(** The escape sequence {!escape_string} writes for one byte, or [None]
-    when the byte stands for itself. *)

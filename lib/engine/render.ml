@@ -5,117 +5,97 @@ let escape_string = Metrics.escape_string
 
 let array items = "[" ^ String.concat "," items ^ "]"
 
-(* The envelope is sized first, then written into one string. *)
-let obj fields =
-  let escaped_length k =
-    String.fold_left
-      (fun n c ->
-        n
-        + match Metrics.escape_char c with None -> 1 | Some e -> String.length e)
-      2 k
-  in
-  (* '{', then per field: key, ':', value, and a ',' or the closing '}' *)
-  let size =
-    List.fold_left
-      (fun n (k, v) -> n + escaped_length k + 1 + String.length v + 1)
-      1 fields
-  in
-  let b = Bytes.create (max 2 size) in
-  let pos = ref 0 in
-  let put_char c =
-    Bytes.set b !pos c;
-    incr pos
-  in
-  let put s =
-    Bytes.blit_string s 0 b !pos (String.length s);
-    pos := !pos + String.length s
-  in
-  put_char '{';
+let add_fields b fields =
   List.iteri
     (fun i (k, v) ->
-      if i > 0 then put_char ',';
-      put_char '"';
-      String.iter
-        (fun c ->
-          match Metrics.escape_char c with None -> put_char c | Some e -> put e)
-        k;
-      put_char '"';
-      put_char ':';
-      put v)
-    fields;
-  put_char '}';
-  Bytes.unsafe_to_string b
+      if i > 0 then Outbuf.add_char b ',';
+      Outbuf.add_json_string b k;
+      Outbuf.add_char b ':';
+      Outbuf.add_string b v)
+    fields
+
+(* Sized for the fields, so the object is written without growing. *)
+let obj fields =
+  let size =
+    List.fold_left
+      (fun n (k, v) -> n + String.length k + String.length v + 4)
+      2 fields
+  in
+  Outbuf.to_string ~size (fun b ->
+      Outbuf.add_char b '{';
+      add_fields b fields;
+      Outbuf.add_char b '}')
 
 (* A result is written into one buffer, not built from nested strings. *)
 let add_items buf iter add xs =
-  Buffer.add_char buf '[';
+  Outbuf.add_char buf '[';
   let first = ref true in
   iter
     (fun x ->
-      if not !first then Buffer.add_char buf ',';
+      if not !first then Outbuf.add_char buf ',';
       first := false;
       add x)
     xs;
-  Buffer.add_char buf ']'
+  Outbuf.add_char buf ']'
 
 let add_path g buf p =
-  let name s = Metrics.add_escaped buf s in
+  let name s = Outbuf.add_json_string buf s in
   let n = Path.length p in
-  Buffer.add_string buf {|{"edges":[|};
+  Outbuf.add_string buf {|{"edges":[|};
   for i = 1 to n do
     let e = Path.nth p i in
-    if i > 1 then Buffer.add_char buf ',';
-    Buffer.add_string buf {|{"tail":|};
+    if i > 1 then Outbuf.add_char buf ',';
+    Outbuf.add_string buf {|{"tail":|};
     name (Digraph.vertex_name g (Edge.tail e));
-    Buffer.add_string buf {|,"label":|};
+    Outbuf.add_string buf {|,"label":|};
     name (Digraph.label_name g (Edge.label e));
-    Buffer.add_string buf {|,"head":|};
+    Outbuf.add_string buf {|,"head":|};
     name (Digraph.vertex_name g (Edge.head e));
-    Buffer.add_char buf '}'
+    Outbuf.add_char buf '}'
   done;
-  Buffer.add_string buf {|],"label_word":[|};
+  Outbuf.add_string buf {|],"label_word":[|};
   for i = 1 to n do
-    if i > 1 then Buffer.add_char buf ',';
+    if i > 1 then Outbuf.add_char buf ',';
     name (Digraph.label_name g (Edge.label (Path.nth p i)))
   done;
-  Buffer.add_string buf {|],"length":|};
-  Buffer.add_string buf (string_of_int n);
-  Buffer.add_string buf {|,"joint":|};
-  Buffer.add_string buf (string_of_bool (Path.is_joint p));
-  Buffer.add_char buf '}'
+  Outbuf.add_string buf {|],"length":|};
+  Outbuf.add_int buf n;
+  Outbuf.add_string buf {|,"joint":|};
+  Outbuf.add_string buf (string_of_bool (Path.is_joint p));
+  Outbuf.add_char buf '}'
 
 let add_paths g buf s = add_items buf Path_set.iter (add_path g buf) s
 
-(* Sized for the paths up front (about 64 bytes per path and per edge), so
-   a large answer is not copied again each time the buffer doubles. *)
+(* A string result is sized for its paths up front (about 64 bytes per
+   path and per edge), so it is not copied again each time the buffer
+   doubles. A served response reuses its writer's buffer instead. *)
 let to_string ?(paths = Path_set.empty) add =
-  let buf =
-    Buffer.create
-      (Path_set.fold (fun p n -> n + 64 + (64 * Path.length p)) paths 1024)
-  in
-  add buf;
-  Buffer.contents buf
+  Outbuf.to_string
+    ~size:(Path_set.fold (fun p n -> n + 64 + (64 * Path.length p)) paths 1024)
+    add
 
 let path_json g p = to_string (fun buf -> add_path g buf p)
 let paths_json g s = to_string ~paths:s (fun buf -> add_paths g buf s)
 
+let add_result buf g (r : Engine.result) =
+  Outbuf.add_string buf {|{"paths":|};
+  add_paths g buf r.Engine.paths;
+  Outbuf.add_string buf {|,"count":|};
+  Outbuf.add_int buf (Path_set.cardinal r.Engine.paths);
+  Outbuf.add_string buf {|,"elapsed_ms":|};
+  Outbuf.add_string buf
+    (Printf.sprintf "%.3f" (1000.0 *. r.Engine.stats.Eval.elapsed_s));
+  Outbuf.add_string buf {|,"strategy":|};
+  Outbuf.add_json_string buf (Plan.strategy_name r.Engine.plan.Plan.strategy);
+  Outbuf.add_string buf {|,"verdict":|};
+  Outbuf.add_json_string buf (Err.verdict_name r.Engine.verdict);
+  Outbuf.add_string buf {|,"rewrites":|};
+  add_items buf List.iter (Outbuf.add_json_string buf)
+    r.Engine.plan.Plan.rewrites;
+  Outbuf.add_char buf '}'
+
 let result_json g (r : Engine.result) =
-  to_string ~paths:r.Engine.paths (fun buf ->
-      Buffer.add_string buf {|{"paths":|};
-      add_paths g buf r.Engine.paths;
-      Buffer.add_string buf {|,"count":|};
-      Buffer.add_string buf (string_of_int (Path_set.cardinal r.Engine.paths));
-      Buffer.add_string buf {|,"elapsed_ms":|};
-      Buffer.add_string buf
-        (Printf.sprintf "%.3f" (1000.0 *. r.Engine.stats.Eval.elapsed_s));
-      Buffer.add_string buf {|,"strategy":|};
-      Metrics.add_escaped buf (Plan.strategy_name r.Engine.plan.Plan.strategy);
-      Buffer.add_string buf {|,"verdict":|};
-      Metrics.add_escaped buf (Err.verdict_name r.Engine.verdict);
-      Buffer.add_string buf {|,"rewrites":|};
-      add_items buf List.iter (Metrics.add_escaped buf)
-        r.Engine.plan.Plan.rewrites;
-      Buffer.add_char buf '}')
+  to_string ~paths:r.Engine.paths (fun buf -> add_result buf g r)
 
 let tuples_json g ~head tuples =
   array

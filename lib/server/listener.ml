@@ -3,6 +3,8 @@
    and the hardened line reader. Keeping a single copy is what makes the
    hardening bounds hold at every front door. *)
 
+module Outbuf = Mrpa_engine.Outbuf
+
 type config = {
   endpoint : Wire.endpoint;
   idle_timeout_ms : float option;
@@ -177,12 +179,32 @@ let farewell_counter = function
 
 type session = {
   handle : string -> [ `Continue | `Close ];
-  send : string -> unit;
+  send : Wire.response -> unit;
   close : unit -> unit;
 }
 
-let send_line fd line =
-  try Net.write_all fd (line ^ "\n") with Unix.Unix_error _ -> ()
+(* --- Response writer ------------------------------------------------------ *)
+
+(* Small enough for the minor heap, so a session that only answers pings
+   never touches malloc; a writer grows once to its thread's usual
+   response size and stays there. *)
+let writer_initial_bytes = 1024
+
+(* A writer that grew past this gives its storage back after the write,
+   so one huge answer does not pin its size in every worker. *)
+let writer_reset_bytes = 256 * 1024
+
+let writer () = Outbuf.create writer_initial_bytes
+
+let send ?lock w fd response =
+  Outbuf.clear w;
+  response w;
+  Outbuf.add_char w '\n';
+  let write () =
+    try Outbuf.write_to w (Unix.write fd) with Unix.Unix_error _ -> ()
+  in
+  (match lock with None -> write () | Some m -> with_lock m write);
+  if Outbuf.capacity w > writer_reset_bytes then Outbuf.reset w
 
 (* A client that floods blank lines (each one "completes", so the reader
    returns) gets this many before the connection is dropped — together
@@ -206,7 +228,7 @@ let run_session t ~on_farewell fd session =
   (* Best-effort farewell: the connection is being torn down anyway. *)
   let goodbye farewell code message =
     on_farewell farewell;
-    session.send (Wire.response_error ~id:Json.Null ~code message)
+    session.send (Wire.error ~id:Json.Null ~code message)
   in
   let rec loop blanks deadline =
     match read_line r ~deadline with

@@ -88,13 +88,47 @@ val farewell_counter : farewell -> string
 type session = {
   handle : string -> [ `Continue | `Close ];
       (** answer one non-blank request line. *)
-  send : string -> unit;
-      (** write one response line; used for the farewell. *)
+  send : Wire.response -> unit;
+      (** write one response line from the session thread's writer; used
+          for the farewell. *)
   close : unit -> unit;  (** called once, before the socket closes. *)
 }
 
-val send_line : Unix.file_descr -> string -> unit
-(** Write a line plus newline, ignoring a vanished peer. *)
+(** {1 Response writer}
+
+    A response is rendered and written by one thread, through one buffer
+    that thread owns: its {e writer}. {!send} renders the envelope, the
+    payload and the newline into the writer and writes the line to the
+    socket from the writer's storage, with no intermediate string. The
+    writer is then reused for the thread's next response.
+
+    Who owns which writer:
+    - each session thread, one for the lines it answers inline (pings,
+      stats, lint, counts and result-cache hits, errors, refusals and the
+      farewell) — {!Server} and {!Router} sessions alike;
+    - each pool worker of a {!Server}, one for the governed jobs it runs;
+      its worker index ({!Pool.submit}) picks it, so workers that share a
+      domain never share a writer.
+
+    A writer is never shared between threads, so rendering takes no lock;
+    only the socket write takes the connection's lock. *)
+
+val writer_initial_bytes : int
+(** 1 KiB: a fresh writer's capacity. *)
+
+val writer_reset_bytes : int
+(** 256 KiB: a writer whose capacity has grown past this goes back to
+    {!writer_initial_bytes} after the write that needed it. *)
+
+val writer : unit -> Mrpa_engine.Outbuf.t
+(** A fresh writer of {!writer_initial_bytes}. *)
+
+val send :
+  ?lock:Mutex.t -> Mrpa_engine.Outbuf.t -> Unix.file_descr -> Wire.response -> unit
+(** [send ?lock w fd response] clears [w], renders [response] and a
+    newline into it, and writes the line to [fd] (under [lock], when
+    given), ignoring a vanished peer. The rendering runs outside [lock].
+    Afterwards a writer grown past {!writer_reset_bytes} is reset. *)
 
 val serve :
   t ->

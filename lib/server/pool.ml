@@ -1,7 +1,7 @@
 exception Fatal of string
 
 type t = {
-  queue : (unit -> unit) Queue.t;
+  queue : (int -> unit) Queue.t;
   capacity : int;
   lock : Mutex.t;
   nonempty : Condition.t;  (* signalled on enqueue and on shutdown *)
@@ -26,8 +26,9 @@ external cap_malloc_arenas : int -> unit = "mrpa_cap_malloc_arenas"
 (* Workers block on [nonempty] until there is a job or the pool is
    stopping; on stop they finish draining the queue before exiting, which
    is what makes [shutdown] graceful. A job that raises [Fatal] unwinds
-   the loop (after the running count is restored) to [worker_main]. *)
-let worker_loop t =
+   the loop (after the running count is restored) to [worker_main]. Jobs
+   get the index [i] of the worker running them. *)
+let worker_loop t i =
   let rec next () =
     Mutex.lock t.lock;
     while Queue.is_empty t.queue && not t.stopping do
@@ -43,7 +44,7 @@ let worker_loop t =
       t.running <- t.running + 1;
       Mutex.unlock t.lock;
       let fatal =
-        match job () with
+        match job i with
         | () -> None
         | exception (Fatal _ as f) -> Some f
         | exception _ ->
@@ -64,21 +65,26 @@ let worker_loop t =
 (* Supervision: a worker must never silently shrink the pool. A loop that
    exits abnormally is counted and re-entered on the same thread, so the
    worker keeps its domain and [shutdown] has nothing new to join. *)
-let rec worker_main t =
-  match worker_loop t with
+let rec worker_main t i =
+  match worker_loop t i with
   | () -> ()
   | exception _ ->
     Mutex.lock t.lock;
     t.restarts <- t.restarts + 1;
     Mutex.unlock t.lock;
-    worker_main t
+    worker_main t i
 
-(* [n] workers on the calling domain: [n - 1] new threads and the calling
-   thread itself, which returns once they have all exited. *)
-let run_workers t n =
-  let others = List.init (n - 1) (fun _ -> Thread.create worker_main t) in
-  worker_main t;
-  List.iter Thread.join others
+let start_worker t i = Thread.create (worker_main t) i
+
+(* The workers of a spawned domain: a new thread for all but the first,
+   which runs on the domain's own thread and returns once they have all
+   exited. *)
+let run_workers t = function
+  | [] -> ()
+  | first :: others ->
+    let threads = List.map (start_worker t) others in
+    worker_main t first;
+    List.iter Thread.join threads
 
 let shutdown t =
   let threads, domains =
@@ -117,15 +123,16 @@ let create ~workers ~queue_capacity =
      their own (see pool_stubs.c): one arena per domain. *)
   if d > 1 then cap_malloc_arenas d;
   (* Worker [i] runs on domain [i mod d]; domain 0 is the caller's. *)
-  let on_domain k = (workers - k + d - 1) / d in
+  let on_domain k =
+    List.filter (fun i -> i mod d = k) (List.init workers Fun.id)
+  in
   let spawn k =
     Domain.spawn (fun () ->
         Gc.set { (Gc.get ()) with minor_heap_size = domain_minor_heap_words };
         run_workers t (on_domain k))
   in
   (try
-     t.threads <-
-       List.init (on_domain 0) (fun _ -> Thread.create worker_main t);
+     t.threads <- List.map (start_worker t) (on_domain 0);
      for k = 1 to d - 1 do
        t.domains <- spawn k :: t.domains
      done

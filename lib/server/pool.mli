@@ -22,7 +22,8 @@
     spawns domains caps glibc's malloc arenas at one per domain: OCaml
     mallocs every block over 1 KiB, and parallel threads would otherwise
     each keep an arena of freed memory. Without the cap, two domains per
-    shard raised a two-shard fleet's peak RSS by about a quarter.
+    shard raised a two-shard fleet's peak RSS by about a quarter; with
+    responses written from reused per-worker buffers, by a sixth.
 
     Handoff is a single [Mutex.t] plus a [Condition.t] shared by every
     domain; jobs run outside the lock. A job that raises is swallowed (the
@@ -58,9 +59,12 @@ val create : workers:int -> queue_capacity:int -> t
     currently executing are not queued. Raises [Invalid_argument] when
     either bound is below one. *)
 
-val submit : t -> (unit -> unit) -> bool
+val submit : t -> (int -> unit) -> bool
 (** Enqueue a job; [false] when the queue is full or the pool is shutting
-    down — the job was not (and will never be) accepted. *)
+    down — the job was not (and will never be) accepted. The job is
+    called with the index of the worker that runs it, in
+    [[0, workers)]: state kept per index (the server's response writers)
+    is owned by that worker's thread alone. *)
 
 val queued : t -> int
 (** Jobs waiting (not yet picked up by a worker). *)

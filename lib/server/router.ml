@@ -903,7 +903,7 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
   let query_text = Option.value ~default:"" req.Wire.query in
   match Parser.syntax query_text with
   | Error e ->
-    Wire.response_error ~id:req.Wire.id ~code:Wire.Query_error
+    Wire.error ~id:req.Wire.id ~code:Wire.Query_error
       (Format.asprintf "%a" Parser.pp_error e)
   | Ok query -> (
     let ctx =
@@ -921,7 +921,7 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
     in
     match evaluate ctx req.Wire.verb query with
     | exception Fatal (code, msg) ->
-      Wire.response_error ~id:req.Wire.id ~code msg
+      Wire.error ~id:req.Wire.id ~code msg
     | answer -> (
       let verdict = final_verdict ctx in
       if verdict <> Err.Complete then m_incr t "router.partial";
@@ -930,7 +930,7 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
       match answer with
       | `Count n ->
         m_incr t "router.counts";
-        Wire.response_ok ~id:req.Wire.id
+        Wire.ok ~id:req.Wire.id
           ([
              ("count", string_of_int n);
              ("verdict", esc (Err.verdict_name verdict));
@@ -943,19 +943,18 @@ let handle_query t (req : Wire.request) (o : Wire.options) =
         let stats =
           { r.Engine.stats with elapsed_s = Unix.gettimeofday () -. started }
         in
-        let result =
-          Render.result_json ctx.scratch { r with Engine.verdict; stats }
-        in
-        (* The engine's result object, with the missing shards spliced in
-           before its closing brace. *)
-        let result =
-          match missing with
-          | None -> result
-          | Some j ->
-            String.sub result 0 (String.length result - 1)
-            ^ ",\"missing_shards\":" ^ j ^ "}"
-        in
-        Wire.response_ok ~id:req.Wire.id [ ("result", result) ]))
+        Wire.ok_with ~id:req.Wire.id (fun b ->
+            Outbuf.add_string b {|"result":|};
+            Render.add_result b ctx.scratch { r with Engine.verdict; stats };
+            (* The missing shards go in before the result's closing
+               brace. *)
+            Option.iter
+              (fun j ->
+                Outbuf.truncate b (Outbuf.length b - 1);
+                Outbuf.add_string b {|,"missing_shards":|};
+                Outbuf.add_string b j;
+                Outbuf.add_char b '}')
+              missing)))
 
 (* Gather a per-shard payload member ("stats" / "health") from every
    shard; unreachable shards render as null. *)
@@ -991,7 +990,7 @@ let handle_stats t (req : Wire.request) =
              (Metrics.ns_to_ms (Metrics.elapsed_ns ~since:t.started_ns)));
         Metrics.to_json t.metrics)
   in
-  Wire.response_ok ~id:req.Wire.id
+  Wire.ok ~id:req.Wire.id
     [
       ("stats", json);
       ( "shards",
@@ -1024,7 +1023,7 @@ let handle_health t (req : Wire.request) =
           ])
       shards
   in
-  Wire.response_ok ~id:req.Wire.id
+  Wire.ok ~id:req.Wire.id
     [
       ( "health",
         Render.obj
@@ -1042,71 +1041,80 @@ let handle_lint t (req : Wire.request) =
   in
   let rec go = function
     | [] ->
-      Wire.response_error ~id:req.Wire.id ~code:Wire.Internal
+      Wire.error ~id:req.Wire.id ~code:Wire.Internal
         "no shard reachable to answer lint"
     | idx :: rest -> (
       let forwarded =
         { req with Wire.id = fresh_id t; options = req.Wire.options }
       in
       match dispatch t idx forwarded ~abs_deadline with
-      | D_ok json -> (
+      | D_ok json ->
         (* Relay the shard's payload under the caller's id. *)
-        match json with
-        | Json.Obj fields ->
-          Json.to_string
-            (Json.Obj
-               (List.map
-                  (fun (k, v) -> if k = "id" then (k, req.Wire.id) else (k, v))
-                  fields))
-        | _ -> Json.to_string json)
+        let json =
+          match json with
+          | Json.Obj fields ->
+            Json.Obj
+              (List.map
+                 (fun (k, v) -> if k = "id" then (k, req.Wire.id) else (k, v))
+                 fields)
+          | _ -> json
+        in
+        fun b -> Outbuf.add_string b (Json.to_string json)
       | D_wire (code, msg) ->
         let code =
           if code = Wire.error_code_name Wire.Query_error then Wire.Query_error
           else Wire.Internal
         in
-        Wire.response_error ~id:req.Wire.id ~code msg
+        Wire.error ~id:req.Wire.id ~code msg
       | D_unavailable -> go rest)
   in
   go (all_shards t.config.map)
 
-let handle_line ?(remote = false) t line =
+let respond ~remote t line =
   match Wire.decode_request line with
-  | Error msg -> Wire.response_error ~id:Json.Null ~code:Wire.Bad_request msg
+  | Error msg -> Wire.error ~id:Json.Null ~code:Wire.Bad_request msg
   | Ok req -> (
     m_incr t "router.requests";
     let o = Wire.clamp_request t.config.limits req in
     match req.Wire.verb with
-    | Wire.Ping -> Wire.response_ok ~id:req.Wire.id [ ("pong", "true") ]
+    | Wire.Ping -> Wire.ok ~id:req.Wire.id [ ("pong", "true") ]
     | Wire.Query | Wire.Count -> handle_query t req o
     | Wire.Stats -> handle_stats t req
     | Wire.Health -> handle_health t req
     | Wire.Lint -> handle_lint t req
     | Wire.Shutdown ->
       if not (Listener.shutdown_allowed t.config.front ~remote) then
-        Wire.response_error ~id:req.Wire.id ~code:Wire.Unauthorized
+        Wire.error ~id:req.Wire.id ~code:Wire.Unauthorized
           "shutdown over TCP requires --allow-remote-shutdown"
       else begin
         stop t;
-        Wire.response_ok ~id:req.Wire.id [ ("stopping", "true") ]
+        Wire.ok ~id:req.Wire.id [ ("stopping", "true") ]
       end
     | Wire.Sub | Wire.Views _ ->
-      Wire.response_error ~id:req.Wire.id ~code:Wire.Bad_request
+      Wire.error ~id:req.Wire.id ~code:Wire.Bad_request
         (Printf.sprintf
            "verb %S is not supported by the router; address a shard directly"
            (Wire.verb_name req.Wire.verb)))
 
+let handle_line ?(remote = false) t line =
+  Outbuf.to_string ~size:1024 (respond ~remote t line)
+
 (* --- Listening ----------------------------------------------------------- *)
 
+(* A router session answers every line itself, so its thread owns the one
+   writer the session's responses are rendered into. *)
 let serve t =
   Listener.serve t.listener
     ~on_farewell:(fun f -> m_incr t ("router." ^ Listener.farewell_counter f))
     (fun ~remote fd ->
       m_incr t "router.connections";
+      let out = Listener.writer () in
+      let send = Listener.send out fd in
       {
         Listener.handle =
           (fun line ->
-            Listener.send_line fd (handle_line ~remote t line);
+            send (respond ~remote t line);
             if Listener.stopping t.listener then `Close else `Continue);
-        send = Listener.send_line fd;
+        send;
         close = ignore;
       })

@@ -63,6 +63,10 @@ type t = {
   views : Views.t;
   repl : repl;
   pool : Pool.t;
+  (* One response writer per pool worker, indexed by the worker number a
+     job is called with: the worker renders its responses into it and
+     writes them from there. *)
+  writers : Outbuf.t array;
   listener : Listener.t;
   (* In-flight budget registry: shutdown cancels every member so running
      queries abort at their next checkpoint instead of pinning workers. *)
@@ -127,6 +131,7 @@ let create ?snapshot config =
     pool =
       Pool.create ~workers:config.workers
         ~queue_capacity:config.queue_capacity;
+    writers = Array.init config.workers (fun _ -> Listener.writer ());
     listener = Listener.create config.front;
     inflight = Hashtbl.create 32;
     inflight_lock = Mutex.create ();
@@ -173,10 +178,12 @@ let cancel_inflight t =
    same connection at once: [write_lock] makes each response line atomic on
    the socket, and [pending]/[drained] let the session wait for its last
    worker before closing the fd — a worker must never write into a file
-   descriptor that has been closed (and possibly reused) under it. *)
+   descriptor that has been closed (and possibly reused) under it. [out]
+   is the session thread's own writer, for the lines it answers inline. *)
 type session_state = {
   fd : Unix.file_descr;
   remote : bool;  (* arrived over TCP *)
+  out : Outbuf.t;
   write_lock : Mutex.t;
   mutable pending : int;
   pending_lock : Mutex.t;
@@ -187,6 +194,7 @@ let session_state ~remote fd =
   {
     fd;
     remote;
+    out = Listener.writer ();
     write_lock = Mutex.create ();
     pending = 0;
     pending_lock = Mutex.create ();
@@ -194,10 +202,11 @@ let session_state ~remote fd =
   }
 
 (* Best-effort: a client that already vanished must not crash the worker
-   or the session delivering its response. *)
-let send ss response =
-  with_lock ss.write_lock (fun () ->
-      Listener.send_line ss.fd response)
+   or the session delivering its response. A worker passes its own writer;
+   the session thread uses [out]. *)
+let send ?writer ss response =
+  let w = Option.value writer ~default:ss.out in
+  Listener.send ~lock:ss.write_lock w ss.fd response
 
 let job_started ss =
   with_lock ss.pending_lock (fun () -> ss.pending <- ss.pending + 1)
@@ -224,11 +233,12 @@ let esc = Metrics.escape_string
 let refresh_snapshot t g ~seq =
   Atomic.set t.snapshot (Snapshot.of_graph ~seq g)
 
-(* Execute a compiled plan for query/count. A Complete payload is an
-   answer over [snap]'s immutable graph, so it goes into [snap]'s result
-   cache. *)
+(* Execute a compiled plan for query/count, rendering the response into
+   [b]. A Complete payload is an answer over [snap]'s immutable graph, so
+   a copy of it goes into [snap]'s result cache: never [b] itself, which
+   its owner reuses for the next response. *)
 let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey
-    (c : Snapshot.compiled) budget =
+    (c : Snapshot.compiled) budget b =
   let g = Snapshot.graph snap in
   let note_verdict verdict =
     match verdict with
@@ -243,10 +253,15 @@ let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey
     in
     m_incr t "server.queries";
     note_verdict r.Engine.verdict;
-    let payload = [ ("result", Render.result_json g r) ] in
-    if r.Engine.verdict = Err.Complete then
-      Snapshot.cache_result snap rkey payload;
-    Wire.response_ok ~id:req.Wire.id payload
+    Wire.ok_with ~id:req.Wire.id
+      (fun b ->
+        Outbuf.add_string b {|"result":|};
+        let start = Outbuf.length b in
+        Render.add_result b g r;
+        if r.Engine.verdict = Err.Complete then
+          Snapshot.cache_result snap rkey
+            [ ("result", Outbuf.sub b start (Outbuf.length b - start)) ])
+      b
   | Wire.Count -> (
     match
       Engine.count_plan ?strategy:o.Wire.strategy ?limit:o.Wire.limit ~budget
@@ -254,8 +269,8 @@ let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey
     with
     | exception Mrpa_automata.Counting.Overflow ->
       m_incr t "server.query_errors";
-      Wire.response_error ~id:req.Wire.id ~code:Wire.Query_error
-        Engine.overflow_error
+      Wire.error ~id:req.Wire.id ~code:Wire.Query_error
+        Engine.overflow_error b
     | n, verdict ->
       m_incr t "server.counts";
       note_verdict verdict;
@@ -266,7 +281,7 @@ let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey
       in
       if verdict = Err.Complete then
         Snapshot.cache_result snap rkey payload;
-      Wire.response_ok ~id:req.Wire.id payload)
+      Wire.ok ~id:req.Wire.id payload b)
   | Wire.Lint | Wire.Stats | Wire.Ping | Wire.Shutdown | Wire.Health
   | Wire.Sub | Wire.Views _ ->
     assert false (* handled inline *)
@@ -284,7 +299,7 @@ let lint_response t (req : Wire.request) =
   match Snapshot.compile snap ~max_length ~simple:o.Wire.simple query_text with
   | Error msg ->
     m_incr t "server.query_errors";
-    Wire.response_error ~id:req.Wire.id ~code:Wire.Query_error msg
+    Wire.error ~id:req.Wire.id ~code:Wire.Query_error msg
   | Ok c ->
     m_incr t "server.lints";
     let cost = c.Snapshot.cost in
@@ -318,7 +333,7 @@ let lint_response t (req : Wire.request) =
           ("predicted_paths", bound_json cost.Mrpa_lint.Cost.predicted_paths);
         ]
     in
-    Wire.response_ok ~id:req.Wire.id [ ("lint", payload) ]
+    Wire.ok ~id:req.Wire.id [ ("lint", payload) ]
 
 (* Static admission control: with a [--max-predicted-cost] ceiling set, a
    query whose predicted cost exceeds the ceiling is refused with an
@@ -333,7 +348,7 @@ let admission_reject t (req : Wire.request) (c : Snapshot.compiled) =
     if Mrpa_lint.Interval.b_exceeds_int predicted ceiling then begin
       m_incr t "server.infeasible";
       Some
-        (Wire.response_error ~id:req.Wire.id ~code:Wire.Infeasible
+        (Wire.error ~id:req.Wire.id ~code:Wire.Infeasible
            (Printf.sprintf
               "predicted cost %s work units exceeds the server ceiling \
                %d; narrow the query or lower max_length"
@@ -358,6 +373,8 @@ let stats_response t req =
         Metrics.set t.metrics "graph.labels" (Digraph.n_labels g);
         Metrics.set t.metrics "server.workers" t.config.workers;
         Metrics.set t.metrics "server.worker_domains" (Pool.domains t.pool);
+        Metrics.set t.metrics "server.worker_buffer_bytes"
+          (Array.fold_left (fun n w -> n + Outbuf.capacity w) 0 t.writers);
         Metrics.set t.metrics "server.queue_capacity" t.config.queue_capacity;
         Metrics.set t.metrics "server.queued" (Pool.queued t.pool);
         Metrics.set t.metrics "server.running" (Pool.running t.pool);
@@ -381,23 +398,26 @@ let stats_response t req =
              (Metrics.ns_to_ms (Metrics.elapsed_ns ~since:t.started_ns)));
         Metrics.to_json t.metrics)
   in
-  Wire.response_ok ~id:req.Wire.id [ ("stats", json) ]
+  Wire.ok ~id:req.Wire.id [ ("stats", json) ]
 
 (* What a request turns into before anything is sent: a response line
    that is ready now, or a governed job — its budget and the evaluation
-   that runs under it. A session sends the first and hands the second to
-   the pool; {!answer} runs both on the calling thread. *)
+   that runs under it, which renders its response as it is sent. A
+   session sends the first and hands the second to the pool; {!answer}
+   runs both on the calling thread. *)
 type reply =
-  | Inline of string
-  | Governed of Budget.t * (Budget.t -> string)
+  | Inline of Wire.response
+  | Governed of Budget.t * (Budget.t -> Wire.response)
 
-(* A governed job's response: an exception becomes an [internal] error. *)
-let run_job t (req : Wire.request) run budget =
-  try run budget
+(* A governed job's response: an exception becomes an [internal] error,
+   in place of whatever the job had rendered. *)
+let run_job t (req : Wire.request) run budget b =
+  let start = Outbuf.length b in
+  try run budget b
   with e ->
     m_incr t "server.internal_errors";
-    Wire.response_error ~id:req.Wire.id ~code:Wire.Internal
-      (Printexc.to_string e)
+    Outbuf.truncate b start;
+    Wire.error ~id:req.Wire.id ~code:Wire.Internal (Printexc.to_string e) b
 
 (* Submit a governed job without waiting for it: the worker writes its own
    response through the session's write lock, which is what lets several
@@ -407,17 +427,18 @@ let run_job t (req : Wire.request) run budget =
    and running jobs alike. *)
 let submit_governed t ss (req : Wire.request) budget run =
   let reg_id = register_budget t budget in
-  let job () =
+  let job worker =
     Fun.protect
       ~finally:(fun () ->
         unregister_budget t reg_id;
         job_finished ss)
-      (fun () -> send ss (run_job t req run budget))
+      (fun () ->
+        send ~writer:t.writers.(worker) ss (run_job t req run budget))
   in
   if stopping t then begin
     unregister_budget t reg_id;
     send ss
-      (Wire.response_error ~id:req.Wire.id ~code:Wire.Shutting_down
+      (Wire.error ~id:req.Wire.id ~code:Wire.Shutting_down
          "server is draining")
   end
   else begin
@@ -429,7 +450,7 @@ let submit_governed t ss (req : Wire.request) budget run =
       unregister_budget t reg_id;
       m_incr t "server.overloaded";
       send ss
-        (Wire.response_error ~id:req.Wire.id ~code:Wire.Overloaded
+        (Wire.error ~id:req.Wire.id ~code:Wire.Overloaded
            "job queue is full; retry later")
     end
   end
@@ -505,7 +526,7 @@ let eval_reply t (req : Wire.request) =
   let effective = Wire.clamp_request t.config.limits req in
   match serving_snapshot t effective with
   | Error msg ->
-    Inline (Wire.response_error ~id:req.Wire.id ~code:Wire.Stale msg)
+    Inline (Wire.error ~id:req.Wire.id ~code:Wire.Stale msg)
   | Ok snap -> (
     let query_text = Option.get req.Wire.query in
     let max_length = Option.get effective.Wire.max_length in
@@ -523,7 +544,7 @@ let eval_reply t (req : Wire.request) =
         (match req.Wire.verb with
         | Wire.Query -> "server.queries"
         | _ -> "server.counts");
-      Inline (Wire.response_ok ~id:req.Wire.id payload)
+      Inline (Wire.ok ~id:req.Wire.id payload)
     | None -> (
       match
         Snapshot.compile snap ~max_length ~simple:effective.Wire.simple
@@ -531,7 +552,7 @@ let eval_reply t (req : Wire.request) =
       with
       | Error msg ->
         m_incr t "server.query_errors";
-        Inline (Wire.response_error ~id:req.Wire.id ~code:Wire.Query_error msg)
+        Inline (Wire.error ~id:req.Wire.id ~code:Wire.Query_error msg)
       | Ok compiled -> (
         match admission_reject t req compiled with
         | Some response -> Inline response
@@ -589,7 +610,7 @@ let views_register t (req : Wire.request) (v : Wire.view_req) =
   let name = Option.get v.Wire.view_name in
   let registered kind =
     m_incr t "server.view_registers";
-    Wire.response_ok ~id:req.Wire.id
+    Wire.ok ~id:req.Wire.id
       [ ("view", Render.obj [ ("registered", esc name); ("kind", esc kind) ]) ]
   in
   match (v.Wire.word, v.Wire.view_query) with
@@ -601,7 +622,7 @@ let views_register t (req : Wire.request) (v : Wire.view_req) =
     in
     match result with
     | Ok () -> registered "word"
-    | Error msg -> Wire.response_error ~id:req.Wire.id ~code:Wire.Bad_request msg)
+    | Error msg -> Wire.error ~id:req.Wire.id ~code:Wire.Bad_request msg)
   | None, Some query -> (
     (* The expression is validated and cost-analysed against the serving
        snapshot exactly like a query: a parse failure is a query_error, a
@@ -613,7 +634,7 @@ let views_register t (req : Wire.request) (v : Wire.view_req) =
     match Snapshot.compile snap ~max_length ~simple:false query with
     | Error msg ->
       m_incr t "server.query_errors";
-      Wire.response_error ~id:req.Wire.id ~code:Wire.Query_error msg
+      Wire.error ~id:req.Wire.id ~code:Wire.Query_error msg
     | Ok compiled -> (
       match admission_reject t req compiled with
       | Some response -> response
@@ -624,10 +645,10 @@ let views_register t (req : Wire.request) (v : Wire.view_req) =
         with
         | Ok () -> registered "expr"
         | Error msg ->
-          Wire.response_error ~id:req.Wire.id ~code:Wire.Bad_request msg)))
+          Wire.error ~id:req.Wire.id ~code:Wire.Bad_request msg)))
   | _ ->
     (* decode_view enforces exactly one of word/query. *)
-    Wire.response_error ~id:req.Wire.id ~code:Wire.Bad_request
+    Wire.error ~id:req.Wire.id ~code:Wire.Bad_request
       "view registration needs a \"word\" or a \"query\""
 
 (* A worker-side view read from [snap], the snapshot the staleness gate
@@ -659,12 +680,12 @@ let views_read t snap (req : Wire.request) (v : Wire.view_req)
   in
   let unknown () =
     m_incr t "server.view_unknown";
-    Wire.response_error ~id:req.Wire.id ~code:Wire.Unknown_view
+    Wire.error ~id:req.Wire.id ~code:Wire.Unknown_view
       (Printf.sprintf "no view named %S" name)
   in
   let failed msg =
     m_incr t "server.query_errors";
-    Wire.response_error ~id:req.Wire.id ~code:Wire.Query_error
+    Wire.error ~id:req.Wire.id ~code:Wire.Query_error
       (Printf.sprintf "view %S re-projection failed: %s" name msg)
   in
   let truncate l =
@@ -693,7 +714,7 @@ let views_read t snap (req : Wire.request) (v : Wire.view_req)
                Printf.sprintf "[%s,%s]" (esc (vertex_name i))
                  (esc (vertex_name j)))
       in
-      Wire.response_ok ~id:req.Wire.id
+      Wire.ok ~id:req.Wire.id
         [
           ( "view",
             Render.obj
@@ -717,7 +738,7 @@ let views_read t snap (req : Wire.request) (v : Wire.view_req)
                Printf.sprintf "[%s,%s,%d]" (esc (vertex_name i))
                  (esc (vertex_name j)) (int_of_float c))
       in
-      Wire.response_ok ~id:req.Wire.id
+      Wire.ok ~id:req.Wire.id
         [
           ( "view",
             Render.obj
@@ -793,9 +814,9 @@ let views_read t snap (req : Wire.request) (v : Wire.view_req)
       in
       match payload with
       | Error msg ->
-        Wire.response_error ~id:req.Wire.id ~code:Wire.Bad_request msg
+        Wire.error ~id:req.Wire.id ~code:Wire.Bad_request msg
       | Ok fields ->
-        Wire.response_ok ~id:req.Wire.id
+        Wire.ok ~id:req.Wire.id
           [
             ( "view",
               Render.obj
@@ -814,20 +835,20 @@ let views_reply t (req : Wire.request) (v : Wire.view_req) =
     if Views.drop t.views name then begin
       m_incr t "server.view_drops";
       Inline
-        (Wire.response_ok ~id:req.Wire.id
+        (Wire.ok ~id:req.Wire.id
            [ ("view", Render.obj [ ("dropped", esc name) ]) ])
     end
     else begin
       m_incr t "server.view_unknown";
       Inline
-        (Wire.response_error ~id:req.Wire.id ~code:Wire.Unknown_view
+        (Wire.error ~id:req.Wire.id ~code:Wire.Unknown_view
            (Printf.sprintf "no view named %S" name))
     end
   | Wire.V_list ->
     m_incr t "server.view_lists";
     let infos = Views.list t.views ~snap_seq:(Snapshot.seq (snapshot t)) in
     Inline
-      (Wire.response_ok ~id:req.Wire.id
+      (Wire.ok ~id:req.Wire.id
          [
            ( "views",
              "[" ^ String.concat "," (List.map view_info_json infos) ^ "]" );
@@ -840,7 +861,7 @@ let views_reply t (req : Wire.request) (v : Wire.view_req) =
     let effective = Wire.clamp t.config.limits req.Wire.options in
     match serving_snapshot t effective with
     | Error msg ->
-      Inline (Wire.response_error ~id:req.Wire.id ~code:Wire.Stale msg)
+      Inline (Wire.error ~id:req.Wire.id ~code:Wire.Stale msg)
     | Ok snap ->
       Governed
         (Wire.budget_of_options effective, views_read t snap req v effective))
@@ -900,7 +921,7 @@ let health_response t req =
         ("resyncs", string_of_int r.rep_resyncs);
       ]
   in
-  Wire.response_ok ~id:req.Wire.id
+  Wire.ok ~id:req.Wire.id
     [ ("health", Render.obj (fields @ load_fields)) ]
 
 (* Stream backlog + live records to one subscriber until the connection
@@ -946,7 +967,7 @@ let handle_sub t ss (req : Wire.request) =
   match t.repl with
   | No_replication | Replica_repl _ ->
     send ss
-      (Wire.response_error ~id:req.Wire.id ~code:Wire.Bad_request
+      (Wire.error ~id:req.Wire.id ~code:Wire.Bad_request
          "sub requires a server running with --role primary")
   | Primary_repl p ->
     let from_seq = Option.value ~default:1 req.Wire.options.Wire.from_seq in
@@ -981,7 +1002,7 @@ let handle_sub t ss (req : Wire.request) =
           | r :: _ -> r.Replication.seq
         in
         send ss
-          (Wire.response_ok ~id:req.Wire.id
+          (Wire.ok ~id:req.Wire.id
              [
                ( "sub",
                  Render.obj
@@ -999,7 +1020,7 @@ let reply t (req : Wire.request) =
   match req.Wire.verb with
   | Wire.Ping ->
     m_incr t "server.pings";
-    Inline (Wire.response_ok ~id:req.Wire.id [ ("pong", "true") ])
+    Inline (Wire.ok ~id:req.Wire.id [ ("pong", "true") ])
   | Wire.Stats -> Inline (stats_response t req)
   | Wire.Lint -> Inline (lint_response t req)
   | Wire.Health ->
@@ -1010,26 +1031,26 @@ let reply t (req : Wire.request) =
   | Wire.Sub | Wire.Shutdown ->
     m_incr t "server.bad_requests";
     Inline
-      (Wire.response_error ~id:req.Wire.id ~code:Wire.Bad_request
+      (Wire.error ~id:req.Wire.id ~code:Wire.Bad_request
          (Wire.verb_name req.Wire.verb ^ " needs a connection"))
 
 let answer ?(wrap_budget = Fun.id) t req =
   m_incr t "server.requests";
   match reply t req with
-  | Inline response -> response
+  | Inline response -> Outbuf.to_string response
   | Governed (budget, run) ->
     let budget = wrap_budget budget in
     let reg_id = register_budget t budget in
     Fun.protect
       ~finally:(fun () -> unregister_budget t reg_id)
-      (fun () -> run_job t req run budget)
+      (fun () -> Outbuf.to_string ~size:1024 (run_job t req run budget))
 
 let handle_request t ss line =
   m_incr t "server.requests";
   match Wire.decode_request line with
   | Error msg ->
     m_incr t "server.bad_requests";
-    send ss (Wire.response_error ~id:Json.Null ~code:Wire.Bad_request msg);
+    send ss (Wire.error ~id:Json.Null ~code:Wire.Bad_request msg);
     `Continue
   | Ok req -> (
     match req.Wire.verb with
@@ -1040,14 +1061,14 @@ let handle_request t ss line =
       `Close
     | Wire.Shutdown ->
       if shutdown_allowed t ss then begin
-        send ss (Wire.response_ok ~id:req.Wire.id [ ("stopping", "true") ]);
+        send ss (Wire.ok ~id:req.Wire.id [ ("stopping", "true") ]);
         stop t;
         `Close
       end
       else begin
         m_incr t "server.unauthorized";
         send ss
-          (Wire.response_error ~id:req.Wire.id ~code:Wire.Unauthorized
+          (Wire.error ~id:req.Wire.id ~code:Wire.Unauthorized
              "shutdown over TCP requires --allow-remote-shutdown");
         `Continue
       end

@@ -25,6 +25,18 @@
       evaluation that runs under it). A session sends the first and
       submits the second to the pool; {!answer} runs both on the calling
       thread, which is how [mrpa shell] serves its prompt.
+    - {b One buffer per response} — a response is a {!Wire.response}: it
+      renders itself, envelope and payload, into the buffer of the thread
+      that sends it, and {!Listener.send} adds the newline and writes the
+      line from there. Each session thread owns one writer, for what it
+      answers inline (pings, stats, lint, counts and result-cache hits,
+      errors and refusals); each pool worker owns one, picked by its
+      worker index, for the governed jobs it runs. A writer starts at
+      {!Listener.writer_initial_bytes}, keeps what it grows to, and goes
+      back after an answer past {!Listener.writer_reset_bytes}; [stats]
+      reports the workers' total as [server.worker_buffer_bytes]. A
+      Complete payload is copied out of the writer into the result
+      cache, never shared with it.
     - {b Worker pool} — a bounded {!Pool} of [workers] threads spread
       over up to [Domain.recommended_domain_count ()] domains. Session
       I/O, decode and plan-cache lookups stay on the session threads of
@@ -147,7 +159,9 @@ val answer :
   Wire.request ->
   string
 (** The response line (no trailing newline) a session would send for the
-    request, computed on the calling thread without a socket: the same
+    request, computed on the calling thread without a socket. It is
+    rendered into a fresh buffer, not a writer, and returned as a copy of
+    it: the one copy a served line no longer takes. The same
     option resolver ({!Wire.clamp_request}), staleness gate, plan and
     result caches, admission control and metrics. A governed request
     ([query], [count], view reads) runs here rather than on the pool, with

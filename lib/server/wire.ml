@@ -455,20 +455,32 @@ let error_code_name = function
   | Stale -> "stale"
   | Unknown_view -> "unknown_view"
 
-let esc = Metrics.escape_string
+type response = Outbuf.t -> unit
 
-let envelope ~id ~ok fields =
-  Render.obj
-    ([ ("mrpa", esc version); ("id", Json.to_string id);
-       ("ok", if ok then "true" else "false") ]
-    @ fields)
+(* The envelope head, up to the comma before the first payload field. *)
+let add_head b ~id ~ok =
+  Outbuf.add_string b {|{"mrpa":|};
+  Outbuf.add_json_string b version;
+  Outbuf.add_string b {|,"id":|};
+  Outbuf.add_string b (Json.to_string id);
+  Outbuf.add_string b (if ok then {|,"ok":true,|} else {|,"ok":false,|})
 
-let response_ok ~id fields = envelope ~id ~ok:true fields
+let ok_with ~id payload b =
+  add_head b ~id ~ok:true;
+  payload b;
+  Outbuf.add_char b '}'
+
+let ok ~id fields = ok_with ~id (fun b -> Render.add_fields b fields)
+
+let error ~id ~code message b =
+  add_head b ~id ~ok:false;
+  Outbuf.add_string b {|"error":{"code":|};
+  Outbuf.add_json_string b (error_code_name code);
+  Outbuf.add_string b {|,"message":|};
+  Outbuf.add_json_string b message;
+  Outbuf.add_string b "}}"
+
+let response_ok ~id fields = Outbuf.to_string (ok ~id fields)
 
 let response_error ~id ~code message =
-  envelope ~id ~ok:false
-    [
-      ( "error",
-        Render.obj
-          [ ("code", esc (error_code_name code)); ("message", esc message) ] );
-    ]
+  Outbuf.to_string (error ~id ~code message)

@@ -219,12 +219,28 @@ type error_code =
 
 val error_code_name : error_code -> string
 
+type response = Outbuf.t -> unit
+(** One response line, rendered when it is sent: applied to a buffer, it
+    appends the line without its newline. A session or a pool worker
+    applies it to the buffer that thread owns and writes the line from
+    there ({!Listener.send}); {!Outbuf.to_string} gives it as a string. *)
+
+val ok : id:Json.t -> (string * string) list -> response
+(** [ok ~id fields]: the protocol envelope [{"mrpa", "id", "ok":true}]
+    extended with the given [(key, raw_json_value)] payload fields, at
+    least one — raw so an already rendered document (a cached payload, a
+    {!Mrpa_engine.Render.obj}) is spliced in without reparsing. *)
+
+val ok_with : id:Json.t -> (Outbuf.t -> unit) -> response
+(** {!ok} whose payload fields ([key:value] pairs separated by commas, at
+    least one) the function appends itself, so an answer is rendered
+    straight into the response buffer. *)
+
+val error : id:Json.t -> code:error_code -> string -> response
+(** An error response: [ok:false] and [{"code", "message"}]. *)
+
 val response_ok : id:Json.t -> (string * string) list -> string
-(** [response_ok ~id fields] is one response line (no trailing newline):
-    the protocol envelope [{"mrpa", "id", "ok":true}] extended with the
-    given [(key, raw_json_value)] payload fields — raw so an already
-    rendered {!Mrpa_engine.Render.result_json} document can be spliced in
-    without reparsing. *)
+(** {!ok} as a string. *)
 
 val response_error : id:Json.t -> code:error_code -> string -> string
-(** One error-response line: [ok:false] and [{"code", "message"}]. *)
+(** {!error} as a string. *)

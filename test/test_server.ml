@@ -222,7 +222,7 @@ let test_pool_runs_jobs () =
   let count = Atomic.make 0 in
   for _ = 1 to 10 do
     Alcotest.(check bool) "accepted" true
-      (Pool.submit pool (fun () -> Atomic.incr count))
+      (Pool.submit pool (fun _ -> Atomic.incr count))
   done;
   Pool.shutdown pool;
   Alcotest.(check int) "all jobs ran" 10 (Atomic.get count)
@@ -232,7 +232,7 @@ let test_pool_overload () =
   let gate = Mutex.create () in
   let release = Condition.create () in
   let released = ref false in
-  let blocker () =
+  let blocker _ =
     Mutex.lock gate;
     while not !released do
       Condition.wait release gate
@@ -247,10 +247,10 @@ let test_pool_overload () =
     Thread.yield ()
   done;
   Alcotest.(check int) "worker busy" 1 (Pool.running pool);
-  Alcotest.(check bool) "queued 1" true (Pool.submit pool (fun () -> ()));
-  Alcotest.(check bool) "queued 2" true (Pool.submit pool (fun () -> ()));
+  Alcotest.(check bool) "queued 1" true (Pool.submit pool (fun _ -> ()));
+  Alcotest.(check bool) "queued 2" true (Pool.submit pool (fun _ -> ()));
   (* ...and the queue is now full: explicit backpressure *)
-  Alcotest.(check bool) "overloaded" false (Pool.submit pool (fun () -> ()));
+  Alcotest.(check bool) "overloaded" false (Pool.submit pool (fun _ -> ()));
   Alcotest.(check int) "two waiting" 2 (Pool.queued pool);
   Mutex.lock gate;
   released := true;
@@ -263,18 +263,18 @@ let test_pool_shutdown_drains () =
   let pool = Pool.create ~workers:2 ~queue_capacity:32 in
   let count = Atomic.make 0 in
   for _ = 1 to 20 do
-    ignore (Pool.submit pool (fun () -> Atomic.incr count))
+    ignore (Pool.submit pool (fun _ -> Atomic.incr count))
   done;
   Pool.shutdown pool;
   Alcotest.(check int) "queued jobs ran before exit" 20 (Atomic.get count);
   Alcotest.(check bool) "refused after shutdown" false
-    (Pool.submit pool (fun () -> ()))
+    (Pool.submit pool (fun _ -> ()))
 
 let test_pool_survives_raising_job () =
   let pool = Pool.create ~workers:1 ~queue_capacity:8 in
   let ran = Atomic.make false in
-  ignore (Pool.submit pool (fun () -> failwith "boom"));
-  ignore (Pool.submit pool (fun () -> Atomic.set ran true));
+  ignore (Pool.submit pool (fun _ -> failwith "boom"));
+  ignore (Pool.submit pool (fun _ -> Atomic.set ran true));
   Pool.shutdown pool;
   Alcotest.(check bool) "later job still ran" true (Atomic.get ran);
   Alcotest.(check int) "error counted" 1 (Pool.job_errors pool)
@@ -295,7 +295,7 @@ let run_together pool n job =
   let arrived = ref 0 and seen = ref [] in
   for _ = 1 to n do
     Alcotest.(check bool) "accepted" true
-      (Pool.submit pool (fun () ->
+      (Pool.submit pool (fun _ ->
            Mutex.protect lock (fun () ->
                incr arrived;
                seen := (Domain.self () :> int) :: !seen);
@@ -1092,7 +1092,7 @@ let test_pool_supervisor_restarts_worker () =
   let pool = Pool.create ~workers:1 ~queue_capacity:8 in
   (* Poison the only worker: a [Fatal] job kills it, and without the
      supervisor the pool would silently stop executing anything. *)
-  ignore (Pool.submit pool (fun () -> raise (Pool.Fatal "poisoned")));
+  ignore (Pool.submit pool (fun _ -> raise (Pool.Fatal "poisoned")));
   let deadline = Unix.gettimeofday () +. 5.0 in
   while Pool.restarts pool = 0 && Unix.gettimeofday () < deadline do
     Thread.yield ();
@@ -1101,7 +1101,7 @@ let test_pool_supervisor_restarts_worker () =
   Alcotest.(check int) "restart counted" 1 (Pool.restarts pool);
   let ran = Atomic.make false in
   Alcotest.(check bool) "pool still accepts work" true
-    (Pool.submit pool (fun () -> Atomic.set ran true));
+    (Pool.submit pool (fun _ -> Atomic.set ran true));
   Pool.shutdown pool;
   Alcotest.(check bool) "restarted worker ran the job" true (Atomic.get ran);
   Alcotest.(check int) "fatal also counted as job error" 1
@@ -1110,7 +1110,7 @@ let test_pool_supervisor_restarts_worker () =
 let test_pool_supervisor_restarts_repeatedly () =
   let pool = Pool.create ~workers:2 ~queue_capacity:16 in
   for _ = 1 to 3 do
-    ignore (Pool.submit pool (fun () -> raise (Pool.Fatal "again")))
+    ignore (Pool.submit pool (fun _ -> raise (Pool.Fatal "again")))
   done;
   let deadline = Unix.gettimeofday () +. 5.0 in
   while Pool.restarts pool < 3 && Unix.gettimeofday () < deadline do
@@ -1120,7 +1120,7 @@ let test_pool_supervisor_restarts_repeatedly () =
   Alcotest.(check int) "three restarts" 3 (Pool.restarts pool);
   let count = Atomic.make 0 in
   for _ = 1 to 8 do
-    ignore (Pool.submit pool (fun () -> Atomic.incr count))
+    ignore (Pool.submit pool (fun _ -> Atomic.incr count))
   done;
   Pool.shutdown pool;
   Alcotest.(check int) "pool at full strength afterwards" 8 (Atomic.get count)
@@ -1925,7 +1925,7 @@ let test_cancel_from_another_domain () =
     (fun () ->
       let budget = Budget.create ~deadline_ms:10_000.0 () in
       let started = Atomic.make false and outcome = Atomic.make None in
-      let run () =
+      let run _ =
         Atomic.set started true;
         let verdict =
           match
@@ -2078,6 +2078,298 @@ let test_wire_differential_parallel () =
             "server.counts" (Some (clients * pairs))
             (stats_counter "server.counts" j)))
 
+(* --- Response writers ------------------------------------------------------ *)
+
+(* A social graph whose four-hop [knows] walks give hot-eval-sized answers:
+   100 paths render to about 25 KB. *)
+let writer_graph =
+  lazy
+    (Snapshot.of_graph
+       (Generate.social ~rng:(Prng.create 7) ~n_people:500 ~n_orgs:20
+          ~n_projects:20))
+
+let four_hops anchor =
+  Printf.sprintf "[%s,knows,_] . [_,knows,_] . [_,knows,_] . [_,knows,_]"
+    anchor
+
+let limited n = { Wire.default_options with Wire.limit = Some n }
+
+(* Replace the digits after every ["elapsed_ms":] with N: the one field
+   two evaluations of one request may disagree on. *)
+let mask_elapsed line =
+  let key = {|"elapsed_ms":|} in
+  let k = String.length key and n = String.length line in
+  let b = Buffer.create n in
+  let rec go i =
+    if i >= n then ()
+    else if i + k <= n && String.sub line i k = key then begin
+      Buffer.add_string b (key ^ "N");
+      let j = ref (i + k) in
+      while !j < n && String.contains "0123456789.-e" line.[!j] do
+        incr j
+      done;
+      go !j
+    end
+    else begin
+      Buffer.add_char b line.[i];
+      go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* Words allocated straight into the major heap while [f] runs: blocks
+   too large for the minor heap, which OCaml mallocs. Promotions are
+   subtracted, and a minor collection on each side settles the counters
+   of this domain. *)
+let direct_major_words f =
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  f ();
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  s1.Gc.major_words -. s0.Gc.major_words
+  -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+
+(* A warmed writer renders and writes a 25 KB, 100-path response without
+   allocating in the major heap. The string path it replaced (the result
+   buffer and its contents, the envelope around them, then the line plus
+   its newline) allocated over four copies of the response there: 13,679
+   words per response for this one. The bound is a sixteenth of one
+   copy. *)
+let test_one_buffer_per_response () =
+  let snap = Lazy.force writer_graph in
+  let g = Snapshot.graph snap in
+  let r =
+    match Engine.query ~limit:100 g (four_hops "p0") with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  Alcotest.(check int) "100 paths" 100 (Path_set.cardinal r.Engine.paths);
+  let response =
+    Wire.ok_with ~id:(Json.Number 1.0) (fun b ->
+        Outbuf.add_string b {|"result":|};
+        Render.add_result b g r)
+  in
+  let size = String.length (Outbuf.to_string response) + 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "a hot-eval-sized response (%d bytes)" size)
+    true
+    (size > 20_000 && size < 40_000);
+  let tx, rx = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close tx;
+      Unix.close rx)
+    (fun () ->
+      let w = Listener.writer () in
+      let sink = Bytes.create 65_536 in
+      let rec drain n =
+        if n > 0 then drain (n - Unix.read rx sink 0 (min n 65_536))
+      in
+      let send () =
+        Listener.send w tx response;
+        drain size
+      in
+      send ();
+      send ();
+      let rounds = 20 in
+      let per_response =
+        direct_major_words (fun () ->
+            for _ = 1 to rounds do
+              send ()
+            done)
+        /. float_of_int rounds
+      in
+      let bound = float_of_int size /. 8.0 /. 16.0 in
+      Printf.printf
+        "one buffer per response: %d bytes, %.1f words direct to the major \
+         heap per response (bound %.0f)\n"
+        size per_response bound;
+      Alcotest.(check bool)
+        (Printf.sprintf "%.1f direct major words per response <= %.0f"
+           per_response bound)
+        true (per_response <= bound))
+
+(* Pipelined answers over four connections to four workers: with at most
+   two cores the workers share domains, two systhreads to a domain, and a
+   writer kept per domain would be overwritten by one worker while
+   another is still writing from it. Every line must be the one
+   [Server.answer] gives for its request. *)
+let test_writers_per_worker () =
+  let snapshot = Lazy.force writer_graph in
+  let local = unbound_server snapshot in
+  let clients = 4 and per_client = 25 in
+  let request c i =
+    let id = Json.Number (float_of_int ((100 * c) + i)) in
+    let anchor = Printf.sprintf "p%d" ((c + i) mod 10) in
+    match i mod 5 with
+    | 0 -> simple_req ~id ~query:(four_hops anchor) Wire.Count
+    | 1 -> simple_req ~id ~query:"[p0,knows,_] . [_,works_for,_]" Wire.Query
+    | _ ->
+      simple_req ~id ~query:(four_hops anchor) ~options:(limited 100)
+        Wire.Query
+  in
+  with_server ~snapshot ~workers:4 ~queue_capacity:128
+    (fun _server connect _path ->
+      let lock = Mutex.create () in
+      let failures = ref [] and answered = ref 0 in
+      let fail fmt =
+        Printf.ksprintf
+          (fun m -> Mutex.protect lock (fun () -> failures := m :: !failures))
+          fmt
+      in
+      let client c =
+        let conn = connect () in
+        Fun.protect
+          ~finally:(fun () -> Client.close conn)
+          (fun () ->
+            let reqs = List.init per_client (request c) in
+            List.iter
+              (fun req ->
+                match Client.send conn req with
+                | Ok () -> ()
+                | Error m -> fail "send: %s" m)
+              reqs;
+            for _ = 1 to per_client do
+              match Client.receive_raw conn with
+              | Error m -> fail "receive: %s" m
+              | Ok line -> (
+                let id =
+                  match Json.parse line with
+                  | Ok j -> Client.response_id j
+                  | Error m -> Json.String ("unparseable: " ^ m)
+                in
+                match List.find_opt (fun r -> r.Wire.id = id) reqs with
+                | None -> fail "client %d: no request for %s" c line
+                | Some req ->
+                  let expected = Server.answer local req in
+                  if mask_elapsed line <> mask_elapsed expected then
+                    fail "client %d, request %s: got %s" c
+                      (Json.to_string id) line
+                  else Mutex.protect lock (fun () -> incr answered))
+            done)
+      in
+      List.iter Thread.join
+        (List.init clients (fun c -> Thread.create client c));
+      Alcotest.(check (list string)) "every line is the answer's" []
+        (List.rev !failures);
+      Alcotest.(check int) "every request answered" (clients * per_client)
+        !answered);
+  Server.close local
+
+(* A Complete answer A, a larger answer B rendered by the same worker,
+   then A again: the third line is a result-cache hit and must be the
+   first line byte for byte, so the cached payload is a copy, not a view
+   of the worker's writer. *)
+let test_cache_never_aliases_writer () =
+  let snapshot = Snapshot.of_graph (Snapshot.graph (Lazy.force writer_graph)) in
+  with_server ~snapshot ~workers:1 (fun _server connect _path ->
+      let conn = connect () in
+      Fun.protect
+        ~finally:(fun () -> Client.close conn)
+        (fun () ->
+          let ask req =
+            match Client.request_raw conn (Wire.encode_request req) with
+            | Ok line -> line
+            | Error m -> Alcotest.failf "request: %s" m
+          in
+          let a =
+            simple_req ~id:(Json.Number 1.0)
+              ~query:"[p0,knows,_] . [_,knows,_]" Wire.Query
+          in
+          let first = ask a in
+          Alcotest.(check bool) "A is complete" true
+            (String.length first > 0
+            && Option.is_some
+                 (Option.bind (Result.to_option (Json.parse first)) (fun j ->
+                      Option.bind (Json.member "result" j) (fun r ->
+                          match Json.member "verdict" r with
+                          | Some (Json.String "complete") -> Some ()
+                          | _ -> None))));
+          let b =
+            ask
+              (simple_req ~id:(Json.Number 2.0) ~query:(four_hops "p1")
+                 ~options:(limited 300) Wire.Query)
+          in
+          Alcotest.(check bool) "B is larger than A" true
+            (String.length b > String.length first);
+          let third = ask a in
+          Alcotest.(check string) "the cache hit is the first answer" first
+            third;
+          let j = expect_ok "stats" (Client.request conn (simple_req Wire.Stats)) in
+          Alcotest.(check (option int)) "one result-cache hit" (Some 1)
+            (stats_counter "server.result_cache_hits" j)))
+
+(* A writer grows to fit an answer and writes it whole, however many
+   partial writes the socket takes; it keeps a grown size below the reset
+   size and gives back one above it. *)
+let test_writer_growth_and_reset () =
+  let snapshot = Lazy.force writer_graph in
+  let local = unbound_server snapshot in
+  with_server ~snapshot ~workers:1 (fun _server connect _path ->
+      let conn = connect () in
+      Fun.protect
+        ~finally:(fun () -> Client.close conn)
+        (fun () ->
+          let buffer_bytes () =
+            let j =
+              expect_ok "stats" (Client.request conn (simple_req Wire.Stats))
+            in
+            Option.value ~default:(-1)
+              (stats_counter "server.worker_buffer_bytes" j)
+          in
+          let ask n =
+            let req =
+              simple_req ~id:(Json.Number (float_of_int n))
+                ~query:(four_hops "p0") ~options:(limited n) Wire.Query
+            in
+            let line =
+              match Client.request_raw conn (Wire.encode_request req) with
+              | Ok line -> line
+              | Error m -> Alcotest.failf "request: %s" m
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "limit %d: the wire is the answer" n)
+              (mask_elapsed (Server.answer local req))
+              (mask_elapsed line);
+            String.length line
+          in
+          (* The reset follows the write the client has already read, so
+             poll briefly for the gauge to settle. *)
+          let settles_to want =
+            let deadline = Unix.gettimeofday () +. 2.0 in
+            let rec go () =
+              let got = buffer_bytes () in
+              if got = want || Unix.gettimeofday () > deadline then got
+              else begin
+                Unix.sleepf 0.01;
+                go ()
+              end
+            in
+            go ()
+          in
+          Alcotest.(check int) "a fresh writer" Listener.writer_initial_bytes
+            (buffer_bytes ());
+          let mid = ask 400 in
+          Alcotest.(check bool)
+            (Printf.sprintf "%d bytes: over 64 KiB, under the reset size" mid)
+            true
+            (mid > 65_536 && mid < Listener.writer_reset_bytes);
+          let kept = buffer_bytes () in
+          Alcotest.(check bool)
+            (Printf.sprintf "the grown writer is kept (%d bytes)" kept)
+            true (kept > mid);
+          let large = ask 2000 in
+          Alcotest.(check bool)
+            (Printf.sprintf "%d bytes: over the reset size" large)
+            true
+            (large > Listener.writer_reset_bytes);
+          Alcotest.(check int) "back at the initial capacity"
+            Listener.writer_initial_bytes
+            (settles_to Listener.writer_initial_bytes)));
+  Server.close local
+
 let () =
   Alcotest.run "server"
     [
@@ -2198,6 +2490,17 @@ let () =
             test_cancel_from_another_domain;
           Alcotest.test_case "wire differential under parallelism" `Quick
             test_wire_differential_parallel;
+        ] );
+      ( "writer",
+        [
+          Alcotest.test_case "one buffer per response" `Quick
+            test_one_buffer_per_response;
+          Alcotest.test_case "a writer per worker" `Quick
+            test_writers_per_worker;
+          Alcotest.test_case "cache never aliases the writer" `Quick
+            test_cache_never_aliases_writer;
+          Alcotest.test_case "growth and reset" `Quick
+            test_writer_growth_and_reset;
         ] );
       ( "retry",
         [
