@@ -1,14 +1,16 @@
 (* mrpa — command-line front end for the multi-relational path algebra.
 
-   Subcommands:
-     generate    synthesise a workload graph and write it as TSV
-     stats       print graph statistics
-     query       run a regular path query (the paper's SIV-A notation)
-     explain     show the plan for a query without running it
-     recognize   test whether a concrete path matches an expression
-     project     derive a single-relational graph (SIV-C) and rank vertices
-     dot         export Graphviz
-     fig1        run the paper's Figure 1 end to end *)
+   Subcommands, by what they work on:
+     graphs         generate, stats, dot, graphml, partition, project,
+                    communities, fig1
+     queries        query, lint, explain, shell, crpq, equiv, recognize,
+                    sample, cheapest, automaton
+     servers        serve, route, call, views
+     journals       append, fsck
+
+   `query`, `lint` and `shell` answer through an in-process server
+   ([open_front]), so they give the answers `serve` gives; `explain`
+   plans over the same snapshot. *)
 
 open Mrpa_graph
 open Mrpa_core
@@ -40,6 +42,12 @@ let parse_or_die g query =
   | Ok e -> e
   | Error e ->
     or_die (Error (Mrpa_engine.Parser.render_error ~source:query e))
+
+(* A name the graph must know, or a user error naming it. *)
+let resolve what find name =
+  match find name with
+  | Some x -> x
+  | None -> or_die (Error (Printf.sprintf "unknown %s %S" what name))
 
 let graph_arg =
   let doc = "Graph file (TSV edge list: tail<TAB>label<TAB>head)." in
@@ -135,22 +143,6 @@ let fault_of_flag = function
     let reason, at = or_die (parse_fault spec) in
     Mrpa_engine.Budget.with_fault_injection ~at reason
 
-(* Without flags the budget is unlimited but still cancellable, so Ctrl-C
-   always stops a run cooperatively. *)
-let budget_of_flags ~deadline_ms ~fuel ~max_paths ~inject_fault =
-  fault_of_flag inject_fault
-    (try Mrpa_engine.Budget.create ?deadline_ms ?fuel ?max_live:max_paths ()
-     with Invalid_argument msg -> or_die (Error msg))
-
-(* Ctrl-C cancels the governed run cooperatively: the handler only sets a
-   flag, the evaluator aborts at its next checkpoint, and the partial
-   result is printed with exit code 3 — no state is torn down mid-step. *)
-let cancel_on_sigint budget =
-  if Sys.os_type <> "Win32" then
-    ignore
-      (Sys.signal Sys.sigint
-         (Sys.Signal_handle (fun _ -> Mrpa_engine.Budget.cancel budget)))
-
 let pp_partial_note fmt verdict =
   match verdict with
   | Mrpa_engine.Err.Complete -> ()
@@ -179,11 +171,12 @@ let wire_options ?strategy ?limit ?(simple = false) ~max_length ?deadline_ms
     max_staleness_ms;
   }
 
+module J = Mrpa_server.Json
+
 (* A response's place in the exit-code policy: an error response wins over
    a partial answer (a "partial:REASON" verdict, or a view re-projection
    that tripped its budget, which names no reason) over a complete one. *)
 let response_status json =
-  let module J = Mrpa_server.Json in
   match J.member "ok" json with
   | Some (J.Bool true) -> (
     let verdict =
@@ -209,11 +202,6 @@ let exit_code_of_status = function
   | `Error -> Mrpa_engine.Err.exit_user_error
   | `Partial _ -> Mrpa_engine.Err.exit_partial
   | `Complete -> Mrpa_engine.Err.exit_ok
-
-let line_status line =
-  match Mrpa_server.Json.parse line with
-  | Ok json -> response_status json
-  | Error _ -> `Error
 
 (* --- generate ------------------------------------------------------------- *)
 
@@ -313,10 +301,11 @@ let count_arg =
     value & flag
     & info [ "count" ]
         ~doc:
-          "Print only the number of paths. Without --limit, --simple or a \
-           forced strategy this uses the counting engine (no path set is \
-           materialised). With --profile or --profile-json the profiled \
-           evaluation materialises the answer, and the count is its size.")
+          "Print only the number of paths (with --json, the count and its \
+           verdict). Without --limit, --simple or a forced strategy this \
+           uses the counting engine (no path set is materialised); with \
+           any of them, or with --profile or --profile-json, the answer is \
+           evaluated and the count is its size.")
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit JSON instead of text.")
@@ -353,11 +342,278 @@ let profile_json_arg =
           "Write the execution profile as JSON (schema mrpa.profile/1) to \
            $(docv); \"-\" for standard output. Implies profiling the run.")
 
-let print_lint_findings ~out ~source diags =
-  List.iter
+(* --- The in-process server ------------------------------------------------ *)
+
+(* `query`, `lint` and `shell` answer through one standalone server
+   over the graph file, in process and without a socket. Its
+   limits are the command's flags, so every request runs at the
+   command's --max-length and under its budget flags, and [Server.answer]
+   runs it on the calling thread. Only profiling and EXPLAIN, which have
+   no wire verb, run locally, over the same snapshot. *)
+type front = {
+  server : Mrpa_server.Server.t;
+  snapshot : Mrpa_server.Snapshot.t;
+  max_length : int;
+  wrap_budget : Mrpa_engine.Budget.t -> Mrpa_engine.Budget.t;
+      (* --inject-fault, applied to each request's budget *)
+  local_budget : unit -> Mrpa_engine.Budget.t;
+      (* the flags as a fresh budget for a local run, which Ctrl-C cancels *)
+}
+
+let open_front ?deadline_ms ?fuel ?max_paths ?inject_fault ~max_length path =
+  let module S = Mrpa_server in
+  let snapshot = or_die (loading S.Snapshot.load path) in
+  (* Without flags a local run's budget is unlimited but still
+     cancellable, so Ctrl-C always stops it cooperatively. *)
+  let budget () =
+    fault_of_flag inject_fault
+      (try Mrpa_engine.Budget.create ?deadline_ms ?fuel ?max_live:max_paths ()
+       with Invalid_argument msg -> or_die (Error msg))
+  in
+  (* Bad budget flags stop the command before it answers anything. *)
+  let local = ref (budget ()) in
+  (* The endpoint is never bound. *)
+  let server =
+    S.Server.create ~snapshot
+      {
+        S.Server.front = S.Listener.default_config (S.Wire.Unix_socket "");
+        workers = 1;
+        queue_capacity = 1;
+        limits =
+          {
+            S.Wire.default_limits with
+            S.Wire.max_deadline_ms = deadline_ms;
+            max_fuel = fuel;
+            max_live_paths = max_paths;
+            max_length_cap = max_length;
+          };
+        max_predicted_cost = None;
+        role = S.Server.Standalone;
+      }
+  in
+  at_exit (fun () -> S.Server.close server);
+  (* Ctrl-C cancels what is running, a request or the last local run: it
+     stops at its next checkpoint and its sound partial result is printed
+     like any answer (exit 3 from `query`, the next prompt in the shell).
+     A run that has finished ignores it. *)
+  if Sys.os_type <> "Win32" then
+    ignore
+      (Sys.signal Sys.sigint
+         (Sys.Signal_handle
+            (fun _ ->
+              S.Server.cancel_inflight server;
+              Mrpa_engine.Budget.cancel !local)));
+  {
+    server;
+    snapshot;
+    max_length;
+    wrap_budget = fault_of_flag inject_fault;
+    local_budget =
+      (fun () ->
+        local := budget ();
+        !local);
+  }
+
+let graph front = Mrpa_server.Snapshot.graph front.snapshot
+
+(* One request to the front's server: its response line. *)
+let ask front ?strategy ?limit ?simple ?query verb =
+  let module S = Mrpa_server in
+  S.Server.answer ~wrap_budget:front.wrap_budget front.server
+    {
+      S.Wire.id = S.Json.Null;
+      verb;
+      query;
+      options =
+        wire_options ?strategy ?limit ?simple ~max_length:front.max_length ();
+    }
+
+let profile_locally ?strategy ?simple ?limit front source =
+  Mrpa_engine.Engine.query_profiled ?strategy ?simple ?limit
+    ~stats:(Mrpa_server.Snapshot.profile front.snapshot)
+    ~max_length:front.max_length ~budget:(front.local_budget ()) (graph front)
+    source
+
+let explain front source =
+  Mrpa_engine.Engine.explain
+    ~stats:(Mrpa_server.Snapshot.profile front.snapshot)
+    ~max_length:front.max_length (graph front) source
+
+(* --- Printing responses ----------------------------------------------------- *)
+
+(* The head of every ok response to a request without an id. *)
+let ok_head =
+  Printf.sprintf {|{"mrpa":%s,"id":null,"ok":true,|}
+    (Mrpa_engine.Render.escape_string Mrpa_server.Wire.version)
+
+(* Calls [f start stop] on the span of each element of the compact JSON
+   array whose '[' is at [s.[i]]; returns the offset past its ']'. *)
+let scan_array s i f =
+  let rec go j depth start quoted =
+    match s.[j] with
+    | '\\' when quoted -> go (j + 2) depth start quoted
+    | '"' -> go (j + 1) depth start (not quoted)
+    | _ when quoted -> go (j + 1) depth start quoted
+    | '{' | '[' -> go (j + 1) (depth + 1) start quoted
+    | ']' when depth = 0 ->
+      if j > start then f start j;
+      j + 1
+    | '}' | ']' -> go (j + 1) (depth - 1) start quoted
+    | ',' when depth = 0 ->
+      f start j;
+      go (j + 1) depth (j + 1) quoted
+    | _ -> go (j + 1) depth start quoted
+  in
+  go (i + 1) 0 (i + 1) false
+
+(* A response line read for printing. A query's paths are most of a
+   large answer, so [json] is the response with its path array emptied
+   and [paths] is where that array starts in [line]: each path is parsed
+   as it is printed, never held in one JSON tree with the others. *)
+type response = { line : string; json : J.t; paths : int option }
+
+let read_response line =
+  let parse s = or_die (J.parse s) in
+  let prefix = ok_head ^ {|"result":{"paths":|} in
+  if String.starts_with ~prefix line then begin
+    let i = String.length prefix in
+    let stop = scan_array line i (fun _ _ -> ()) in
+    let rest = String.sub line stop (String.length line - stop) in
+    { line; json = parse (String.sub line 0 i ^ "[]" ^ rest); paths = Some i }
+  end
+  else { line; json = parse line; paths = None }
+
+let line_status line =
+  match J.parse line with Ok json -> response_status json | Error _ -> `Error
+
+(* Readers over a response; a missing member reads as empty. *)
+let member k j = Option.value ~default:J.Null (J.member k j)
+let member_string k j = Option.value ~default:"" (J.to_string_opt (member k j))
+let member_int k j = Option.value ~default:0 (J.to_int_opt (member k j))
+let member_list k j = match member k j with J.List l -> l | _ -> []
+
+let lint_findings response =
+  let module D = Mrpa_lint.Diagnostic in
+  List.map
     (fun d ->
-      Format.fprintf out "%s@." (Mrpa_lint.Diagnostic.render ~source d))
-    diags
+      {
+        D.code = member_string "code" d;
+        severity =
+          List.find
+            (fun s -> D.severity_label s = member_string "severity" d)
+            D.[ Hint; Warning; Error ];
+        span = { Span.start = member_int "start" d; stop = member_int "stop" d };
+        message = member_string "message" d;
+      })
+    (member_list "findings" (member "lint" response.json))
+
+(* What `query --json` prints of an ok response: its payload byte for
+   byte as the server rendered it, without the envelope. That is a
+   query's [result] member, or a count's fields as one object. *)
+let print_payload line =
+  let n = String.length ok_head and m = String.length {|"result":|} in
+  if String.sub line n m = {|"result":|} then
+    output_substring stdout line (n + m) (String.length line - n - m - 1)
+  else print_string ("{" ^ String.sub line n (String.length line - n));
+  print_newline ()
+
+(* Where a response's lines go. [Prompt] is the shell's: everything on
+   standard output, and a query footer without its timing, so a session
+   reads the same on every run. [Batch] is `query`'s and `lint`'s: errors
+   and a count's partial note go to standard error, which keeps standard
+   output to the answer, and a query footer gives its time and strategy.
+   [Preflight] is `query --lint`'s check before the run: the findings,
+   without a summary, and errors, all on standard error. *)
+type layout = Prompt | Batch | Preflight
+
+(* The one human rendering of a response: paths, counts, lint findings,
+   views or an error, then the partial note. [source] is the query text
+   the request carried, for lint carets. *)
+let print_response layout g ~source response =
+  let out =
+    if layout = Preflight then Format.err_formatter else Format.std_formatter
+  in
+  let diag =
+    if layout = Prompt then Format.std_formatter else Format.err_formatter
+  in
+  let json = response.json in
+  let view = member "view" json in
+  (match J.member "error" json with
+  | Some e -> Format.fprintf diag "error: %s@." (member_string "message" e)
+  | None when J.member "result" json <> None ->
+    let vertex name = Option.get (Digraph.find_vertex g name) in
+    let edge e =
+      Edge.v
+        (vertex (member_string "tail" e))
+        (Option.get (Digraph.find_label g (member_string "label" e)))
+        (vertex (member_string "head" e))
+    in
+    let print_path start stop =
+      let p = or_die (J.parse (String.sub response.line start (stop - start))) in
+      Format.fprintf out "%a@." (Digraph.pp_path g)
+        (Path.of_edges (List.map edge (member_list "edges" p)))
+    in
+    Option.iter (fun i -> ignore (scan_array response.line i print_path))
+      response.paths;
+    let result = member "result" json in
+    let n = member_int "count" result in
+    if layout = Prompt then Format.fprintf out "-- %d path(s)@." n
+    else
+      Format.fprintf out "-- %d path(s) in %.3f ms via %s@." n
+        (Option.value ~default:0.0
+           (J.to_float_opt (member "elapsed_ms" result)))
+        (member_string "strategy" result)
+  | None when J.member "count" json <> None ->
+    Format.fprintf out "%d@." (member_int "count" json)
+  | None when J.member "lint" json <> None ->
+    let diags = lint_findings response in
+    List.iter
+      (fun d ->
+        Format.fprintf out "%s@." (Mrpa_lint.Diagnostic.render ~source d))
+      diags;
+    if layout <> Preflight then
+      Format.fprintf out "%s@." (Mrpa_lint.Diagnostic.summary diags)
+  | None when J.member "views" json <> None ->
+    let infos = member_list "views" json in
+    if infos = [] then Format.fprintf out "no views@.";
+    List.iter
+      (fun i ->
+        Format.fprintf out "%s\t%s %s\t%d vertex(es), %d edge(s)@."
+          (member_string "name" i) (member_string "kind" i)
+          (member_string "spec" i) (member_int "vertices" i)
+          (member_int "edges" i))
+      infos
+  | None when J.member "registered" view <> None ->
+    Format.fprintf out "registered %s@." (member_string "registered" view)
+  | None when J.member "dropped" view <> None ->
+    Format.fprintf out "dropped %s@." (member_string "dropped" view)
+  | None when J.member "pairs" view <> None ->
+    List.iter
+      (function
+        | J.List (J.String i :: J.String j :: _) ->
+          Format.fprintf out "%s -> %s@." i j
+        | _ -> ())
+      (member_list "pairs" view);
+    Format.fprintf out "-- %d edge(s)@." (member_int "edges" view)
+  | None -> (
+    match member_string "measure" view with
+    | ("components" | "communities") as measure ->
+      Format.fprintf out "%d %s, largest %d@." (member_int "count" view)
+        (if measure = "components" then "component(s)" else measure)
+        (member_int "largest" view)
+    | _ ->
+      List.iter
+        (fun r ->
+          Format.fprintf out "%-20s %.6g@." (member_string "vertex" r)
+            (Option.value ~default:0.0 (J.to_float_opt (member "score" r))))
+        (member_list "top" view)));
+  let note = if J.member "count" json <> None then diag else out in
+  match response_status json with
+  | `Partial (Some reason) ->
+    pp_partial_note note (Mrpa_engine.Err.Partial reason)
+  | `Partial None ->
+    Format.fprintf note "-- partial result: some pairs may be missing@."
+  | `Error | `Complete -> ()
 
 (* The metrics, path count and partial note of a profiled run. *)
 let print_profile ((r : Mrpa_engine.Engine.result), m) =
@@ -368,81 +624,62 @@ let print_profile ((r : Mrpa_engine.Engine.result), m) =
     (Plan.strategy_name r.Engine.plan.Plan.strategy);
   pp_partial_note Format.std_formatter r.Engine.verdict
 
+(* --- query / lint / explain ---------------------------------------------------- *)
+
 let query_cmd =
   let run path query max_length limit strategy simple count json lint profile
       profile_json deadline_ms fuel max_paths inject_fault =
-    let g = or_die (load_graph path) in
-    (* Even without budget flags the run is governed by an unlimited budget,
-       so Ctrl-C always cancels cooperatively: partial result, exit 3. *)
-    let budget = budget_of_flags ~deadline_ms ~fuel ~max_paths ~inject_fault in
-    cancel_on_sigint budget;
+    let module S = Mrpa_server in
+    let front =
+      open_front ?deadline_ms ?fuel ?max_paths ?inject_fault ~max_length path
+    in
+    let g = graph front in
+    (* Every answer ends here, and a partial one exits 3 so scripts can
+       tell "complete answer" from "sound subset". *)
+    let respond line =
+      let response = read_response line in
+      let status = response_status response.json in
+      if json && status <> `Error then print_payload line
+      else print_response Batch g ~source:query response;
+      exit (exit_code_of_status status)
+    in
     if lint then begin
-      match Mrpa_engine.Engine.lint ~max_length ?fuel ?deadline_ms g query with
-      | Error msg -> or_die (Error msg)
-      | Ok diags ->
-        print_lint_findings ~out:Format.err_formatter ~source:query diags;
-        if Mrpa_lint.Diagnostic.has_errors diags then begin
-          Printf.eprintf "error: the query is statically empty; not running it\n";
-          exit 1
-        end
+      let response = read_response (ask front ~simple ~query S.Wire.Lint) in
+      print_response Preflight g ~source:query response;
+      if response_status response.json = `Error then
+        exit Mrpa_engine.Err.exit_user_error;
+      if Mrpa_lint.Diagnostic.has_errors (lint_findings response) then begin
+        Printf.eprintf "error: the query is statically empty; not running it\n";
+        exit Mrpa_engine.Err.exit_user_error
+      end
     end;
-    (* Every branch funnels through [finish]: a partial result exits 3 so
-       scripts can tell "complete answer" from "sound subset". *)
-    let finish verdict = exit (Mrpa_engine.Err.exit_code verdict) in
-    let print_count n verdict =
-      Format.printf "%d@." n;
-      pp_partial_note Format.err_formatter verdict;
-      finish verdict
-    in
-    let print_result (r : Mrpa_engine.Engine.result) =
-      let open Mrpa_engine in
-      if json then begin
-        print_endline (Render.result_json g r);
-        finish r.Engine.verdict
-      end
-      else if count then
-        print_count (Path_set.cardinal r.Engine.paths) r.Engine.verdict
-      else begin
-        Path_set.iter
-          (fun p -> Format.printf "%a@." (Digraph.pp_path g) p)
-          r.Engine.paths;
-        Format.printf "-- %d path(s) in %.3f ms via %s@."
-          r.Engine.stats.Eval.paths
-          (1000.0 *. r.Engine.stats.Eval.elapsed_s)
-          (Plan.strategy_name r.Engine.plan.Plan.strategy);
-        pp_partial_note Format.std_formatter r.Engine.verdict;
-        finish r.Engine.verdict
-      end
-    in
     if profile || profile_json <> None then begin
+      let open Mrpa_engine in
       let r, m =
-        or_die
-          (Mrpa_engine.Engine.query_profiled ?strategy ~simple ~max_length ?limit
-             ~budget g query)
+        or_die (profile_locally ?strategy ~simple ?limit front query)
       in
       Option.iter
-        (fun file -> write_output file (Mrpa_engine.Metrics.to_json m ^ "\n"))
+        (fun file -> write_output file (Metrics.to_json m ^ "\n"))
         profile_json;
       if profile then begin
-        Format.printf "%a@." (Mrpa_engine.Plan.pp_named g)
-          r.Mrpa_engine.Engine.plan;
+        Format.printf "%a@." (Plan.pp_named g) r.Engine.plan;
         print_profile (r, m);
-        finish r.Mrpa_engine.Engine.verdict
-      end
-      else print_result r
-    end
-    else if count && not json then
-      let n, verdict =
-        or_die
-          (Mrpa_engine.Engine.count_governed ?strategy ~simple ~max_length ?limit
-             ~budget g query)
-      in
-      print_count n verdict
-    else
-      print_result
-        (or_die
-           (Mrpa_engine.Engine.query ?strategy ~simple ~max_length ?limit ~budget
-              g query))
+        exit (Err.exit_code r.Engine.verdict)
+      end;
+      (* The profiled answer, as the response the server would send. *)
+      let verdict = Render.escape_string (Err.verdict_name r.Engine.verdict) in
+      respond
+        (S.Wire.response_ok ~id:S.Json.Null
+           (if count then
+              [
+                ("count", string_of_int (Path_set.cardinal r.Engine.paths));
+                ("verdict", verdict);
+              ]
+            else [ ("result", Render.result_json g r) ]))
+    end;
+    respond
+      (ask front ?strategy ?limit ~simple ~query
+         (if count then S.Wire.Count else S.Wire.Query))
   in
   let term =
     Term.(
@@ -452,8 +689,6 @@ let query_cmd =
       $ max_paths_arg $ inject_fault_arg)
   in
   Cmd.v (Cmd.info "query" ~doc:"Run a regular path query") term
-
-(* --- lint -------------------------------------------------------------------- *)
 
 let error_on_warning_flag =
   Arg.(
@@ -465,22 +700,19 @@ let error_on_warning_flag =
 
 let lint_cmd =
   let run path query max_length deadline_ms fuel error_on_warning =
-    let g = or_die (load_graph path) in
-    match Mrpa_engine.Engine.lint ~max_length ?fuel ?deadline_ms g query with
-    | Error msg -> or_die (Error msg)
-    | Ok diags ->
-      let module D = Mrpa_lint.Diagnostic in
-      if diags = [] then Format.printf "no findings@."
-      else begin
-        print_lint_findings ~out:Format.std_formatter ~source:query diags;
-        Format.printf "%s@." (D.summary diags)
-      end;
-      let has_warnings =
-        List.exists (fun d -> d.D.severity = D.Warning) diags
-      in
-      exit
-        (if D.has_errors diags || (error_on_warning && has_warnings) then 1
-         else 0)
+    let module D = Mrpa_lint.Diagnostic in
+    let front = open_front ?deadline_ms ?fuel ~max_length path in
+    let response = read_response (ask front ~query Mrpa_server.Wire.Lint) in
+    print_response Batch (graph front) ~source:query response;
+    let diags = lint_findings response in
+    exit
+      (if
+         response_status response.json = `Error
+         || D.has_errors diags
+         || error_on_warning
+            && List.exists (fun d -> d.D.severity = D.Warning) diags
+       then Mrpa_engine.Err.exit_user_error
+       else Mrpa_engine.Err.exit_ok)
   in
   let term =
     Term.(
@@ -501,155 +733,39 @@ let lint_cmd =
           is.")
     term
 
-(* The shell is an in-process client of the server: each line becomes a
-   wire request, [Server.answer] answers it from a snapshot of the graph
-   with no socket, and [print_response] renders the response for people.
-   Only :explain and :profile, which have no wire verb, run locally. *)
+let explain_cmd =
+  let run path query max_length =
+    print_endline (or_die (explain (open_front ~max_length path) query))
+  in
+  let term = Term.(const run $ graph_arg $ query_pos $ max_length_arg) in
+  Cmd.v (Cmd.info "explain" ~doc:"Show the query plan without running it") term
 
-(* The human rendering of one response line. [source] is the query text
-   the request carried, for lint carets. *)
-let print_response g ~source line =
-  let module J = Mrpa_server.Json in
-  let json = or_die (J.parse line) in
-  let field k j = Option.value ~default:J.Null (J.member k j) in
-  let str k j = Option.value ~default:"" (J.to_string_opt (field k j)) in
-  let int k j = Option.value ~default:0 (J.to_int_opt (field k j)) in
-  let list k j = match field k j with J.List l -> l | _ -> [] in
-  let view = field "view" json in
-  (match J.member "error" json with
-  | Some e -> Format.printf "error: %s@." (str "message" e)
-  | None when J.member "result" json <> None ->
-    let vertex name = Option.get (Digraph.find_vertex g name) in
-    let edge e =
-      Edge.v (vertex (str "tail" e))
-        (Option.get (Digraph.find_label g (str "label" e)))
-        (vertex (str "head" e))
-    in
-    let result = field "result" json in
-    List.iter
-      (fun p ->
-        Format.printf "%a@." (Digraph.pp_path g)
-          (Path.of_edges (List.map edge (list "edges" p))))
-      (list "paths" result);
-    Format.printf "-- %d path(s)@." (int "count" result)
-  | None when J.member "count" json <> None ->
-    Format.printf "%d@." (int "count" json)
-  | None when J.member "lint" json <> None ->
-    let module D = Mrpa_lint.Diagnostic in
-    let finding d =
-      {
-        D.code = str "code" d;
-        severity =
-          List.find
-            (fun s -> D.severity_label s = str "severity" d)
-            D.[ Hint; Warning; Error ];
-        span = { Span.start = int "start" d; stop = int "stop" d };
-        message = str "message" d;
-      }
-    in
-    let diags = List.map finding (list "findings" (field "lint" json)) in
-    print_lint_findings ~out:Format.std_formatter ~source diags;
-    Format.printf "%s@." (D.summary diags)
-  | None when J.member "views" json <> None ->
-    let infos = list "views" json in
-    if infos = [] then Format.printf "no views@.";
-    List.iter
-      (fun i ->
-        Format.printf "%s\t%s %s\t%d vertex(es), %d edge(s)@." (str "name" i)
-          (str "kind" i) (str "spec" i) (int "vertices" i) (int "edges" i))
-      infos
-  | None when J.member "registered" view <> None ->
-    Format.printf "registered %s@." (str "registered" view)
-  | None when J.member "dropped" view <> None ->
-    Format.printf "dropped %s@." (str "dropped" view)
-  | None when J.member "pairs" view <> None ->
-    List.iter
-      (function
-        | J.List (J.String i :: J.String j :: _) ->
-          Format.printf "%s -> %s@." i j
-        | _ -> ())
-      (list "pairs" view);
-    Format.printf "-- %d edge(s)@." (int "edges" view)
-  | None -> (
-    match str "measure" view with
-    | ("components" | "communities") as measure ->
-      Format.printf "%d %s, largest %d@." (int "count" view)
-        (if measure = "components" then "component(s)" else measure)
-        (int "largest" view)
-    | _ ->
-      List.iter
-        (fun r ->
-          Format.printf "%-20s %.6g@." (str "vertex" r)
-            (Option.value ~default:0.0 (J.to_float_opt (field "score" r))))
-        (list "top" view)));
-  match response_status json with
-  | `Partial (Some reason) ->
-    pp_partial_note Format.std_formatter (Mrpa_engine.Err.Partial reason)
-  | `Partial None ->
-    Format.printf "-- partial result: some pairs may be missing@."
-  | `Error | `Complete -> ()
+(* --- shell --------------------------------------------------------------------- *)
 
+(* The shell is a prompt over the same front: each line becomes a wire
+   request, and its response is printed for people. *)
 let shell_cmd =
   let run path max_length deadline_ms fuel max_paths inject_fault =
     let module S = Mrpa_server in
-    let snapshot = or_die (loading S.Snapshot.load path) in
-    let g = S.Snapshot.graph snapshot and stats = S.Snapshot.profile snapshot in
+    let front =
+      open_front ?deadline_ms ?fuel ?max_paths ?inject_fault ~max_length path
+    in
+    let g = graph front in
     Format.printf
       "mrpa shell — %a@.Type a query per line; :explain QUERY, :count QUERY, \
        :lint QUERY, :profile QUERY, :view (word|expr|drop|edges|analytics) \
        and :views for materialized views, :quit to exit.@."
       Digraph.pp_stats g;
-    (* Bad budget flags stop the shell before its first prompt. *)
-    let local_budget () =
-      budget_of_flags ~deadline_ms ~fuel ~max_paths ~inject_fault
-    in
-    ignore (local_budget ());
-    (* The flags are the server's limits, so every request runs at the
-       shell's --max-length and under its budget flags. The endpoint is
-       never bound. *)
-    let server =
-      S.Server.create ~snapshot
-        {
-          S.Server.front = S.Listener.default_config (S.Wire.Unix_socket "");
-          workers = 1;
-          queue_capacity = 1;
-          limits =
-            {
-              S.Wire.default_limits with
-              S.Wire.max_deadline_ms = deadline_ms;
-              max_fuel = fuel;
-              max_live_paths = max_paths;
-              max_length_cap = max_length;
-            };
-          max_predicted_cost = None;
-          role = S.Server.Standalone;
-        }
-    in
-    let ask ?query verb =
-      let options = wire_options ~max_length () in
-      print_response g
+    let show ?query verb =
+      print_response Prompt g
         ~source:(Option.value ~default:"" query)
-        (S.Server.answer ~wrap_budget:(fault_of_flag inject_fault) server
-           { S.Wire.id = S.Json.Null; verb; query; options })
+        (read_response (ask front ?query verb))
     in
     let view ?word ?view_query ?measure ?top action name =
-      ask
+      show
         (S.Wire.Views
            { action; view_name = Some name; word; view_query; measure; top })
     in
-    (* Ctrl-C cancels the running request's budget, which yields its
-       partial result and returns to the prompt instead of killing the
-       REPL. At the prompt nothing is registered and the handler is a
-       no-op (blocked reads retry after the signal); leave with :quit or
-       Ctrl-D. *)
-    let profiling = ref None in
-    if Sys.os_type <> "Win32" then
-      ignore
-        (Sys.signal Sys.sigint
-           (Sys.Signal_handle
-              (fun _ ->
-                S.Server.cancel_inflight server;
-                Option.iter Mrpa_engine.Budget.cancel !profiling)));
     let next_token s =
       let s = String.trim s in
       match String.index_opt s ' ' with
@@ -660,23 +776,15 @@ let shell_cmd =
     let command line =
       match next_token line with
       | ":explain", source -> (
-        match Mrpa_engine.Engine.explain ~stats ~max_length g source with
+        match explain front source with
         | Ok text -> Format.printf "%s@." text
         | Error msg -> Format.printf "error: %s@." msg)
       | ":profile", source -> (
-        let budget = local_budget () in
-        profiling := Some budget;
-        match
-          Fun.protect
-            ~finally:(fun () -> profiling := None)
-            (fun () ->
-              Mrpa_engine.Engine.query_profiled ~stats ~max_length ~budget g
-                source)
-        with
+        match profile_locally front source with
         | Ok profiled -> print_profile profiled
         | Error msg -> Format.printf "error: %s@." msg)
-      | ":count", query -> ask ~query S.Wire.Count
-      | ":lint", query -> ask ~query S.Wire.Lint
+      | ":count", query -> show ~query S.Wire.Count
+      | ":lint", query -> show ~query S.Wire.Lint
       | ":views", "" -> view S.Wire.V_list ""
       | ":view", args -> (
         let sub, args = next_token args in
@@ -698,7 +806,7 @@ let shell_cmd =
             ?measure:(if measure = "" then None else Some measure)
             ?top:(int_of_string_opt (fst (next_token top)))
         | _ -> Format.printf "usage: :view (word|expr|drop|edges|analytics) ...@.")
-      | _ -> ask ~query:line S.Wire.Query
+      | _ -> show ~query:line S.Wire.Query
     in
     let rec loop () =
       Format.printf "mrpa> @?";
@@ -714,8 +822,7 @@ let shell_cmd =
            with e -> Format.printf "error: internal: %s@." (Printexc.to_string e));
         loop ()
     in
-    loop ();
-    S.Server.close server
+    loop ()
   in
   let term =
     Term.(
@@ -723,16 +830,6 @@ let shell_cmd =
       $ max_paths_arg $ inject_fault_arg)
   in
   Cmd.v (Cmd.info "shell" ~doc:"Interactive query shell") term
-
-let explain_cmd =
-  let run path query max_length =
-    let g = or_die (load_graph path) in
-    match Mrpa_engine.Engine.explain ~max_length g query with
-    | Error msg -> or_die (Error msg)
-    | Ok text -> print_endline text
-  in
-  let term = Term.(const run $ graph_arg $ query_pos $ max_length_arg) in
-  Cmd.v (Cmd.info "explain" ~doc:"Show the query plan without running it") term
 
 (* --- equiv ------------------------------------------------------------------------ *)
 
@@ -773,11 +870,6 @@ let recognize_cmd =
   let run graph_path query path_text =
     let g = or_die (load_graph graph_path) in
     let expr = parse_or_die g query in
-    let resolve what find name =
-      match find name with
-      | Some x -> x
-      | None -> or_die (Error (Printf.sprintf "unknown %s %S" what name))
-    in
     let parse_triple t =
       match String.split_on_char ',' t with
       | [ tail; label; head ] ->
@@ -820,10 +912,7 @@ let project_cmd =
     let g = or_die (load_graph path) in
     let labels =
       List.map
-        (fun name ->
-          match Digraph.find_label g (String.trim name) with
-          | Some l -> l
-          | None -> or_die (Error (Printf.sprintf "unknown label %S" name)))
+        (fun name -> resolve "label" (Digraph.find_label g) (String.trim name))
         (String.split_on_char ',' labels_text)
     in
     let derived = Mrpa_analysis.Projection.path_derived g labels in
@@ -862,10 +951,9 @@ let communities_cmd =
     let projected =
       match label_opt with
       | None -> Mrpa_analysis.Projection.label_blind g
-      | Some name -> (
-        match Digraph.find_label g name with
-        | Some l -> Mrpa_analysis.Projection.single_label g l
-        | None -> or_die (Error (Printf.sprintf "unknown label %S" name)))
+      | Some name ->
+        Mrpa_analysis.Projection.single_label g
+          (resolve "label" (Digraph.find_label g) name)
     in
     let t = Mrpa_analysis.Communities.label_propagation ~seed projected in
     Format.printf "%d communities, modularity %.3f@."
@@ -956,25 +1044,17 @@ let cheapest_cmd =
         (fun piece ->
           match String.split_on_char '=' piece with
           | [ name; value ] -> (
-            match
-              (Digraph.find_label g (String.trim name), float_of_string_opt value)
-            with
-            | Some l, Some v -> Hashtbl.replace costs l v
-            | None, _ ->
-              or_die (Error (Printf.sprintf "unknown label %S" name))
-            | _, None ->
-              or_die (Error (Printf.sprintf "bad cost value %S" value)))
+            let l = resolve "label" (Digraph.find_label g) (String.trim name) in
+            match float_of_string_opt value with
+            | Some v -> Hashtbl.replace costs l v
+            | None -> or_die (Error (Printf.sprintf "bad cost value %S" value)))
           | _ -> or_die (Error (Printf.sprintf "bad cost binding %S" piece)))
         (String.split_on_char ',' cost);
     Hashtbl.iter (fun l v -> Weights.set_label table l v) costs;
     let weight = Weights.to_fun table in
     let expr = fst (Mrpa_engine.Optimizer.simplify (parse_or_die g query)) in
     let pairs = Mrpa_semiring.Eval.cheapest_paths ~weight g expr ~max_length in
-    let resolve name =
-      match Digraph.find_vertex g name with
-      | Some v -> v
-      | None -> or_die (Error (Printf.sprintf "unknown vertex %S" name))
-    in
+    let resolve = resolve "vertex" (Digraph.find_vertex g) in
     let pairs =
       List.filter
         (fun ((s, d), _) ->
@@ -1572,7 +1652,11 @@ let call_cmd =
     Arg.(
       value & flag
       & info [ "count" ]
-          ~doc:"Use the counting engine (no path set is materialised).")
+          ~doc:
+            "Ask for the number of paths. Without --limit, --simple or \
+             --strategy the server uses the counting engine (no path set \
+             is materialised); with any of them the answer is evaluated \
+             and the count is its size.")
   in
   let call_lint_flag =
     Arg.(
@@ -1848,13 +1932,7 @@ let partition_cmd =
   let run graph shard_map out_dir =
     let module S = Mrpa_server in
     let map = or_die (S.Shardmap.load shard_map) in
-    let g =
-      try Io.load graph with
-      | Sys_error msg -> or_die (Error msg)
-      | Io.Malformed (line, text) ->
-        or_die
-          (Error (Printf.sprintf "%s: malformed line %d: %s" graph line text))
-    in
+    let g = or_die (load_graph graph) in
     let parts = S.Shardmap.write_partition map g ~dir:out_dir in
     List.iter
       (fun (path, n_edges) ->
@@ -1949,11 +2027,8 @@ let views_cmd =
   let run { endpoints; min_seq; max_staleness_ms; policy } action name word
       vquery counts measure top limit max_length deadline_ms fuel max_paths =
     let module S = Mrpa_server in
-    let require_name () =
-      match name with
-      | Some n -> Some n
-      | None -> or_die (Error "a NAME argument is required")
-    in
+    if name = None && action <> `List then
+      or_die (Error "a NAME argument is required");
     let wire_word =
       Option.map
         (fun w ->
@@ -1966,14 +2041,7 @@ let views_cmd =
     in
     let vreq =
       let named ?word ?view_query ?measure ?top action =
-        {
-          S.Wire.action;
-          view_name = require_name ();
-          word;
-          view_query;
-          measure;
-          top;
-        }
+        { S.Wire.action; view_name = name; word; view_query; measure; top }
       in
       match action with
       | `Register ->
@@ -1981,15 +2049,7 @@ let views_cmd =
           or_die (Error "register needs exactly one of --word or --query");
         named ?word:wire_word ?view_query:vquery S.Wire.V_register
       | `Drop -> named S.Wire.V_drop
-      | `List ->
-        {
-          S.Wire.action = S.Wire.V_list;
-          view_name = None;
-          word = None;
-          view_query = None;
-          measure = None;
-          top = None;
-        }
+      | `List -> named S.Wire.V_list
       | `Read -> named (if counts then S.Wire.V_counts else S.Wire.V_edges)
       | `Analytics -> named ?measure ?top S.Wire.V_analytics
     in

@@ -65,8 +65,3 @@ let census g s =
       max_words = 0;
       total_words = 0;
     }
-
-let pp_census fmt c =
-  Format.fprintf fmt
-    "strings=%d unambiguous=%d ambiguous=%d unrealisable=%d max_words=%d total_words=%d"
-    c.total c.unambiguous c.ambiguous c.unrealisable c.max_words c.total_words

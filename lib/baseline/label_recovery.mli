@@ -36,5 +36,3 @@ type census = {
 
 val census : Digraph.t -> Vpath_set.t -> census
 (** Classify every string of a set — the row generator for EXP-T7. *)
-
-val pp_census : Format.formatter -> census -> unit

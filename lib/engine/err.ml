@@ -30,8 +30,6 @@ let verdict_name = function
   | Complete -> "complete"
   | Partial r -> "partial:" ^ reason_name r
 
-let pp_verdict fmt v = Format.pp_print_string fmt (verdict_name v)
-let is_partial = function Complete -> false | Partial _ -> true
 let exit_ok = 0
 let exit_user_error = 1
 let exit_internal_error = 2

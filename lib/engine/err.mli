@@ -38,10 +38,6 @@ val reason_of_name : string -> reason option
 val verdict_name : verdict -> string
 (** ["complete"] or ["partial:<reason>"]. *)
 
-val pp_verdict : Format.formatter -> verdict -> unit
-
-val is_partial : verdict -> bool
-
 (** {1 Exit-code policy}
 
     One policy for every [mrpa] subcommand:

@@ -87,25 +87,3 @@ let tokenize input =
   in
   scan 0;
   List.rev !tokens
-
-let pp_token fmt = function
-  | LBRACKET -> Format.pp_print_string fmt "["
-  | RBRACKET -> Format.pp_print_string fmt "]"
-  | LBRACE -> Format.pp_print_string fmt "{"
-  | RBRACE -> Format.pp_print_string fmt "}"
-  | LPAREN -> Format.pp_print_string fmt "("
-  | RPAREN -> Format.pp_print_string fmt ")"
-  | COMMA -> Format.pp_print_string fmt ","
-  | SEMI -> Format.pp_print_string fmt ";"
-  | DOT -> Format.pp_print_string fmt "."
-  | CROSS -> Format.pp_print_string fmt "><"
-  | PIPE -> Format.pp_print_string fmt "|"
-  | STAR -> Format.pp_print_string fmt "*"
-  | PLUS -> Format.pp_print_string fmt "+"
-  | QUESTION -> Format.pp_print_string fmt "?"
-  | BANG -> Format.pp_print_string fmt "!"
-  | UNDERSCORE -> Format.pp_print_string fmt "_"
-  | EQUAL -> Format.pp_print_string fmt "="
-  | IDENT s -> Format.fprintf fmt "%S" s
-  | INT i -> Format.pp_print_int fmt i
-  | EOF -> Format.pp_print_string fmt "<eof>"

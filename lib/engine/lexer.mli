@@ -36,5 +36,3 @@ val tokenize : string -> located list
     identifiers are letters, digits and underscores (starting with a
     letter), and single- or double-quoted strings admit arbitrary names.
     Raises {!Lex_error}. *)
-
-val pp_token : Format.formatter -> token -> unit

@@ -75,7 +75,6 @@ let to_string ?(paths = Path_set.empty) add =
     add
 
 let path_json g p = to_string (fun buf -> add_path g buf p)
-let paths_json g s = to_string ~paths:s (fun buf -> add_paths g buf s)
 
 let add_result buf g (r : Engine.result) =
   Outbuf.add_string buf {|{"paths":|};

@@ -8,7 +8,6 @@
     UTF-8). *)
 
 open Mrpa_graph
-open Mrpa_core
 
 val escape_string : string -> string
 (** The JSON string literal (with surrounding quotes) for an OCaml
@@ -25,9 +24,6 @@ val add_fields : Outbuf.t -> (string * string) list -> unit
 val path_json : Digraph.t -> Path.t -> string
 (** A path as
     [{"edges": [{"tail": …, "label": …, "head": …}, …], "label_word": […]}]. *)
-
-val paths_json : Digraph.t -> Path_set.t -> string
-(** A path set as a JSON array, in set order. *)
 
 val result_json : Digraph.t -> Engine.result -> string
 (** A full query result:

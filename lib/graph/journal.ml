@@ -40,8 +40,6 @@ let describe_corruption = function
   | Unapplied { lineno; reason } ->
     Printf.sprintf "line %d: %s (skipped)" lineno reason
 
-let pp_corruption fmt c = Format.pp_print_string fmt (describe_corruption c)
-
 let header = "#mrpa.journal/2"
 let header_prefix = "#mrpa.journal/"
 

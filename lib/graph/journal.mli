@@ -124,7 +124,6 @@ type corruption =
           unknown vertex). *)
 
 val describe_corruption : corruption -> string
-val pp_corruption : Format.formatter -> corruption -> unit
 
 type recovery = {
   r_path : string;

@@ -14,16 +14,6 @@ let severity_label = function
 
 let severity_rank = function Hint -> 0 | Warning -> 1 | Error -> 2
 
-let max_severity = function
-  | [] -> None
-  | d :: ds ->
-    Some
-      (List.fold_left
-         (fun acc d ->
-           if severity_rank d.severity > severity_rank acc then d.severity
-           else acc)
-         d.severity ds)
-
 let has_errors ds = List.exists (fun d -> d.severity = Error) ds
 
 let count severity ds = List.length (List.filter (fun d -> d.severity = severity) ds)
@@ -73,9 +63,6 @@ let render ~source d =
   match excerpt ~source d.span with
   | None -> header
   | Some e -> header ^ "\n" ^ e
-
-let render_all ~source ds =
-  String.concat "\n" (List.map (render ~source) ds)
 
 let summary ds =
   let part severity =

@@ -29,7 +29,6 @@ val make : ?span:Span.t -> code:string -> severity:severity -> string -> t
 val severity_label : severity -> string
 val severity_rank : severity -> int
 
-val max_severity : t list -> severity option
 val has_errors : t list -> bool
 val count : severity -> t list -> int
 
@@ -45,8 +44,6 @@ val excerpt : source:string -> Span.t -> string option
 
 val render : source:string -> t -> string
 (** {!pp} header plus {!excerpt}, newline-separated. *)
-
-val render_all : source:string -> t list -> string
 
 val summary : t list -> string
 (** ["2 finding(s): 1 error(s), 1 warning(s)"], or ["no findings"]. *)
