@@ -360,9 +360,12 @@ type front = {
       (* the flags as a fresh budget for a local run, which Ctrl-C cancels *)
 }
 
-let open_front ?deadline_ms ?fuel ?max_paths ?inject_fault ~max_length path =
+let open_front ?deadline_ms ?fuel ?max_paths ?inject_fault
+    ?result_cache_capacity ~max_length path =
   let module S = Mrpa_server in
-  let snapshot = or_die (loading S.Snapshot.load path) in
+  let snapshot =
+    or_die (loading (S.Snapshot.load ?result_cache_capacity) path)
+  in
   (* Without flags a local run's budget is unlimited but still
      cancellable, so Ctrl-C always stops it cooperatively. *)
   let budget () =
@@ -630,8 +633,10 @@ let query_cmd =
   let run path query max_length limit strategy simple count json lint profile
       profile_json deadline_ms fuel max_paths inject_fault =
     let module S = Mrpa_server in
+    (* One answer per run: a result cache would only copy it. *)
     let front =
-      open_front ?deadline_ms ?fuel ?max_paths ?inject_fault ~max_length path
+      open_front ?deadline_ms ?fuel ?max_paths ?inject_fault
+        ~result_cache_capacity:0 ~max_length path
     in
     let g = graph front in
     (* Every answer ends here, and a partial one exits 3 so scripts can
@@ -1825,9 +1830,10 @@ let route_cmd =
       & opt float Mrpa_server.Router.default_shard_timeout_ms
       & info [ "shard-timeout-ms" ] ~docv:"MS"
           ~doc:
-            "Transport guard per shard dispatch: connect plus response \
-             within $(docv), even when the request carries no deadline. A \
-             request's own deadline, when tighter, wins.")
+            "Transport guard per shard dispatch: connect (when no idle \
+             connection to the shard is kept) plus response within $(docv), \
+             even when the request carries no deadline. A request's own \
+             deadline, when tighter, wins.")
   in
   let probe_timeout_arg =
     Arg.(

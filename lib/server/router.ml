@@ -56,11 +56,16 @@ type fault = { fkind : fault_kind; at : int }
 (* A vertex or label name a query spells. *)
 type name = Vertex_name of string | Label_name of string
 
+(* A kept connection to one shard endpoint, with the reader that owns its
+   buffered bytes. Between exchanges nothing is pending on it. *)
+type conn = { fd : Unix.file_descr; reader : Listener.reader }
+
 type t = {
   config : config;
   breakers : breaker array;
   faults : (int, fault) Hashtbl.t;
-  lock : Mutex.t;  (* breakers, faults, metrics *)
+  idle : conn list array array;  (* [shard].(endpoint): idle connections *)
+  lock : Mutex.t;  (* breakers, faults, metrics, idle *)
   metrics : Metrics.t;  (* the router.* counters, answered by [stats] *)
   listener : Listener.t;
   next_id : int Atomic.t;
@@ -73,7 +78,7 @@ let counter_names =
     "router.counts"; "router.dispatches"; "router.partial"; "router.degraded";
     "router.breaker_opens"; "router.breaker_fastfails"; "router.idle_timeouts";
     "router.oversized_requests"; "router.blank_floods";
-    "router.edges_gathered" ]
+    "router.edges_gathered"; "router.shard_connects" ]
 
 let create config =
   if Shardmap.n_shards config.map = 0 then
@@ -84,6 +89,10 @@ let create config =
       Array.init (Shardmap.n_shards config.map) (fun _ ->
           { bstate = B_closed; failures = 0; preferred = 0; dispatches = 0 });
     faults = Hashtbl.create 4;
+    idle =
+      Array.map
+        (fun s -> Array.make (List.length s.Shardmap.endpoints) [])
+        (Array.of_list (Shardmap.shards config.map));
     lock = Mutex.create ();
     metrics =
       (let m = Metrics.create () in
@@ -94,12 +103,35 @@ let create config =
     started_ns = Metrics.now_ns ();
   }
 
-let stop t = Listener.stop t.listener
 let bound_endpoint t = Listener.bound_endpoint t.listener
 
 let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+
+let close_conn c = try Unix.close c.fd with Unix.Unix_error _ -> ()
+
+(* Caller holds [t.lock]. Empties the pool; the caller closes what it
+   returns, outside the lock. *)
+let take_idle t =
+  Array.fold_left
+    (fun acc eps ->
+      let acc = Array.fold_left List.rev_append acc eps in
+      Array.fill eps 0 (Array.length eps) [];
+      acc)
+    [] t.idle
+
+(* [stop] may run in a signal handler, on the thread that holds [t.lock]:
+   then it leaves the idle connections to [serve], which closes them once
+   it has drained. Connections returned after [stop] are closed, not
+   kept. *)
+let stop t =
+  Listener.stop t.listener;
+  if Mutex.try_lock t.lock then begin
+    let idle = take_idle t in
+    Mutex.unlock t.lock;
+    List.iter close_conn idle
+  end
 
 let m_incr ?by t key =
   with_lock t.lock (fun () -> Metrics.incr ?by t.metrics key)
@@ -145,27 +177,90 @@ module Fault = struct
     with_lock t.lock (fun () -> t.breakers.(idx).dispatches)
 end
 
-(* --- Transport: one request line against one endpoint, with a deadline --- *)
+(* --- Transport: kept connections, one exchange at a time ----------------- *)
 
-let try_endpoint ep line ~abs_deadline =
+(* Readable while idle means the shard has closed the connection or said
+   farewell ([idle_timeout]): either way it can carry no exchange. *)
+let readable_now fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error _ -> true
+
+(* An idle connection to endpoint [ei] of shard [idx], most recently
+   returned first; stale ones are closed on the way. *)
+let rec borrow t idx ei =
+  let taken =
+    with_lock t.lock (fun () ->
+        match t.idle.(idx).(ei) with
+        | [] -> None
+        | c :: rest ->
+          t.idle.(idx).(ei) <- rest;
+          Some c)
+  in
+  match taken with
+  | Some c when readable_now c.fd ->
+    close_conn c;
+    borrow t idx ei
+  | taken -> taken
+
+(* Only after a complete exchange: nothing is in flight on [c]. *)
+let give_back t idx ei c =
+  let kept =
+    with_lock t.lock (fun () ->
+        let keep = not (Listener.stopping t.listener) in
+        if keep then t.idle.(idx).(ei) <- c :: t.idle.(idx).(ei);
+        keep)
+  in
+  if not kept then close_conn c
+
+let connect t ep =
   match Net.connect_fd ep with
-  | exception Unix.Unix_error (err, _, _) ->
-    Error (Unix.error_message err)
+  | exception Unix.Unix_error (err, _, _) -> Error (Unix.error_message err)
   | exception Failure msg -> Error msg
   | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        match Net.write_all fd (line ^ "\n") with
-        | exception Unix.Unix_error (err, _, _) ->
-          Error (Unix.error_message err)
-        | () -> (
-          let reader = Listener.reader fd in
-          match Listener.read_line reader ~deadline:(Some abs_deadline) with
-          | Listener.Line l -> Ok l
-          | Listener.Timed_out -> Error "shard response timed out"
-          | Listener.Eof | Listener.Too_long ->
-            Error "connection closed by shard"))
+    m_incr t "router.shard_connects";
+    Ok { fd; reader = Listener.reader fd }
+
+(* Send [line] (request id [id]) to endpoint [ei] of shard [idx] and read
+   its reply, all within [abs_deadline]: on an idle connection when one is
+   kept, else on a fresh one. The connection is kept only after a reply
+   carrying [id]; any other outcome closes it, so a late reply can never
+   answer a later request. A kept connection that fails before any reply
+   (the write fails, EOF, or a farewell, whose id is null) had gone stale
+   in the pool, so the exchange is tried once more on a fresh connection:
+   every verb the router sends is idempotent. *)
+let try_endpoint t idx ei ep ~id line ~abs_deadline =
+  let rec on c ~kept =
+    let fail msg =
+      close_conn c;
+      Error msg
+    in
+    let retry_or msg = if kept then (close_conn c; fresh ()) else fail msg in
+    match Net.write_all c.fd line with
+    | exception Unix.Unix_error (err, _, _) -> retry_or (Unix.error_message err)
+    | () -> (
+      match Listener.read_line c.reader ~deadline:(Some abs_deadline) with
+      | Listener.Line l -> (
+        match Result.map (fun j -> (j, Json.member "id" j)) (Json.parse l) with
+        | Ok (json, Some got) when got = id ->
+          give_back t idx ei c;
+          Ok json
+        | Ok (_, Some Json.Null) -> retry_or "connection closed by shard"
+        | _ ->
+          (* A peer that frames garbage, or answers another request, is as
+             good as dead. *)
+          fail "unexpected reply from shard")
+      | Listener.Eof -> retry_or "connection closed by shard"
+      | Listener.Timed_out -> fail "shard response timed out"
+      | Listener.Too_long -> fail "shard reply too long"
+      | exception e ->
+        close_conn c;
+        raise e)
+  and fresh () =
+    match connect t ep with Error _ as e -> e | Ok c -> on c ~kept:false
+  in
+  match borrow t idx ei with Some c -> on c ~kept:true | None -> fresh ()
 
 (* --- Breaker-gated shard dispatch ---------------------------------------- *)
 
@@ -214,7 +309,7 @@ let attempt_endpoints t idx req ~abs_deadline =
   let eps = Array.of_list shard.Shardmap.endpoints in
   let n = Array.length eps in
   let start = with_lock t.lock (fun () -> t.breakers.(idx).preferred) in
-  let line = Wire.encode_request req in
+  let line = Wire.encode_request req ^ "\n" in
   let transport_or_stale = ref false in
   let rec go k =
     if k >= n then begin
@@ -223,53 +318,47 @@ let attempt_endpoints t idx req ~abs_deadline =
     end
     else begin
       let ei = (start + k) mod n in
-      match try_endpoint eps.(ei) line ~abs_deadline with
+      match try_endpoint t idx ei eps.(ei) ~id:req.Wire.id line ~abs_deadline with
       | Error _ ->
         transport_or_stale := true;
         go (k + 1)
-      | Ok resp_line -> (
-        match Json.parse resp_line with
-        | Error _ ->
-          (* A peer that frames garbage is as good as dead. *)
-          transport_or_stale := true;
-          go (k + 1)
-        | Ok json -> (
-          match Json.member "ok" json with
-          | Some (Json.Bool true) ->
-            record_success t idx ~endpoint_index:ei;
-            D_ok json
-          | Some (Json.Bool false) -> (
-            let code =
-              match
-                Option.bind (Json.member "error" json) (Json.member "code")
-              with
-              | Some (Json.String c) -> c
-              | _ -> "internal"
-            in
-            let message =
-              match
-                Option.bind (Json.member "error" json) (Json.member "message")
-              with
-              | Some (Json.String m) -> m
-              | _ -> "shard error"
-            in
-            if code = Wire.error_code_name Wire.Stale then begin
-              transport_or_stale := true;
-              go (k + 1)
-            end
-            else if code = Wire.error_code_name Wire.Overloaded then
-              (* Shedding load is proof of life: rotate without charging
-                 the breaker. *)
-              go (k + 1)
-            else begin
-              (* A definite answer (query_error, infeasible, ...): the
-                 shard is alive and has spoken. *)
-              record_success t idx ~endpoint_index:ei;
-              D_wire (code, message)
-            end)
-          | _ ->
+      | Ok json -> (
+        match Json.member "ok" json with
+        | Some (Json.Bool true) ->
+          record_success t idx ~endpoint_index:ei;
+          D_ok json
+        | Some (Json.Bool false) -> (
+          let code =
+            match
+              Option.bind (Json.member "error" json) (Json.member "code")
+            with
+            | Some (Json.String c) -> c
+            | _ -> "internal"
+          in
+          let message =
+            match
+              Option.bind (Json.member "error" json) (Json.member "message")
+            with
+            | Some (Json.String m) -> m
+            | _ -> "shard error"
+          in
+          if code = Wire.error_code_name Wire.Stale then begin
             transport_or_stale := true;
-            go (k + 1)))
+            go (k + 1)
+          end
+          else if code = Wire.error_code_name Wire.Overloaded then
+            (* Shedding load is proof of life: rotate without charging
+               the breaker. *)
+            go (k + 1)
+          else begin
+            (* A definite answer (query_error, infeasible, ...): the
+               shard is alive and has spoken. *)
+            record_success t idx ~endpoint_index:ei;
+            D_wire (code, message)
+          end)
+        | _ ->
+          transport_or_stale := true;
+          go (k + 1))
     end
   in
   go 0
@@ -338,34 +427,30 @@ let dispatch t idx req ~abs_deadline =
           D_unavailable)
   | `Proceed -> apply_fault (fun () -> attempt_endpoints t idx req ~abs_deadline)
 
-(* Dispatch [mk_req idx] to each shard [idx] of [targets] concurrently;
-   order of the result list is the order of [targets]. *)
+(* Dispatch [mk_req idx] to each shard [idx] of [targets] concurrently,
+   the last one on the calling thread; order of the result list is the
+   order of [targets]. *)
 let scatter t targets mk_req ~abs_deadline =
-  match targets with
+  let run idx =
+    try dispatch t idx (mk_req idx) ~abs_deadline with _ -> D_unavailable
+  in
+  match List.rev targets with
   | [] -> []
-  | [ idx ] ->
-    [ (idx, (try dispatch t idx (mk_req idx) ~abs_deadline with _ -> D_unavailable)) ]
-  | _ ->
-    let cells =
-      List.map
+  | last :: others ->
+    let spawned =
+      List.rev_map
         (fun idx ->
           let cell = ref D_unavailable in
-          let th =
-            Thread.create
-              (fun () ->
-                cell :=
-                  try dispatch t idx (mk_req idx) ~abs_deadline
-                  with _ -> D_unavailable)
-              ()
-          in
-          (idx, cell, th))
-        targets
+          (idx, cell, Thread.create (fun () -> cell := run idx) ()))
+        others
     in
+    let mine = run last in
     List.map
       (fun (idx, cell, th) ->
         Thread.join th;
         (idx, !cell))
-      cells
+      spawned
+    @ [ (last, mine) ]
 
 (* --- Frontier narrowing and shard targeting ------------------------------ *)
 
@@ -1104,17 +1189,23 @@ let handle_line ?(remote = false) t line =
 (* A router session answers every line itself, so its thread owns the one
    writer the session's responses are rendered into. *)
 let serve t =
-  Listener.serve t.listener
-    ~on_farewell:(fun f -> m_incr t ("router." ^ Listener.farewell_counter f))
-    (fun ~remote fd ->
-      m_incr t "router.connections";
-      let out = Listener.writer () in
-      let send = Listener.send out fd in
-      {
-        Listener.handle =
-          (fun line ->
-            send (respond ~remote t line);
-            if Listener.stopping t.listener then `Close else `Continue);
-        send;
-        close = ignore;
-      })
+  Fun.protect
+    ~finally:(fun () ->
+      (* Drained: the idle connections of sessions that have ended. *)
+      List.iter close_conn (with_lock t.lock (fun () -> take_idle t)))
+    (fun () ->
+      Listener.serve t.listener
+        ~on_farewell:(fun f ->
+          m_incr t ("router." ^ Listener.farewell_counter f))
+        (fun ~remote fd ->
+          m_incr t "router.connections";
+          let out = Listener.writer () in
+          let send = Listener.send out fd in
+          {
+            Listener.handle =
+              (fun line ->
+                send (respond ~remote t line);
+                if Listener.stopping t.listener then `Close else `Continue);
+            send;
+            close = ignore;
+          }))

@@ -38,6 +38,19 @@
       answer is always a subset of the true denotation, never a wrong or
       silently-hole-ridden one.
 
+    The transport keeps its shard connections open: a pool of idle
+    connections per endpoint of each shard, empty until the first
+    dispatch. A dispatch borrows one (or connects), writes one request
+    line and reads the reply on the calling thread. The connection goes
+    back to the pool only after a reply carrying the request's [id]; any
+    other outcome closes it, so a late reply never answers a later
+    request. An idle connection that is readable when borrowed (EOF, or
+    a shard's [idle_timeout] farewell) is closed, and one that fails
+    before any reply is retried once on a fresh connection: every verb
+    the router sends a shard is idempotent. Only a failure on a fresh
+    connection counts against the endpoint and the breaker.
+    [router.shard_connects] counts the connections opened (DESIGN §11).
+
     A deterministic fault plane ({!Fault}) can kill, hang or slow a shard
     starting at the N-th dispatch, driving the multi-process fault matrix
     in the tests without real process churn. *)
@@ -50,8 +63,9 @@ type config = {
   limits : Wire.limits;
       (** clamped onto every request exactly like a single server's. *)
   shard_timeout_ms : float;
-      (** transport guard per shard dispatch: connect + response within
-          this window even when the request carries no deadline. *)
+      (** transport guard per shard dispatch: connect, when no idle
+          connection is kept, plus the reply, within this window even
+          when the request carries no deadline. *)
   probe_timeout_ms : float;  (** budget of the half-open [health] probe. *)
   breaker_failures : int;
       (** consecutive failed dispatches that open a shard's breaker. *)
@@ -88,7 +102,11 @@ val serve : t -> unit
     [router.blank_floods]). Blocks; run it in its own thread. *)
 
 val stop : t -> unit
-(** Ask {!serve} to drain and return. Safe from any thread/signal. *)
+(** Ask {!serve} to drain and return, and close every idle shard
+    connection; a connection in use is closed when its exchange ends.
+    Safe from any thread/signal: a signal that interrupts the thread
+    holding the router's lock leaves the idle connections to {!serve},
+    which closes them once it has drained. *)
 
 val bound_endpoint : t -> Wire.endpoint option
 (** The endpoint actually bound (differs from [config.endpoint] when a

@@ -235,8 +235,8 @@ let refresh_snapshot t g ~seq =
 
 (* Execute a compiled plan for query/count, rendering the response into
    [b]. A Complete payload is an answer over [snap]'s immutable graph, so
-   a copy of it goes into [snap]'s result cache: never [b] itself, which
-   its owner reuses for the next response. *)
+   a copy of it goes into [snap]'s result cache, when that is on: never
+   [b] itself, which its owner reuses for the next response. *)
 let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey
     (c : Snapshot.compiled) budget b =
   let g = Snapshot.graph snap in
@@ -258,7 +258,8 @@ let eval_compiled t snap (req : Wire.request) (o : Wire.options) rkey
         Outbuf.add_string b {|"result":|};
         let start = Outbuf.length b in
         Render.add_result b g r;
-        if r.Engine.verdict = Err.Complete then
+        if r.Engine.verdict = Err.Complete && Snapshot.caches_results snap
+        then
           Snapshot.cache_result snap rkey
             [ ("result", Outbuf.sub b start (Outbuf.length b - start)) ])
       b

@@ -115,6 +115,7 @@ let result_key ~verb ~query ~max_length ~simple ~strategy ~limit =
   }
 
 let cached_result t key = Lru.find t.results key
+let caches_results t = Lru.capacity t.results > 0
 
 let cache_result t ?(generation = t.seq) key payload =
   if generation = t.seq then Lru.add t.results key payload

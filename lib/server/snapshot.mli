@@ -134,6 +134,11 @@ val cached_result : t -> result_key -> (string * string) list option
 (** Cached response payload fields ([(key, raw_json_value)] pairs, minus
     the envelope — the envelope carries the per-request [id]). *)
 
+val caches_results : t -> bool
+(** Whether the result cache is on (a capacity above [0]): off, a payload
+    offered to {!cache_result} is dropped, so there is no need to copy
+    one for it. *)
+
 val cache_result :
   t -> ?generation:int -> result_key -> (string * string) list -> unit
 (** Store a payload. Only {e Complete}-verdict payloads should be stored:

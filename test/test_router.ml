@@ -116,10 +116,10 @@ let wait_for_socket path =
   in
   go ()
 
-let start_shard ~socket graph =
+let start_shard ?(front = fun c -> c) ~socket graph =
   let config =
     {
-      Server.front = Listener.default_config (Wire.Unix_socket socket);
+      Server.front = front (Listener.default_config (Wire.Unix_socket socket));
       workers = 2;
       queue_capacity = 8;
       limits = Wire.default_limits;
@@ -139,9 +139,10 @@ let stop_shard (server, thread) =
 (* Partition [graph] across [n] single-server shards on Unix sockets in a
    temp dir, build an (unserved — driven through [handle_line]) router over
    them, and hand everything to [f]. The fleet is torn down afterwards even
-   if [f] kills some of it first. [partition] builds the shards' graphs. *)
+   if [f] kills some of it first. [partition] builds the shards' graphs;
+   [shard_front] adjusts the shards' session bounds. *)
 let with_fleet ?(n = 3) ?(graph = H.paper_graph ()) ?(tune = fun c -> c)
-    ?(partition = Shardmap.partition) f =
+    ?(partition = Shardmap.partition) ?shard_front f =
   let dir = Filename.temp_file "mrpa_route" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -164,7 +165,9 @@ let with_fleet ?(n = 3) ?(graph = H.paper_graph ()) ?(tune = fun c -> c)
     Hashtbl.create n (* name -> running shard, so tests can kill/restart *)
   in
   List.iteri
-    (fun i nm -> Hashtbl.replace shards nm (start_shard ~socket:(sock nm) parts.(i)))
+    (fun i nm ->
+      Hashtbl.replace shards nm
+        (start_shard ?front:shard_front ~socket:(sock nm) parts.(i)))
     names;
   let kill nm =
     match Hashtbl.find_opt shards nm with
@@ -176,7 +179,8 @@ let with_fleet ?(n = 3) ?(graph = H.paper_graph ()) ?(tune = fun c -> c)
   let restart nm =
     kill nm;
     let i = Option.get (Shardmap.index_of map nm) in
-    Hashtbl.replace shards nm (start_shard ~socket:(sock nm) parts.(i))
+    Hashtbl.replace shards nm
+      (start_shard ?front:shard_front ~socket:(sock nm) parts.(i))
   in
   let router =
     Router.create
@@ -1246,6 +1250,239 @@ let test_router_gathers_reachable () =
         true
         (gathered * 10 < beta))
 
+(* --- Transport: kept shard connections ---------------------------------- *)
+
+let stats_line =
+  Wire.encode_request
+    {
+      Wire.id = Json.Null;
+      verb = Wire.Stats;
+      query = None;
+      options = Wire.default_options;
+    }
+
+(* From one [stats]: the router's [router.shard_connects], and the sum
+   over the shards of a counter of their own. *)
+let connects_and_shard_counter router name =
+  let j = expect_ok (Router.handle_line router stats_line) in
+  let counter stats key =
+    Option.value ~default:0
+      (Option.bind
+         (Option.bind (Json.member "counters" stats) (Json.member key))
+         Json.to_int_opt)
+  in
+  let shards =
+    match Json.member "shards" j with
+    | Some (Json.Obj shards) -> List.map snd shards
+    | _ -> Alcotest.fail "stats without shards"
+  in
+  ( counter (Option.get (Json.member "stats" j)) "router.shard_connects",
+    List.fold_left (fun acc s -> acc + counter s name) 0 shards )
+
+let expect_complete line =
+  let j = expect_ok line in
+  Alcotest.(check (option string)) "verdict" (Some "complete") (result_verdict j);
+  j
+
+(* Each router session dispatches to a shard one request at a time, so
+   after the first exchange every dispatch finds an idle connection. *)
+let test_connections_reused () =
+  with_fleet (fun router ~graph:_ ~kill:_ ~restart:_ ->
+      let connects0, accepted0 =
+        connects_and_shard_counter router "server.connections"
+      in
+      for _ = 1 to 50 do
+        ignore
+          (expect_complete
+             (Router.handle_line router (query_req "[_,_,_] . [_,_,_]")))
+      done;
+      let connects, accepted =
+        connects_and_shard_counter router "server.connections"
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "router.shard_connects %d -> %d" connects0 connects)
+        true
+        (connects - connects0 <= 3);
+      Alcotest.(check bool)
+        (Printf.sprintf "connections the shards accepted %d -> %d" accepted0
+           accepted)
+        true
+        (accepted - accepted0 <= 3))
+
+(* The restarted shard closed the connection the router kept: that is a
+   stale idle connection, not a failed dispatch. *)
+let test_restarted_shard () =
+  with_fleet ~tune:fast (fun router ~graph:_ ~kill:_ ~restart ->
+      ignore (expect_complete (Router.handle_line router (query_req "[_,_,_]")));
+      restart "s0";
+      ignore (expect_complete (Router.handle_line router (query_req "[_,_,_]")));
+      Alcotest.(check (option string))
+        "breaker" (Some "closed")
+        (Router.breaker_state router "s0");
+      let health =
+        Wire.encode_request
+          {
+            Wire.id = Json.Null;
+            verb = Wire.Health;
+            query = None;
+            options = Wire.default_options;
+          }
+      in
+      let j = expect_ok (Router.handle_line router health) in
+      let s0 =
+        match
+          Option.bind (Json.member "health" j) (Json.member "shards")
+        with
+        | Some (Json.List l) ->
+          List.find
+            (fun s ->
+              Option.bind (Json.member "name" s) Json.to_string_opt = Some "s0")
+            l
+        | _ -> Alcotest.fail "health without shards"
+      in
+      Alcotest.(check (option int))
+        "failures" (Some 0)
+        (Option.bind (Json.member "failures" s0) Json.to_int_opt))
+
+(* A shard that closes idle sessions sends an [idle_timeout] farewell
+   (id null) on each connection the router keeps, then closes it. *)
+let test_idle_farewell () =
+  with_fleet ~tune:fast
+    ~shard_front:(fun c -> { c with Listener.idle_timeout_ms = Some 50.0 })
+    (fun router ~graph:_ ~kill:_ ~restart:_ ->
+      let q () = Router.handle_line router (query_req "[_,_,_]") in
+      ignore (expect_complete (q ()));
+      Unix.sleepf 0.15;
+      ignore (expect_complete (q ()));
+      let _, farewells =
+        connects_and_shard_counter router "server.idle_timeouts"
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "the shards said farewell (%d)" farewells)
+        true (farewells > 0))
+
+(* A fake shard on [path]: each connection gets its own thread, and each
+   request line a one-edge answer [v -r-> wID] that echoes the request's
+   id. The very first request is answered [first_delay] seconds late.
+   Returns the ids seen, latest first, and a stop function. *)
+let fake_shard path ~first_delay =
+  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listen_fd (Unix.ADDR_UNIX path);
+  Unix.listen listen_fd 8;
+  let seen = ref [] and lock = Mutex.create () and stopping = Atomic.make false in
+  let answer fd =
+    let r = Listener.reader fd in
+    let rec loop () =
+      match
+        Listener.read_line r ~deadline:(Some (Unix.gettimeofday () +. 5.0))
+      with
+      | Listener.Line line -> (
+        let id =
+          match Json.parse line with
+          | Ok j -> Option.value ~default:Json.Null (Json.member "id" j)
+          | Error _ -> Json.Null
+        in
+        Mutex.lock lock;
+        let first = !seen = [] in
+        seen := id :: !seen;
+        Mutex.unlock lock;
+        if first then Unix.sleepf first_delay;
+        let id = Json.to_string id in
+        let reply =
+          Printf.sprintf
+            {|{"id":%s,"ok":true,"result":{"paths":[{"edges":[{"tail":"v","label":"r","head":"w%s"}]}],"verdict":"complete"}}|}
+            id id
+        in
+        match Net.write_all fd (reply ^ "\n") with
+        | () -> loop ()
+        | exception Unix.Unix_error _ -> ())
+      | _ -> ()
+    in
+    loop ();
+    Unix.close fd
+  in
+  let acceptor =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stopping) do
+          match Unix.select [ listen_fd ] [] [] 0.05 with
+          | [], _, _ -> ()
+          | _ ->
+            let fd, _ = Unix.accept listen_fd in
+            ignore (Thread.create answer fd)
+        done;
+        Unix.close listen_fd)
+      ()
+  in
+  let seen () =
+    Mutex.lock lock;
+    let ids = !seen in
+    Mutex.unlock lock;
+    ids
+  in
+  let stop () =
+    Atomic.set stopping true;
+    Thread.join acceptor;
+    Sys.remove path
+  in
+  (seen, stop)
+
+(* The first dispatch (a [stats]) times out, and its reply arrives on the
+   connection it was sent on while the next request is under way. That
+   routed query must be answered by the reply to its own dispatch: its one
+   path ends at [w] and the id of the last request the shard saw. *)
+let test_late_reply () =
+  let dir = Filename.temp_file "mrpa_late" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "fake.sock" in
+  let seen, stop_fake = fake_shard path ~first_delay:0.6 in
+  let map =
+    match
+      Shardmap.of_string
+        (Printf.sprintf "%s\nshard solo unix:%s\n" Shardmap.magic path)
+    with
+    | Ok m -> m
+    | Error e -> Alcotest.failf "map: %s" e
+  in
+  let router =
+    Router.create
+      (fast
+         (Router.default_config ~map
+            (Wire.Unix_socket (Filename.concat dir "router.sock"))))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop router;
+      stop_fake ();
+      Unix.rmdir dir)
+    (fun () ->
+      let j = expect_ok (Router.handle_line router stats_line) in
+      (match Option.bind (Json.member "shards" j) (Json.member "solo") with
+      | Some Json.Null -> ()
+      | _ -> Alcotest.fail "the first dispatch should time out");
+      let j = expect_complete (Router.handle_line router (query_req "[v,r,_]")) in
+      let own =
+        match seen () with
+        | id :: _ -> "w" ^ Json.to_string id
+        | [] -> Alcotest.fail "the fake shard saw nothing"
+      in
+      let heads =
+        match result_member j "paths" with
+        | Some (Json.List paths) ->
+          List.concat_map
+            (fun p ->
+              match Json.member "edges" p with
+              | Some (Json.List edges) ->
+                List.filter_map
+                  (fun e -> Option.bind (Json.member "head" e) Json.to_string_opt)
+                  edges
+              | _ -> [])
+            paths
+        | _ -> Alcotest.fail "no paths"
+      in
+      Alcotest.(check (list string)) "its own reply" [ own ] heads)
+
 let () =
   Alcotest.run "router"
     [
@@ -1311,5 +1548,16 @@ let () =
         [
           Alcotest.test_case "failover rotates past a dead endpoint" `Quick
             test_client_failover_rotates;
+        ] );
+      ( "transport",
+        [
+          Alcotest.test_case "connections are reused" `Quick
+            test_connections_reused;
+          Alcotest.test_case "a restarted shard is not a failure" `Quick
+            test_restarted_shard;
+          Alcotest.test_case "an idle farewell is not an answer" `Quick
+            test_idle_farewell;
+          Alcotest.test_case "a late reply is never another request's answer"
+            `Quick test_late_reply;
         ] );
     ]

@@ -2191,6 +2191,77 @@ let test_one_buffer_per_response () =
            per_response bound)
         true (per_response <= bound))
 
+(* Every word allocated while [f] runs, in either heap. *)
+let allocated_words f =
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  f ();
+  Gc.minor ();
+  let s1 = Gc.quick_stat () in
+  s1.Gc.minor_words -. s0.Gc.minor_words
+  +. (s1.Gc.major_words -. s0.Gc.major_words)
+  -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+
+(* The result cache keeps a copy of a Complete payload; with the cache
+   off there is nowhere to keep it, so no copy is made. One answer each
+   on two snapshots of one graph, after a warm-up: the cache-off answer
+   allocates at least the payload's size less. *)
+let test_no_copy_without_result_cache () =
+  let g = Snapshot.graph (Lazy.force writer_graph) in
+  let req =
+    {
+      Wire.id = Json.Number 1.0;
+      verb = Wire.Query;
+      query = Some "[p0,knows,_] . [_,knows,_] . [_,knows,_]";
+      options = Wire.default_options;
+    }
+  in
+  let answer ~result_cache_capacity =
+    let server =
+      unbound_server (Snapshot.of_graph ~result_cache_capacity g)
+    in
+    Fun.protect
+      ~finally:(fun () -> Server.close server)
+      (fun () ->
+        (* The same answer under another result key warms everything
+           but the cache. *)
+        ignore
+          (Server.answer server
+             { req with Wire.options = limited 1_000_000 });
+        let line = ref "" in
+        let words =
+          allocated_words (fun () -> line := Server.answer server req)
+        in
+        (!line, words))
+  in
+  let on, words_on = answer ~result_cache_capacity:256 in
+  let off, words_off = answer ~result_cache_capacity:0 in
+  (match Json.parse on with
+  | Ok j ->
+    Alcotest.(check (option string))
+      "complete" (Some "complete")
+      (Option.bind
+         (Option.bind (Json.member "result" j) (Json.member "verdict"))
+         Json.to_string_opt)
+  | Error m -> Alcotest.fail m);
+  (* The line is the envelope's head, the payload and a closing brace. *)
+  let head = {|{"mrpa":"mrpa.wire/1","id":1,"ok":true,"result":|} in
+  Alcotest.(check string)
+    "envelope" head
+    (String.sub on 0 (String.length head));
+  let payload = String.length on - String.length head - 1 in
+  Alcotest.(check bool)
+    (Printf.sprintf "a large answer (%d bytes)" payload)
+    true (payload >= 100_000);
+  Alcotest.(check int) "the same line" (String.length on) (String.length off);
+  let saved = words_on -. words_off in
+  Printf.printf "cache off: %.0f words fewer for a %d-byte payload\n" saved
+    payload;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words saved >= %d" saved (payload / 8))
+    true
+    (saved >= float_of_int (payload / 8))
+
 (* Pipelined answers over four connections to four workers: with at most
    two cores the workers share domains, two systhreads to a domain, and a
    writer kept per domain would be overwritten by one worker while
@@ -2501,6 +2572,8 @@ let () =
             test_cache_never_aliases_writer;
           Alcotest.test_case "growth and reset" `Quick
             test_writer_growth_and_reset;
+          Alcotest.test_case "no payload copy without a result cache" `Quick
+            test_no_copy_without_result_cache;
         ] );
       ( "retry",
         [
